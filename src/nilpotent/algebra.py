@@ -13,8 +13,9 @@ complexified second quaternion copy (v = i*q2), so a single composition rule
 (two quaternion tables plus the central i) yields every product.
 
 Multivectors are rational linear combinations of blades.  All arithmetic is
-exact; there is no floating point anywhere in this module except in the
-convenience conversion of the matrix oracle to numpy complex output.
+exact; there is no floating point anywhere in this module.  The 4x4 matrix
+oracle checks the product tables independently: its blade images are
+monomial, built from the 2x2 quaternion images alone.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
-
-import numpy as np
 
 __all__ = [
     "BasisBlade",
@@ -38,7 +37,6 @@ __all__ = [
     "generate_group",
     "group_center",
     "matrix_rep",
-    "matrix_rep_complex",
     "matrices_equal",
     "dual_element_image",
     "gamma_pentad",
@@ -369,11 +367,6 @@ def MV(name: str, coef=1) -> Multivector:
     return Multivector.from_name(name, coef)
 
 
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    """Exact product; bilinear extension of :func:`blade_mul`."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # matrix oracle
 # ---------------------------------------------------------------------------
@@ -431,56 +424,51 @@ class Cq:
         return Cq(_as_fraction(x))
 
 
-_C0, _C1, _CI = Cq(0), Cq(1), Cq(0, 1)
-
-# standard 2x2 complex images of the quaternion units 1, i, j, k
+# monomial 2x2 images of the quaternion units 1, i, j, k: row r has its one
+# nonzero entry i^p in column c, stored as (c, p)
 _Q2X2 = (
-    ((_C1, _C0), (_C0, _C1)),
-    ((_CI, _C0), (_C0, -_CI)),
-    ((_C0, _C1), (-_C1, _C0)),
-    ((_C0, _CI), (_CI, _C0)),
+    ((0, 0), (1, 0)),  # [[1, 0], [0, 1]]
+    ((0, 1), (1, 3)),  # [[i, 0], [0, -i]]
+    ((1, 0), (0, 2)),  # [[0, 1], [-1, 0]]
+    ((1, 1), (0, 1)),  # [[0, i], [i, 0]]
 )
 
-
-def _qmat(u: int) -> np.ndarray:
-    return np.array(_Q2X2[u], dtype=object)
-
-
-def _blade_matrix(idx: int) -> np.ndarray:
-    """4x4 image: q1 on the first tensor factor, the hidden q2 on the second,
-    vector units carrying their central-i factor (v = i*q2)."""
-    e, q, v = _blade_parts(idx)
-    m = np.kron(_qmat(q), _qmat(v))
-    phase = (e + (1 if v else 0)) % 4
-    for _ in range(phase):
-        m = m * _CI
-    return m
+# 4x4 monomial blade images, one (column, i-power) per row: the Kronecker
+# product of q1 (first tensor factor) and the hidden q2 (second factor), times
+# i^e and, for a vector unit, its central-i factor (v = i*q2)
+BLADE_IMAGES = tuple(
+    tuple((2 * c1 + c2, (p1 + p2 + e + (v != 0)) % 4)
+          for c1, p1 in _Q2X2[q] for c2, p2 in _Q2X2[v])
+    for e, q, v in map(_blade_parts, range(32)))
 
 
-BLADE_MATRICES = tuple(_blade_matrix(i) for i in range(32))
+class Mat4(tuple):
+    """4x4 matrix of :class:`Cq` rows: ``@`` is the exact product, ``==`` entrywise."""
 
-_ZERO4 = np.array([[_C0] * 4 for _ in range(4)], dtype=object)
+    __slots__ = ()
+
+    def __matmul__(self, other: "Mat4") -> "Mat4":
+        cols = tuple(zip(*other))
+        return Mat4(tuple(Cq(sum(a.re * b.re - a.im * b.im for a, b in zip(row, col)),
+                             sum(a.re * b.im + a.im * b.re for a, b in zip(row, col)))
+                          for col in cols) for row in self)
 
 
-def matrix_rep(x: Multivector) -> np.ndarray:
+def matrix_rep(x: Multivector) -> Mat4:
     """4x4 matrix image with exact complex-rational entries.
 
     Ring homomorphism: matrix_rep(a*b) equals matrix_rep(a) @ matrix_rep(b)
     entrywise, with exact equality.
     """
-    m = _ZERO4
+    acc = [[[0, 0] for _ in range(4)] for _ in range(4)]  # [re, im] per entry
     for idx, coef in x._c.items():
-        m = m + BLADE_MATRICES[idx] * Cq(coef)
-    return m
+        for r, (c, p) in enumerate(BLADE_IMAGES[idx]):
+            acc[r][c][p & 1] += -coef if p & 2 else coef
+    return Mat4(tuple(Cq(re, im) for re, im in row) for row in acc)
 
 
-def matrix_rep_complex(x: Multivector) -> np.ndarray:
-    """Float view of :func:`matrix_rep` for display and numpy interop."""
-    return np.array([[complex(e) for e in row] for row in matrix_rep(x)], dtype=complex)
-
-
-def matrices_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return all(x == y for x, y in zip(a.flat, b.flat))
+def matrices_equal(a: Mat4, b: Mat4) -> bool:
+    return a == b
 
 
 # ---------------------------------------------------------------------------

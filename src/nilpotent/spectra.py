@@ -566,11 +566,16 @@ def lmin(a: float, b: float, c: float) -> float:
     """Minimal total flux-tube length for three charges on a triangle a,b,c.
 
     L_min = sqrt((a^2+b^2+c^2)/2 + (sqrt(3)/2) sqrt((a+b+c)(-a+b+c)(a-b+c)(a+b-c))).
-    For a = b = c this is 3 times the circumradius distance a/sqrt(3).
+    For a = b = c this is 3 times the circumradius distance a/sqrt(3).  When an
+    angle is 120 degrees or more, the Fermat point is that vertex and L_min is
+    the sum of the two shorter sides.
     """
     if min(a, b, c) < 0:
         raise ValueError("side lengths must be nonnegative")
     heron = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
     if heron < 0:
         raise ValueError(f"triangle inequality violated for sides {(a, b, c)}")
+    short, mid, long = sorted((a, b, c))
+    if long * long >= short * short + mid * mid + short * mid:  # angle >= 120 degrees
+        return short + mid
     return math.sqrt((a * a + b * b + c * c) / 2.0 + math.sqrt(3.0) / 2.0 * math.sqrt(heron))

@@ -175,7 +175,7 @@ def solve_MX(alpha_at_mu: float, alpha3_at_mu: float, sin2: float, mu: float) ->
     """Unification scale from the combined mixing relation.
 
     M_X = mu exp((sin^2/alpha - 1/alpha_3) 6 pi / 11); raises when the
-    bracket is nonpositive (no solution above mu).
+    bracket is negative (no solution above mu).
     """
     bracket = sin2 / alpha_at_mu - 1.0 / alpha3_at_mu
     if bracket < 0:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from nilpotent import algebra
 from nilpotent.algebra import (
     MV,
     BasisBlade,
+    Cq,
     GroupElement,
     Multivector,
     blade_mul,
@@ -20,9 +22,9 @@ from nilpotent.algebra import (
     group_center,
     matrices_equal,
     matrix_rep,
-    matrix_rep_complex,
     parse_blade,
 )
+from nilpotent.verify import run_identity_suite
 
 ONE = MV("1")
 
@@ -147,10 +149,8 @@ def test_group_closure():
 
 
 def test_matrix_rep_identity():
-    m = matrix_rep_complex(ONE)
-    for r in range(4):
-        for c in range(4):
-            assert m[r][c] == (1 if r == c else 0)
+    identity = tuple(tuple(Cq(1 if r == c else 0) for c in range(4)) for r in range(4))
+    assert matrix_rep(ONE) == identity
 
 
 def test_matrix_rep_quaternion_image():
@@ -211,6 +211,18 @@ def test_oracle_equivalence_1000_random_pairs():
     for _ in range(1000):
         a, b = rand_mv(), rand_mv()
         assert matrices_equal(matrix_rep(a * b), matrix_rep(a) @ matrix_rep(b))
+
+
+def test_oracle_catches_a_flipped_product_sign(monkeypatch):
+    """The blade images come from the 2x2 quaternion images alone, so a wrong
+    product-table sign for the mapping-2 gamma0 gamma1 = (i.qk)(qi.vi) fails
+    the oracle check."""
+    assert (blade_name(28), blade_name(5)) == ("i.qk", "qi.vi")
+    flipped = [row[:] for row in algebra.MUL_SIGN]
+    flipped[28][5] = -flipped[28][5]
+    monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
+    checks = {c.name: c.passed for c in run_identity_suite(oracle_pairs=0, state_samples=0)}
+    assert checks["mapping-2 oracle spot product"] is False
 
 
 def test_dualling_counts_double():

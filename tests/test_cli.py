@@ -219,6 +219,15 @@ def test_console_script_entry_point():
     assert "i.vk" in proc.stdout
 
 
+def test_verify_runs_without_numpy():
+    script = ("import sys; from nilpotent import cli; "
+              "code = cli.main(['algebra', 'verify', '--pairs', '5', '--samples', '5']); "
+              "assert 'numpy' not in sys.modules, 'numpy was imported'; sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout
+
+
 def test_json_determinism():
     runs = [run_cli("--format", "json", "mass", "--all")[1] for _ in range(2)]
     assert runs[0] == runs[1]

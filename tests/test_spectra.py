@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+import hypothesis.strategies as st
 from sympy import I, Rational
 
 from nilpotent.spectra import (
@@ -302,7 +304,8 @@ def test_lmin_equilateral():
 def test_lmin_degenerate():
     assert lmin(0, 0, 0) == 0.0
     a, b = 1.0, 2.0
-    assert lmin(a, b, a + b) == pytest.approx(math.sqrt((a * a + b * b + (a + b) ** 2) / 2))
+    # collinear charges: the middle one is the Fermat point
+    assert lmin(a, b, a + b) == pytest.approx(a + b)
 
 
 def test_lmin_symmetric_and_scaling():
@@ -311,6 +314,34 @@ def test_lmin_symmetric_and_scaling():
     vals = {round(lmin(*perm), 12) for perm in itertools.permutations(sides)}
     assert len(vals) == 1
     assert lmin(4.0, 6.0, 8.0) == pytest.approx(2 * lmin(2.0, 3.0, 4.0))
+
+
+def _weiszfeld_minimum(a, b, c):
+    """Numeric Fermat-Torricelli minimum (Weiszfeld 1937) for the triangle
+    with sides a, b, c: the iteration from the centroid, compared against each
+    vertex, where it stalls when an angle is 120 degrees or more."""
+    x = (a * a + b * b - c * c) / (2 * a)
+    pts = ((0.0, 0.0), (a, 0.0), (x, math.sqrt(max(b * b - x * x, 0.0))))
+
+    def total(px, py):
+        return sum(math.hypot(px - qx, py - qy) for qx, qy in pts)
+
+    px, py = sum(p[0] for p in pts) / 3, sum(p[1] for p in pts) / 3
+    for _ in range(2000):
+        ws = [1.0 / max(math.hypot(px - qx, py - qy), 1e-300) for qx, qy in pts]
+        nx = sum(w * q[0] for w, q in zip(ws, pts)) / sum(ws)
+        ny = sum(w * q[1] for w, q in zip(ws, pts)) / sum(ws)
+        if math.hypot(nx - px, ny - py) < 1e-15:
+            break
+        px, py = nx, ny
+    return min([total(px, py)] + [total(qx, qy) for qx, qy in pts])
+
+
+@settings(max_examples=200)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(1.0, 179.0))
+def test_lmin_matches_weiszfeld(a, b, angle_deg):
+    c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(math.radians(angle_deg)))
+    assert lmin(a, b, c) == pytest.approx(_weiszfeld_minimum(a, b, c), rel=1e-6)
 
 
 def test_lmin_triangle_inequality():
