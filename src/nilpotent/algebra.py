@@ -261,10 +261,6 @@ class Multivector:
 
     # construction helpers -------------------------------------------------
     @classmethod
-    def from_blade(cls, blade: BasisBlade, coef=1) -> "Multivector":
-        return cls({blade.index: coef})
-
-    @classmethod
     def from_name(cls, name: str, coef=1) -> "Multivector":
         return cls({parse_blade(name).index: coef})
 
@@ -385,19 +381,6 @@ class Cq:
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
-    def __add__(self, other):
-        other = Cq._coerce(other)
-        return Cq(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Cq._coerce(other)
-        return Cq(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return Cq(-self.re, -self.im)
-
     def __mul__(self, other):
         other = Cq._coerce(other)
         return Cq(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
@@ -410,9 +393,6 @@ class Cq:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(self.re, self.im)
 
     def __repr__(self):
         return f"Cq({self.re}, {self.im})"

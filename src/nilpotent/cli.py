@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from . import algebra, charges, masses, spectra, states, unification, verify
 
 EXIT_OK = 0
@@ -97,10 +95,19 @@ def emit(report: dict, config: RunConfig, out=None) -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A decimal, exponent or p/q literal, exactly; anything else is a usage error."""
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"expected a rational number, got {text!r}") from exc
+
+
+def _parse_float(text: str) -> float:
+    """A rational literal for a float computation; it must be finite as a float."""
+    try:
+        return float(_parse_fraction(text))
+    except OverflowError as exc:
+        raise UsageError(f"{text!r} is too large") from exc
 
 
 def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -108,14 +115,6 @@ def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     if len(parts) != 3:
         raise UsageError(f"expected px,py,pz, got {text!r}")
     return tuple(_parse_fraction(p) for p in parts)
-
-
-def _parse_phase(text: str):
-    """Rational or imaginary-rational coefficient; '1/2i' or '0.5i' is i/2."""
-    text = text.strip()
-    if text.endswith(("i", "I", "j")):
-        return sp.I * sp.nsimplify(text[:-1] or "1", rational=True)
-    return sp.nsimplify(text, rational=True)
 
 
 def _state_args(parser: _Parser):
@@ -256,45 +255,42 @@ def _cmd_algebra(args, config: RunConfig) -> int:
 
 
 def _build_potential(args) -> spectra.PotentialSpec:
+    """The family flags as the ``{terms, coulombPhase, q}`` mapping ``--potential`` takes."""
     if args.potential:
         return spectra.PotentialSpec.from_dict(json.loads(args.potential))
     family = args.family
     if family == "strong":
-        return spectra.PotentialSpec(
-            {1: sp.nsimplify(args.sigma, rational=True)},
-            coulomb_phase=_parse_phase(args.A) if args.A else Fraction(args.qA or "0"),
-            coupling=sp.nsimplify(args.q, rational=True),
-        )
-    if family == "coulomb":
+        spec = {"terms": {1: _parse_fraction(args.sigma)}, "q": _parse_fraction(args.q),
+                "coulombPhase": args.A or _parse_fraction(args.qA or "0")}
+    elif family == "coulomb":
         if args.qA is None:
             raise UsageError("coulomb family needs --qA")
-        return spectra.PotentialSpec({}, coulomb_phase=Fraction(args.qA), coupling=1)
-    if family == "oscillator":
-        half_c = sp.nsimplify(args.c, rational=True) / 2
-        return spectra.PotentialSpec(
-            {2: half_c}, coulomb_phase=_parse_phase(args.A or "1/2i")
-        )
-    if family == "lennard-jones":
-        return spectra.PotentialSpec(
-            {-6: sp.nsimplify(args.B, rational=True), -12: -sp.nsimplify(args.C, rational=True)},
-            coulomb_phase=_parse_phase(args.A or "1/2i"),
-        )
-    raise UsageError(f"unknown family {family!r}")
+        spec = {"coulombPhase": _parse_fraction(args.qA)}
+    elif family == "oscillator":
+        spec = {"terms": {2: _parse_fraction(args.c) / 2}, "coulombPhase": args.A or "1/2i"}
+    elif family == "lennard-jones":
+        spec = {"terms": {-6: _parse_fraction(args.B), -12: -_parse_fraction(args.C)},
+                "coulombPhase": args.A or "1/2i"}
+    else:
+        raise UsageError(f"unknown family {family!r}")
+    return spectra.PotentialSpec.from_dict(spec)
 
 
 def _cmd_solve(args, config: RunConfig) -> int:
-    qn = spectra.QuantumNumbers(Fraction(args.j), args.nprime)
+    qn = spectra.QuantumNumbers(_parse_fraction(args.j), args.nprime)
+    m = _parse_fraction(args.m) if args.m else 1
 
     if args.family == "strong" and args.radius:
         if args.E is None:
             raise UsageError("--radius needs --E (the constituent or reduced energy)")
-        r = spectra.infrared_radius(float(Fraction(args.E)), float(args.q), float(args.sigma))
+        r = spectra.infrared_radius(_parse_float(args.E), _parse_float(args.q),
+                                    _parse_float(args.sigma))
         emit({"family": "strong", "E": args.E, "q": args.q, "sigma": args.sigma,
               "infrared_radius_fm": r}, config)
         return EXIT_OK
 
     if args.lmin:
-        a, b, c = (float(Fraction(x)) for x in args.lmin.split(","))
+        a, b, c = (_parse_float(x) for x in args.lmin.split(","))
         emit({"sides": [a, b, c], "L_min": spectra.lmin(a, b, c)}, config)
         return EXIT_OK
 
@@ -305,15 +301,14 @@ def _cmd_solve(args, config: RunConfig) -> int:
     if sol.level_series is not None:
         report["level_family"] = sol.level_series.family
         report["levels"] = sol.level_series.table(
-            [Fraction(args.j)], list(range(args.nprime, args.nprime + 3))
+            [qn.j], list(range(args.nprime, args.nprime + 3))
         )
         if sol.level_series.family == "coulomb":
             report["E_over_m"] = spectra.coulomb_levels(
-                float(V.coupling * V.coulomb_phase), Fraction(args.j), args.nprime
+                float(V.coupling * V.coulomb_phase), qn.j, args.nprime
             )
         else:
-            m_val = Fraction(args.m) if args.m else 1
-            report["E"] = float(spectra.oscillator_levels(m_val, Fraction(args.j), args.nprime))
+            report["E"] = float(spectra.oscillator_levels(m, qn.j, args.nprime))
     emit(report, config)
     return EXIT_OK
 
@@ -365,7 +360,7 @@ def _cmd_gut(args, config: RunConfig) -> int:
         },
     }
     if args.grid:
-        mus = [float(x) for x in args.grid.split(",")]
+        mus = [_parse_float(x) for x in args.grid.split(",")]
         report["coupling_table"] = unification.coupling_table(alpha_g, planck, mus)
     emit(report, config)
     return EXIT_OK
@@ -391,14 +386,16 @@ def _cmd_mass(args, config: RunConfig) -> int:
         rows = masses.octet_table(unit, config.data_dir)
         report["octet"] = rows
         vals = {r["name"]: r["measured_units"] for r in rows}
+        m_n = next(r["predicted_units"] for r in rows if r["name"] == "N")
         report["gmo_octet_residual_units"] = masses.gmo_octet_residual(
-            13.5, vals["Lambda"], vals["Sigma"], vals["Xi"]
+            m_n, vals["Lambda"], vals["Sigma"], vals["Xi"]
         )
     if args.mesons or want_all:
         rows = masses.meson_table(unit, config.data_dir)
         report["mesons"] = rows
         vals = {r["name"]: r["measured_units"] for r in rows}
-        report["gmo_meson_K_units"] = masses.gmo_meson_k(2.0, vals["eta"])
+        m_pi = next(r["predicted_units"] for r in rows if r["name"] == "pi")
+        report["gmo_meson_K_units"] = masses.gmo_meson_k(m_pi, vals["eta"])
     if args.bosons or want_all:
         block = masses.electroweak_bosons(
             constants["m_z_gev"],
@@ -469,61 +466,69 @@ def _cmd_mass(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _global_flags(parser, defaults: dict) -> None:
+    parser.add_argument("--format", choices=("text", "json", "csv"), default=defaults["format"])
+    parser.add_argument("--data-dir", default=defaults["data_dir"],
+                        help="override the dataset directory (or set NILPOTENT_DATA_DIR)")
+    parser.add_argument("--seed", type=int, default=defaults["seed"],
+                        help="seed for randomized sweeps")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nilpotent", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--data-dir", default=None,
-                        help="override the dataset directory (or set NILPOTENT_DATA_DIR)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    _global_flags(parser, {"format": "text", "data_dir": None, "seed": 0})
+    # after the verb too; a suppressed default keeps a value given before it
+    common = argparse.ArgumentParser(add_help=False)
+    _global_flags(common, dict.fromkeys(("format", "data_dir", "seed"), argparse.SUPPRESS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     alg = sub.add_parser("algebra", help="group algebra and state-vector checks")
     alg_sub = alg.add_subparsers(dest="subaction", required=True)
 
-    p = alg_sub.add_parser("verify", help="run the full identity suite")
+    p = alg_sub.add_parser("verify", help="run the full identity suite", parents=[common])
     p.add_argument("--pairs", type=int, default=1000, help="oracle pairs")
     p.add_argument("--samples", type=int, default=1000, help="on-shell state samples")
 
-    p = alg_sub.add_parser("multiply", help="multiply two signed blades")
+    p = alg_sub.add_parser("multiply", help="multiply two signed blades", parents=[common])
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = alg_sub.add_parser("cpt", help="apply a conjugation string such as TCP")
+    p = alg_sub.add_parser("cpt", help="apply a conjugation string such as TCP", parents=[common])
     p.add_argument("--op", required=True)
     _state_args(p)
 
-    p = alg_sub.add_parser("spinor", help="4-component spinor and pair sums")
+    p = alg_sub.add_parser("spinor", help="4-component spinor and pair sums", parents=[common])
     p.add_argument("--kind", choices=("fermion", "antifermion"), default="fermion")
     p.add_argument("--pairing", choices=states.PAIRING_KINDS, default=None)
     _state_args(p)
 
-    p = alg_sub.add_parser("baryon", help="three-bracket phase product")
+    p = alg_sub.add_parser("baryon", help="three-bracket phase product", parents=[common])
     p.add_argument("--phase", required=True, choices=sorted(states.BARYON_PHASES))
     _state_args(p)
 
-    p = alg_sub.add_parser("vacuum", help="vacuum reflections and chains")
+    p = alg_sub.add_parser("vacuum", help="vacuum reflections and chains", parents=[common])
     p.add_argument("--charge", choices=("k", "j", "i"), default="k")
     p.add_argument("--n", type=int, default=1)
     _state_args(p)
 
-    p = alg_sub.add_parser("vertex", help="electroweak vertex sums")
+    p = alg_sub.add_parser("vertex", help="electroweak vertex sums", parents=[common])
     p.add_argument("--vertex", required=True, choices=("a", "b", "c", "d"))
     _state_args(p)
 
-    p = alg_sub.add_parser("dual", help="iterative dualling generation")
+    p = alg_sub.add_parser("dual", help="iterative dualling generation", parents=[common])
     p.add_argument("--order", type=int, default=64)
 
-    p = sub.add_parser("solve", help="bound-state coefficient matching")
+    p = sub.add_parser("solve", help="bound-state coefficient matching", parents=[common])
     p.add_argument("--family", choices=("strong", "coulomb", "oscillator", "lennard-jones"))
     p.add_argument("--potential", help="potential as JSON {terms:{}, coulombPhase, q}")
-    p.add_argument("--q", default="1", help="coupling strength")
-    p.add_argument("--sigma", default="1", help="linear coefficient (strong family)")
+    p.add_argument("--q", default="1", help="coupling strength (rational)")
+    p.add_argument("--sigma", default="1", help="linear coefficient, strong family (rational)")
     p.add_argument("--qA", default=None, help="Coulomb product qA")
     p.add_argument("--A", default=None, help="Coulomb phase (append i for imaginary)")
-    p.add_argument("--c", default="1", help="oscillator constant (V = c r^2 / 2)")
-    p.add_argument("--B", default="1", help="inverse sixth-power coefficient")
-    p.add_argument("--C", default="1", help="inverse twelfth-power coefficient")
+    p.add_argument("--c", default="1", help="oscillator constant, V = c r^2 / 2 (rational)")
+    p.add_argument("--B", default="1", help="inverse sixth-power coefficient (rational)")
+    p.add_argument("--C", default="1", help="inverse twelfth-power coefficient (rational)")
     p.add_argument("--j", default="1/2", help="total angular momentum")
     p.add_argument("--nprime", type=int, default=0, help="series termination")
     p.add_argument("--E", default=None, help="energy for the infrared radius")
@@ -531,16 +536,16 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", action="store_true", help="infrared radius 2E/(q sigma)")
     p.add_argument("--lmin", default=None, help="flux-tube length for sides a,b,c")
 
-    p = sub.add_parser("gut", help="running couplings and unification")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--inv-alpha", type=float, default=None, dest="inv_alpha")
-    p.add_argument("--alpha3", type=float, default=None)
-    p.add_argument("--sin2", type=float, default=None)
-    p.add_argument("--planck", type=float, default=None, help="assumed M_X")
+    p = sub.add_parser("gut", help="running couplings and unification", parents=[common])
+    p.add_argument("--mu", type=_parse_float, default=None)
+    p.add_argument("--inv-alpha", type=_parse_float, default=None, dest="inv_alpha")
+    p.add_argument("--alpha3", type=_parse_float, default=None)
+    p.add_argument("--sin2", type=_parse_float, default=None)
+    p.add_argument("--planck", type=_parse_float, default=None, help="assumed M_X")
     p.add_argument("--legacy-su5", action="store_true", dest="legacy_su5")
     p.add_argument("--grid", default=None, help="comma-separated mu grid")
 
-    p = sub.add_parser("mass", help="multiplet, boson and fermion mass reports")
+    p = sub.add_parser("mass", help="multiplet, boson and fermion mass reports", parents=[common])
     for flag in ("decuplet", "octet", "mesons", "bosons", "generations",
                  "ckm", "ratios", "regge", "zeros", "all"):
         p.add_argument(f"--{flag}", action="store_true")
@@ -568,7 +573,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing data: {exc}\n")
         return EXIT_DATA
-    except (ValueError, spectra.UnsupportedPotentialError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

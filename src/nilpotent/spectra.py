@@ -111,15 +111,24 @@ class PotentialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
+        """Exact coefficients from decimal, exponent or p/q literals; a trailing
+        i, I or j makes one imaginary ('1/2i' is i/2).  Anything else, nan and
+        inf included, raises ValueError."""
         def parse(v):
-            s = str(v)
+            s = str(v).strip()
+            imaginary = s.endswith(("i", "I", "j"))
+            body = (s[:-1] or "1") if imaginary else s
             try:
-                return Fraction(s)
-            except ValueError:
-                return float(s)
+                value = Fraction(body)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"expected a rational number, got {s!r}") from None
+            return I * _num(value) if imaginary else value
 
+        terms = d.get("terms", {}) if isinstance(d, dict) else None
+        if not isinstance(terms, dict):
+            raise ValueError("a potential is an object whose 'terms' is an object of powers")
         return cls(
-            {int(k): parse(v) for k, v in d.get("terms", {}).items()},
+            {int(k): parse(v) for k, v in terms.items()},
             parse(d.get("coulombPhase", 0)),
             parse(d.get("q", 1)),
         )
@@ -278,6 +287,8 @@ def _solve_confining(V, qn, E, m):
 
 
 def _coulomb_gamma_t(qA, J):
+    if qA.is_real is False:
+        raise UnsupportedPotentialError(f"a pure Coulomb potential needs a real q A, got {qA}")
     disc = J**2 - qA**2
     if disc.is_number and not disc.is_positive:
         raise SupercriticalCouplingError(

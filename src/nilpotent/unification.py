@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "CouplingSet",
-    "UnificationResult",
     "ChargeContent",
     "sin2_from_content",
     "phenomenological_content",
@@ -63,39 +61,6 @@ def _log_ratio2(m_x: float, mu: float) -> float:
     if not 0 < mu <= m_x:
         raise ValueError(f"need 0 < mu <= M_X, got mu={mu}, M_X={m_x}")
     return 2.0 * math.log(m_x / mu)
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    mu: float
-    alpha: float
-    alpha2: float
-    alpha3: float
-    sin2_theta_w: float
-
-    def __post_init__(self):
-        if min(self.alpha, self.alpha2, self.alpha3) <= 0:
-            raise ValueError("couplings must be positive")
-        if not 0 < self.sin2_theta_w < 1:
-            raise ValueError("sin^2(theta_W) must lie in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "inv_alpha": 1.0 / self.alpha,
-            "inv_alpha2": 1.0 / self.alpha2,
-            "inv_alpha3": 1.0 / self.alpha3,
-            "sin2_theta_w": self.sin2_theta_w,
-        }
-
-
-@dataclass(frozen=True)
-class UnificationResult:
-    m_x: float
-    alpha_g: float
-
-    def to_dict(self) -> dict:
-        return {"M_X": self.m_x, "alpha_G": self.alpha_g, "inv_alpha_G": 1.0 / self.alpha_g}
 
 
 # ---------------------------------------------------------------------------

@@ -201,18 +201,6 @@ def test_unknown_pentad_tag():
         gamma_pentad("mapping-3")
 
 
-def test_oracle_equivalence_1000_random_pairs():
-    rng = random.Random(0)
-
-    def rand_mv():
-        return Multivector({rng.randrange(32): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(rng.randint(1, 6))})
-
-    for _ in range(1000):
-        a, b = rand_mv(), rand_mv()
-        assert matrices_equal(matrix_rep(a * b), matrix_rep(a) @ matrix_rep(b))
-
-
 def test_oracle_catches_a_flipped_product_sign(monkeypatch):
     """The blade images come from the 2x2 quaternion images alone, so a wrong
     product-table sign for the mapping-2 gamma0 gamma1 = (i.qk)(qi.vi) fails

@@ -2,14 +2,17 @@
 
 import io
 import json
+import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from nilpotent import cli
+from nilpotent.datafiles import data_path
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -196,6 +199,132 @@ def test_exit_code_usage_error():
     assert run_cli("nonsense")[0] == cli.EXIT_USAGE
     assert run_cli("solve", "--family", "nope")[0] == cli.EXIT_USAGE
     assert run_cli("solve", "--family", "coulomb")[0] == cli.EXIT_USAGE  # missing --qA
+
+
+# every numeric flag, in a command that reads it; X stands for the value under test
+NUMERIC_FLAGS = {
+    "state --E": ("algebra", "cpt", "--op", "TCP", "--E=X", "--p=0,0,4", "--m=3"),
+    "state --p": ("algebra", "cpt", "--op", "TCP", "--E=5", "--p=0,X,4", "--m=3"),
+    "state --m": ("algebra", "cpt", "--op", "TCP", "--E=5", "--p=0,0,4", "--m=X"),
+    "--j": ("solve", "--family", "coulomb", "--qA=1/10", "--j=X"),
+    "--q": ("solve", "--family", "strong", "--q=X"),
+    "--sigma": ("solve", "--family", "strong", "--sigma=X"),
+    "--qA strong": ("solve", "--family", "strong", "--qA=X"),
+    "--qA coulomb": ("solve", "--family", "coulomb", "--qA=X"),
+    "--A": ("solve", "--family", "strong", "--A=X"),
+    "--c": ("solve", "--family", "oscillator", "--c=X"),
+    "--B": ("solve", "--family", "lennard-jones", "--B=X"),
+    "--C": ("solve", "--family", "lennard-jones", "--C=X"),
+    "--m": ("solve", "--family", "oscillator", "--m=X"),
+    "radius --E": ("solve", "--family", "strong", "--radius", "--E=X"),
+    "radius --q": ("solve", "--family", "strong", "--radius", "--E=1", "--q=X"),
+    "radius --sigma": ("solve", "--family", "strong", "--radius", "--E=1", "--sigma=X"),
+    "--lmin a": ("solve", "--lmin=X,4,5"),
+    "--lmin b": ("solve", "--lmin=3,X,5"),
+    "--lmin c": ("solve", "--lmin=3,4,X"),
+    "potential term": ("solve", '--potential={"terms": {"1": "X"}}'),
+    "potential coulombPhase": ("solve", '--potential={"terms": {"1": "1"}, "coulombPhase": "X"}'),
+    "potential q": ("solve", '--potential={"terms": {"1": "1"}, "q": "X"}'),
+    "gut --mu": ("gut", "--mu=X"),
+    "gut --inv-alpha": ("gut", "--inv-alpha=X"),
+    "gut --alpha3": ("gut", "--alpha3=X"),
+    "gut --sin2": ("gut", "--sin2=X"),
+    "gut --planck": ("gut", "--planck=X"),
+    "gut --grid": ("gut", "--grid=91.1876,X"),
+}
+
+
+def assert_rejected(argv, capsys):
+    """Exit 1, nothing on stdout and a one-line message."""
+    assert cli.main(list(argv)) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "sqrt(2)", "x"])
+@pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+def test_non_finite_or_symbolic_number_is_a_usage_error(flag, value, capsys):
+    argv = [arg.replace("X", value) for arg in NUMERIC_FLAGS[flag]]
+    assert_rejected(["--format", "json"] + argv, capsys)
+
+
+def test_numeric_flags_accept_every_literal_form():
+    code, out = run_cli("--format", "json", "solve", "--family", "strong", "--radius",
+                        "--E=3/4", "--q=4e-1", "--sigma=1.0")
+    assert code == 0
+    assert json.loads(out)["infrared_radius_fm"] == pytest.approx(3.75)
+    code, out = run_cli("--format", "json", "gut", "--mu=1/8", "--grid=1e2,91.1876")
+    assert code == 0
+    assert json.loads(out)["inputs"]["mu"] == 0.125
+
+
+def test_too_large_float_input_is_a_usage_error(capsys):
+    assert_rejected(["gut", "--mu=1e400"], capsys)
+
+
+def test_cli_does_not_know_sympy():
+    modules = [v.__name__ for v in vars(cli).values() if isinstance(v, types.ModuleType)]
+    assert modules and not any(name.split(".")[0] == "sympy" for name in modules)
+
+
+def test_potential_json_equals_family_flags():
+    potential = json.dumps({"terms": {"2": "1/2"}, "coulombPhase": "1/2i"})
+    assert (run_cli("--format", "json", "solve", "--potential", potential)
+            == run_cli("--format", "json", "solve", "--family", "oscillator", "--c", "1"))
+
+
+@pytest.mark.parametrize("potential", ["[]", "1", '{"terms": []}', '{"terms": {"x": "1"}}'])
+def test_malformed_potential_document_is_rejected(potential, capsys):
+    assert_rejected(["solve", "--potential", potential], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "strong", "--sigma", "0", "--A", "1/2i"),
+    ("solve", "--family", "oscillator", "--c", "0"),
+    ("solve", "--potential", '{"coulombPhase": "1/2i"}'),
+])
+def test_imaginary_pure_coulomb_phase_is_rejected(argv, capsys):
+    assert_rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra", "verify", "--pairs", "30", "--samples", "30"),
+    ("gut",),
+    ("algebra", "dual", "--order", "8"),
+])
+@pytest.mark.parametrize("flags", [("--seed", "7", "--format", "json"), ("--format", "csv")])
+def test_global_flags_before_or_after_the_verb(argv, flags):
+    before = run_cli(*flags, *argv)
+    assert before[0] == 0
+    assert run_cli(*argv, *flags) == before
+
+
+def test_global_flag_before_the_verb_is_kept():
+    parser = cli.build_parser()
+    assert parser.parse_args(["--seed", "7", "algebra", "verify"]).seed == 7
+    assert parser.parse_args(["algebra", "verify", "--seed", "7"]).seed == 7
+    args = parser.parse_args(["--data-dir", "d", "mass", "--format", "csv"])
+    assert (args.data_dir, args.format, args.seed) == ("d", "csv", 0)
+
+
+def test_gmo_inputs_come_from_the_dataset(tmp_path):
+    for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    rows = (tmp_path / "multiplets.csv").read_text()
+    # N ground 9 -> 11 (predicted 33/2 units); pi ground 2 -> 4
+    rows = rows.replace("octet,N,udd|uud,9|11|13", "octet,N,udd|uud,11|13")
+    rows = rows.replace("meson,pi,u dbar|d ubar,2|6|8", "meson,pi,u dbar|d ubar,4|6|8")
+    (tmp_path / "multiplets.csv").write_text(rows)
+    shipped = json.loads(run_cli("--format", "json", "mass", "--octet", "--mesons")[1])
+    code, out = run_cli("--format", "json", "--data-dir", str(tmp_path),
+                        "mass", "--octet", "--mesons")
+    assert code == 0
+    doctored = json.loads(out)
+    assert (doctored["gmo_octet_residual_units"] - shipped["gmo_octet_residual_units"]
+            == pytest.approx(0.5 * (16.5 - 13.5)))
+    eta = next(r["measured_units"] for r in shipped["mesons"] if r["name"] == "eta")
+    assert doctored["gmo_meson_K_units"] == pytest.approx((4.0 + 0.75 * eta * eta) ** 0.5)
 
 
 def test_exit_code_missing_data():

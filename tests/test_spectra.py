@@ -265,6 +265,32 @@ def test_potential_json_roundtrip():
     assert PotentialSpec.from_dict(V.to_dict()).normalized() == V.normalized()
 
 
+@pytest.mark.parametrize("text,value", [
+    ("1/2i", I / 2), ("0.5j", I / 2), ("i", I), ("-3/4", Fraction(-3, 4)),
+    ("2.5e-1", Fraction(1, 4)), (" 7 ", Fraction(7)), (3, Fraction(3)),
+])
+def test_potential_coefficient_literals_are_exact(text, value):
+    assert PotentialSpec.from_dict({"terms": {"2": text}}).terms[2] == value
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", float("nan"), "1/0", "1/0i", "sqrt(2)",
+                                  "pi", "x", ""])
+def test_potential_coefficient_rejects_non_rational(text):
+    with pytest.raises(ValueError, match="expected a rational number"):
+        PotentialSpec.from_dict({"terms": {"1": text}})
+
+
+@pytest.mark.parametrize("doc", [[], 1, "x", {"terms": []}, {"terms": "1"}])
+def test_potential_document_must_be_an_object(doc):
+    with pytest.raises(ValueError, match="is an object"):
+        PotentialSpec.from_dict(doc)
+
+
+def test_imaginary_pure_coulomb_phase_rejected():
+    with pytest.raises(UnsupportedPotentialError, match="real q A"):
+        match_coefficients(PotentialSpec({}, coulomb_phase=I / 2), QN)
+
+
 def test_explicit_inverse_first_term_folds_into_phase():
     # a c_{-1} term rides along with the phase, negatively for confining
     V = PotentialSpec.from_dict({"terms": {"1": "1", "-1": "3/10"}, "coulombPhase": "0", "q": "2/5"})
