@@ -13,13 +13,15 @@ complexified second quaternion copy (v = i*q2), so a single composition rule
 (two quaternion tables plus the central i) yields every product.
 
 Multivectors are rational linear combinations of blades.  All arithmetic is
-exact; there is no floating point anywhere in this module.  The 4x4 matrix
-oracle checks the product tables independently: its blade images are
-monomial, built from the 2x2 quaternion images alone.
+exact; there is no floating point anywhere in this module.  Products run on
+integer numerators over a common denominator, which is cleared once per
+operand.  The 4x4 matrix oracle checks the product tables independently: its
+blade images are monomial, built from the 2x2 quaternion images alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -159,10 +161,13 @@ class BasisBlade:
         return f"BasisBlade({self.name})"
 
 
+_BLADES = tuple(BasisBlade.from_index(i) for i in range(32))
+
+
 def blade_mul(a: BasisBlade, b: BasisBlade) -> tuple[int, BasisBlade]:
     """Signed product of two blades: returns (sign, blade)."""
-    s, idx = MUL_SIGN[a.index][b.index], MUL_IDX[a.index][b.index]
-    return s, BasisBlade.from_index(idx)
+    ia, ib = a.index, b.index
+    return MUL_SIGN[ia][ib], _BLADES[MUL_IDX[ia][ib]]
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"multivector coefficients must be exact rationals, got {type(x).__name__}")
 
 
+def _cleared(c: "dict[int, Fraction]") -> tuple[int, list[tuple[int, int]]]:
+    """Coefficients over their least common denominator d: (d, [(blade, numerator)])."""
+    # a list, not a generator, here and in Mat4: unpacking or tuple() of a
+    # generator grows its buffer step by step, which raised peak memory
+    d = math.lcm(*[v.denominator for v in c.values()])
+    return d, [(k, v.numerator * (d // v.denominator)) for k, v in c.items()]
+
+
 class Multivector:
     """Exact rational linear combination of the 32 basis blades."""
 
@@ -311,14 +324,18 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            c: dict[int, Fraction] = {}
-            for ka, va in self._c.items():
+            da, na = _cleared(self._c)
+            db, nb = _cleared(other._c)
+            acc: dict[int, int] = {}
+            for ka, va in na:
+                # the tables are read at call time, so a patched MUL_SIGN is seen
                 srow, irow = MUL_SIGN[ka], MUL_IDX[ka]
-                for kb, vb in other._c.items():
+                for kb, vb in nb:
                     k = irow[kb]
-                    c[k] = c.get(k, Fraction(0)) + srow[kb] * va * vb
+                    acc[k] = acc.get(k, 0) + srow[kb] * va * vb
+            d = da * db
             out = Multivector.__new__(Multivector)
-            out._c = {k: v for k, v in c.items() if v}
+            out._c = {k: Fraction(n, d) for k, n in acc.items() if n}
             return out
         f = _as_fraction(other)
         out = Multivector.__new__(Multivector)
@@ -363,17 +380,9 @@ def MV(name: str, coef=1) -> Multivector:
     return Multivector.from_name(name, coef)
 
 
-# ---------------------------------------------------------------------------
-# matrix oracle
-# ---------------------------------------------------------------------------
-
-
 class Cq:
-    """Exact complex number with Fraction real and imaginary parts.
-
-    Minimal scalar type for the 4x4 matrix oracle, so that the oracle check
-    against blade multiplication is exact rather than floating point.
-    """
+    """Exact complex number with Fraction real and imaginary parts (the
+    per-step vacuum-chain factor of :mod:`nilpotent.states`)."""
 
     __slots__ = ("re", "im")
 
@@ -404,6 +413,10 @@ class Cq:
         return Cq(_as_fraction(x))
 
 
+# ---------------------------------------------------------------------------
+# matrix oracle
+# ---------------------------------------------------------------------------
+
 # monomial 2x2 images of the quaternion units 1, i, j, k: row r has its one
 # nonzero entry i^p in column c, stored as (c, p)
 _Q2X2 = (
@@ -423,15 +436,32 @@ BLADE_IMAGES = tuple(
 
 
 class Mat4(tuple):
-    """4x4 matrix of :class:`Cq` rows: ``@`` is the exact product, ``==`` entrywise."""
+    """Exact 4x4 complex-rational matrix ``(den, re, im)`` in lowest terms.
+
+    ``re`` and ``im`` are the 16 row-major integer numerators of the real and
+    imaginary parts over the common denominator ``den > 0``, and
+    gcd(den, re, im) = 1.  The form is canonical, so ``==`` is exact matrix
+    equality; ``@`` is the exact product.
+    """
 
     __slots__ = ()
 
+    @classmethod
+    def _reduced(cls, den: int, re, im) -> "Mat4":
+        g = math.gcd(den, *re, *im)
+        return cls((den // g, tuple([x // g for x in re]), tuple([x // g for x in im])))
+
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        cols = tuple(zip(*other))
-        return Mat4(tuple(Cq(sum(a.re * b.re - a.im * b.im for a, b in zip(row, col)),
-                             sum(a.re * b.im + a.im * b.re for a, b in zip(row, col)))
-                          for col in cols) for row in self)
+        da, are, aim = self
+        db, bre, bim = other
+        cols = [(bre[c::4], bim[c::4]) for c in range(4)]
+        re, im = [], []
+        for r in range(0, 16, 4):
+            ar, ai = are[r:r + 4], aim[r:r + 4]
+            for br, bi in cols:
+                re.append(sum(x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)))
+                im.append(sum(x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)))
+        return Mat4._reduced(da * db, re, im)
 
 
 def matrix_rep(x: Multivector) -> Mat4:
@@ -440,11 +470,12 @@ def matrix_rep(x: Multivector) -> Mat4:
     Ring homomorphism: matrix_rep(a*b) equals matrix_rep(a) @ matrix_rep(b)
     entrywise, with exact equality.
     """
-    acc = [[[0, 0] for _ in range(4)] for _ in range(4)]  # [re, im] per entry
-    for idx, coef in x._c.items():
+    den, nums = _cleared(x._c)
+    re, im = [0] * 16, [0] * 16
+    for idx, n in nums:
         for r, (c, p) in enumerate(BLADE_IMAGES[idx]):
-            acc[r][c][p & 1] += -coef if p & 2 else coef
-    return Mat4(tuple(Cq(re, im) for re, im in row) for row in acc)
+            (im if p & 1 else re)[4 * r + c] += -n if p & 2 else n
+    return Mat4._reduced(den, re, im)
 
 
 def matrices_equal(a: Mat4, b: Mat4) -> bool:
@@ -601,8 +632,11 @@ def dual_to_dirac_map() -> dict[str, GroupElement]:
     }
 
 
+_DUAL_TO_DIRAC = dual_to_dirac_map()
+
+
 def dual_element_image(e: DualElement, gen_map: "dict[str, GroupElement] | None" = None) -> GroupElement:
-    gen_map = gen_map or dual_to_dirac_map()
+    gen_map = gen_map or _DUAL_TO_DIRAC
     out = GroupElement(e.sign, BasisBlade(0, 0, 0))
     for g, f in zip(_DUAL_GENS, e.flags):
         if f:

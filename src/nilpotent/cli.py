@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra, charges, masses, spectra, states, unification, verify
+from . import algebra, charges, datafiles, masses, spectra, states, unification, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,38 +51,39 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(prefix: str, value, rows: list):
+def _flatten(prefix: str, value):
+    """(dotted key, leaf value) pairs of a report, keys sorted."""
     if isinstance(value, dict):
         for k, v in sorted(value.items(), key=lambda kv: str(kv[0])):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+            yield from _flatten(f"{prefix}.{k}" if prefix else str(k), v)
     elif isinstance(value, (list, tuple)):
         for idx, v in enumerate(value):
-            _flatten(f"{prefix}[{idx}]", v, rows)
+            yield from _flatten(f"{prefix}[{idx}]", v)
     else:
-        rows.append((prefix, value))
+        yield prefix, value
 
 
 def _render_text(report: dict, out) -> None:
-    rows: list = []
-    _flatten("", report, rows)
+    rows = list(_flatten("", report))
     width = max((len(k) for k, _ in rows), default=0)
     for key, value in rows:
         out.write(f"{key:<{width}}  {value}\n")
 
 
 def _render_csv(report: dict, out) -> None:
-    rows: list = []
-    _flatten("", report, rows)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in rows:
-        writer.writerow([key, value])
+    writer.writerows(_flatten("", report))
 
 
 def emit(report: dict, config: RunConfig, out=None) -> None:
+    """Write the report; one holding a non-finite number is refused before any output."""
+    for key, value in _flatten("", report):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is {value}: the inputs are outside the formula's range")
     out = out or sys.stdout
     if config.output_format == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
+        json.dump(report, out, indent=2, sort_keys=True, allow_nan=False)
         out.write("\n")
     elif config.output_format == "csv":
         _render_csv(report, out)
@@ -108,6 +110,17 @@ def _parse_float(text: str) -> float:
         return float(_parse_fraction(text))
     except OverflowError as exc:
         raise UsageError(f"{text!r} is too large") from exc
+
+
+def _float_between(low: float, high: float):
+    """An argparse type for a float strictly between ``low`` and ``high``."""
+    def parse(text: str) -> float:
+        value = _parse_float(text)
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(
+                f"must lie strictly between {low} and {high}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -537,11 +550,12 @@ def build_parser() -> _Parser:
     p.add_argument("--lmin", default=None, help="flux-tube length for sides a,b,c")
 
     p = sub.add_parser("gut", help="running couplings and unification", parents=[common])
-    p.add_argument("--mu", type=_parse_float, default=None)
-    p.add_argument("--inv-alpha", type=_parse_float, default=None, dest="inv_alpha")
-    p.add_argument("--alpha3", type=_parse_float, default=None)
-    p.add_argument("--sin2", type=_parse_float, default=None)
-    p.add_argument("--planck", type=_parse_float, default=None, help="assumed M_X")
+    positive = _float_between(0, math.inf)
+    p.add_argument("--mu", type=positive, default=None)
+    p.add_argument("--inv-alpha", type=positive, default=None, dest="inv_alpha")
+    p.add_argument("--alpha3", type=positive, default=None)
+    p.add_argument("--sin2", type=_float_between(0, 1), default=None)
+    p.add_argument("--planck", type=positive, default=None, help="assumed M_X")
     p.add_argument("--legacy-su5", action="store_true", dest="legacy_su5")
     p.add_argument("--grid", default=None, help="comma-separated mu grid")
 
@@ -570,11 +584,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, datafiles.MissingDataError) as exc:
         sys.stderr.write(f"missing data: {exc}\n")
         return EXIT_DATA
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OverflowError as exc:
+        sys.stderr.write(f"error: the result overflows a float ({exc})\n")
         return EXIT_USAGE
 
 

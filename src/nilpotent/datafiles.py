@@ -8,6 +8,21 @@ from importlib import resources
 DATA_ENV_VAR = "NILPOTENT_DATA_DIR"
 
 
+class MissingDataError(LookupError):
+    """A dataset file lacks an entry the program reads."""
+
+
+class DatasetRecord(dict):
+    """One JSON object of a dataset file; a missing key names the file."""
+
+    def __init__(self, source: str, items: dict):
+        super().__init__(items)
+        self.source = source
+
+    def __missing__(self, key):
+        raise MissingDataError(f"{self.source} has no key {key!r}")
+
+
 def data_path(name: str, data_dir=None) -> str:
     data_dir = data_dir or os.environ.get(DATA_ENV_VAR)
     if data_dir:

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .datafiles import DatasetRecord
 from .datafiles import data_path as _data_path
 
 __all__ = [
@@ -53,8 +54,9 @@ __all__ = [
 ]
 
 def load_constants(data_dir=None) -> dict:
-    with open(_data_path("constants.json", data_dir)) as fh:
-        return json.load(fh)
+    path = _data_path("constants.json", data_dir)
+    with open(path) as fh:
+        return json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
 
 
 @dataclass(frozen=True)

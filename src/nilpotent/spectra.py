@@ -313,6 +313,11 @@ def _solve_coulomb(V, qn, E, m):
     for s in (1, -1):
         g0 = s * g0_root          # gamma + 1
         gt = g0 + n               # gamma + nu + 1 at termination
+        if gt == 0:
+            raise UnsupportedPotentialError(
+                f"n' = {n} equals sqrt((j+1/2)^2 - (qA)^2), the pole of the second branch "
+                "(a = qA E / (gamma + n' + 1))"
+            )
         a = qA * E / gt
         m_expr = sqrt(E**2 + a**2)
         branches.append(
@@ -478,6 +483,10 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     Vn = V.normalized()
     c_m1 = Vn.terms.pop(-1, sp.Integer(0))
     family = _detect_family(Vn)
+    if Vn.terms and Vn.coupling == 0:
+        raise UnsupportedPotentialError(
+            f"zero coupling q: the {family} relations divide by q times the potential terms"
+        )
     if c_m1 != 0:
         phase = Vn.coulomb_phase + (-c_m1 if family == "confining" else c_m1)
         Vn = PotentialSpec(Vn.terms, phase, Vn.coupling)
@@ -500,14 +509,14 @@ def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
 
 
 def _residual_magnitude(value: sp.Expr) -> float:
+    """Largest coefficient magnitude; inf if any is not finite (nan, zoo)."""
     value = sp.expand(value)
     if value == 0:
         return 0.0
     free = sorted(value.free_symbols, key=str)
-    if not free:
-        return abs(complex(sp.N(value)))
-    coeffs = sp.Poly(value, *free).coeffs()
-    return max(abs(complex(sp.N(c))) for c in coeffs)
+    coeffs = sp.Poly(value, *free).coeffs() if free else [value]
+    mags = [abs(complex(sp.N(c))) for c in coeffs]
+    return max(mags) if all(map(math.isfinite, mags)) else math.inf
 
 
 def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .algebra import MV, Cq, Multivector, gamma_pentad
 
@@ -79,7 +79,7 @@ class NilpotentVector:
         if self.sign_e not in (1, -1) or self.sign_p not in (1, -1):
             raise ValueError("sign_e and sign_p must be +/-1")
 
-    @property
+    @cached_property
     def realized(self) -> Multivector:
         out = _G0 * (self.sign_e * self.E)
         for gamma, comp in zip(_G, self.p):

@@ -164,10 +164,11 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
     sample_ok = {"square": True, "pauli": True, "vacuum": True}
     for _ in range(state_samples):
         x = random_on_shell(rng)
-        defect = (x.realized * x.realized).scalar_part
+        square = x.realized * x.realized
+        defect = square.scalar_part
         if defect != x.mass_shell_defect or defect != 0:
             sample_ok["square"] = False
-        if not (x.realized * x.realized).is_zero:
+        if not square.is_zero:
             sample_ok["pauli"] = False
         mv, lam = vacuum_chain(x, 1)
         if mv != scale_complex(x.realized, lam) or abs(lam.im) != 2 * abs(x.E) or lam.re != 0:

@@ -11,22 +11,10 @@ from fractions import Fraction
 import pytest
 
 from nilpotent import charges, masses, spectra, states, unification
-from nilpotent.algebra import (
-    MV,
-    Multivector,
-    dual_element_image,
-    dual_generate,
-    element_order_census,
-    gamma_pentad,
-    generate_group,
-    matrices_equal,
-    matrix_rep,
-)
-from nilpotent.verify import random_on_shell
+from nilpotent.verify import random_on_shell, run_identity_suite
 
 M_Z = 91.1867
 PLANCK = 1.22e19
-ONE = MV("1")
 
 
 def _report(n, text):
@@ -136,33 +124,24 @@ def test_criterion_10_infrared_radius():
 
 
 def test_criterion_11_algebra_suite():
-    group = generate_group()
-    assert len(group) == 64
-    rng = random.Random(0)
-
-    def rand_mv():
-        return Multivector({rng.randrange(32): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                            for _ in range(rng.randint(1, 6))})
-
-    for _ in range(1000):
-        a, b = rand_mv(), rand_mv()
-        assert matrices_equal(matrix_rep(a * b), matrix_rep(a) @ matrix_rep(b))
-    for tag in ("mapping-1", "mapping-2"):
-        pen = gamma_pentad(tag)
-        gammas = list(pen)
-        squares = [ONE, -ONE, -ONE, -ONE, ONE]
-        for g, sq in zip(gammas, squares):
-            assert g * g == sq
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert (gammas[i] * gammas[j] + gammas[j] * gammas[i]).is_zero
-    d64 = dual_generate(64)
-    image = {dual_element_image(e) for e in d64.elements}
-    assert image == group
-    assert element_order_census(d64.elements) == element_order_census(group)
-    els = sorted(d64.elements, key=repr)
-    assert all(dual_element_image(x * y) == dual_element_image(x) * dual_element_image(y)
-               for x in els for y in els)
+    pentad_checks = [
+        f"{tag} gamma{k} square" for tag in ("mapping-1", "mapping-2") for k in (0, 1, 2, 3, 5)
+    ] + [
+        f"{tag} gamma{a}|{b} anticommute"
+        for tag in ("mapping-1", "mapping-2") for a in range(5) for b in range(a + 1, 5)
+    ]
+    required = [
+        "group order 64",
+        "matrix oracle on 1000 random pairs",
+        *pentad_checks,
+        "dual order 64 image bijective",
+        "dual order 64 census matches",
+        "dual order 64 generator map is a homomorphism",
+    ]
+    checks = {c.name: c.passed
+              for c in run_identity_suite(oracle_pairs=1000, state_samples=0, seed=0)}
+    assert {name: checks.get(name) for name in required} == dict.fromkeys(required, True)
+    assert all(checks.values())
     _report(11, "group order 64; oracle exact on 1000 pairs; both pentads; "
                 "dual order 64 isomorphic")
 

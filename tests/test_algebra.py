@@ -1,15 +1,17 @@
 """Group algebra: blades, multivectors, oracle, pentads, dualling."""
 
+import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from nilpotent import algebra
 from nilpotent.algebra import (
     MV,
     BasisBlade,
-    Cq,
     GroupElement,
     Multivector,
     blade_mul,
@@ -27,6 +29,20 @@ from nilpotent.algebra import (
 from nilpotent.verify import run_identity_suite
 
 ONE = MV("1")
+
+# mixed denominators; an empty dict is the zero multivector
+coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
+multivectors = st.dictionaries(st.integers(0, 31), coefficients, max_size=8).map(Multivector)
+
+
+def _reference_product(a: Multivector, b: Multivector) -> Multivector:
+    """Blade-by-blade Fraction product: the definition the integer kernel must equal."""
+    out = {}
+    for ba, va in a.blades().items():
+        for bb, vb in b.blades().items():
+            sign, blade = blade_mul(ba, bb)
+            out[blade] = out.get(blade, Fraction(0)) + sign * va * vb
+    return Multivector(out)
 
 
 def test_exactly_32_blades():
@@ -148,9 +164,46 @@ def test_group_closure():
             assert a * b in group
 
 
+@settings(max_examples=150)
+@given(multivectors, multivectors)
+def test_integer_product_equals_fraction_reference(a, b):
+    assert a * b == _reference_product(a, b)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([k for k in range(32) if algebra.MUL_IDX[k][k] == 0
+                        and algebra.MUL_SIGN[k][k] == 1]),
+       coefficients.filter(bool), coefficients)
+def test_integer_product_cancels_to_exact_zero(k, c, d):
+    """(1 + b)(1 - b) = 1 - b^2 vanishes for every blade b squaring to +1."""
+    b = Multivector({k: 1})
+    a, z = (ONE + b) * c, (ONE - b) * d
+    assert (a * z).is_zero and _reference_product(a, z).is_zero
+    assert (a * Multivector()).is_zero and (Multivector() * a).is_zero
+
+
 def test_matrix_rep_identity():
-    identity = tuple(tuple(Cq(1 if r == c else 0) for c in range(4)) for r in range(4))
+    """The exact identity in lowest terms: denominator 1, real part I, imaginary part 0."""
+    identity = (1, tuple(int(r == c) for r in range(4) for c in range(4)), (0,) * 16)
     assert matrix_rep(ONE) == identity
+    assert matrix_rep(Multivector()) == (1, (0,) * 16, (0,) * 16)
+
+
+def test_matrix_rep_canonical_form():
+    assert matrix_rep(MV("qi", Fraction(2, 4)) * 3) == matrix_rep(MV("qi", Fraction(3, 2)))
+    # the product's denominator 2 cancels against the numerators
+    assert matrix_rep(MV("qi", Fraction(1, 2))) @ matrix_rep(MV("qi", 2)) == matrix_rep(-ONE)
+    images = [matrix_rep(Multivector({k: 1})) for k in range(32)]
+    assert len(set(images)) == 32
+
+
+@settings(max_examples=100)
+@given(multivectors, multivectors)
+def test_matrix_rep_products_stay_in_lowest_terms(a, b):
+    product = matrix_rep(a) @ matrix_rep(b)
+    assert product == matrix_rep(a * b)
+    den, re, im = product
+    assert den > 0 and math.gcd(den, *re, *im) == 1
 
 
 def test_matrix_rep_quaternion_image():
@@ -211,6 +264,18 @@ def test_oracle_catches_a_flipped_product_sign(monkeypatch):
     monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
     checks = {c.name: c.passed for c in run_identity_suite(oracle_pairs=0, state_samples=0)}
     assert checks["mapping-2 oracle spot product"] is False
+
+
+def test_oracle_sweep_catches_a_sign_the_spot_products_miss(monkeypatch):
+    """A wrong sign for (qj.vk)(i.vj), which no spot product reaches, fails the
+    random-pair sweep: the integer oracle sweep is not vacuous."""
+    a, b = parse_blade("qj.vk").index, parse_blade("i.vj").index
+    flipped = [row[:] for row in algebra.MUL_SIGN]
+    flipped[a][b] = -flipped[a][b]
+    monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
+    checks = {c.name: c.passed for c in run_identity_suite(oracle_pairs=1000, state_samples=0)}
+    assert checks["mapping-1 oracle spot product"] and checks["mapping-2 oracle spot product"]
+    assert checks["matrix oracle on 1000 random pairs"] is False
 
 
 def test_dualling_counts_double():

@@ -263,6 +263,37 @@ def test_too_large_float_input_is_a_usage_error(capsys):
     assert_rejected(["gut", "--mu=1e400"], capsys)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--mu", "0"), ("--mu", "-91"), ("--mu", "1e-400"), ("--inv-alpha", "0"),
+    ("--alpha3", "0"), ("--alpha3", "-1/8"), ("--planck", "0"),
+    ("--sin2", "0"), ("--sin2", "1"), ("--sin2", "2"), ("--sin2", "-1/4"),
+])
+def test_gut_input_outside_its_domain_is_a_usage_error(flag, value, capsys):
+    assert_rejected(["gut", f"{flag}={value}"], capsys)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_report_with_a_non_finite_number_is_refused(fmt, capsys):
+    # M_X / mu overflows at mu = 1e-300, so the running couplings are infinite
+    assert cli.main(["--format", fmt, "gut", "--mu=1e-300"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: couplings_at_mu.inv_alpha2 is -inf") and err.count("\n") == 1
+
+
+def test_emit_refuses_non_finite_floats_by_key():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for fmt in ("text", "json", "csv"):
+            out = io.StringIO()
+            with pytest.raises(ValueError, match=r"^a\.b\[1\] is "):
+                cli.emit({"a": {"b": [1.0, value]}}, cli.RunConfig(fmt), out)
+            assert out.getvalue() == ""
+
+
+def test_float_overflow_is_a_one_line_error(capsys):
+    assert_rejected(["gut", "--inv-alpha=1e6"], capsys)  # exp() of the M_X solve overflows
+
+
 def test_cli_does_not_know_sympy():
     modules = [v.__name__ for v in vars(cli).values() if isinstance(v, types.ModuleType)]
     assert modules and not any(name.split(".")[0] == "sympy" for name in modules)
@@ -286,6 +317,15 @@ def test_malformed_potential_document_is_rejected(potential, capsys):
 ])
 def test_imaginary_pure_coulomb_phase_is_rejected(argv, capsys):
     assert_rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "strong", "--q", "0"),
+    ("solve", "--family", "coulomb", "--qA", "3", "--j", "9/2", "--nprime", "4"),
+])
+def test_solve_that_divides_by_zero_is_rejected(argv, capsys):
+    """Zero coupling gave nan and the Coulomb pole zoo, each with residual 0.0."""
+    assert_rejected(["--format", "json", *argv], capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,6 +369,26 @@ def test_gmo_inputs_come_from_the_dataset(tmp_path):
 
 def test_exit_code_missing_data():
     assert run_cli("--data-dir", "/nonexistent", "mass", "--bosons")[0] == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("argv,path", [
+    (("gut",), ("m_z_gev",)),
+    (("mass", "--bosons"), ("m_z_gev",)),
+    (("mass", "--ratios"), ("ratio_formula_inputs", "alpha3_mu")),
+])
+def test_missing_dataset_key_exits_3(argv, path, tmp_path, capsys):
+    for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    constants = json.loads((tmp_path / "constants.json").read_text())
+    parent = constants
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    (tmp_path / "constants.json").write_text(json.dumps(constants))
+    assert cli.main(["--data-dir", str(tmp_path), *argv]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"missing data: {tmp_path / 'constants.json'} has no key {path[-1]!r}\n"
 
 
 def test_exit_code_verification_failure(monkeypatch):

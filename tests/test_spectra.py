@@ -18,6 +18,7 @@ from nilpotent.spectra import (
     QuantumNumbers,
     SupercriticalCouplingError,
     UnsupportedPotentialError,
+    _residual_magnitude,
     coulomb_levels,
     infrared_radius,
     lennard_jones_solution,
@@ -289,6 +290,39 @@ def test_potential_document_must_be_an_object(doc):
 def test_imaginary_pure_coulomb_phase_rejected():
     with pytest.raises(UnsupportedPotentialError, match="real q A"):
         match_coefficients(PotentialSpec({}, coulomb_phase=I / 2), QN)
+
+
+@pytest.mark.parametrize("V", [
+    PotentialSpec({1: 1}, coulomb_phase=Rational(1, 3), coupling=0),
+    PotentialSpec({2: Rational(1, 2)}, coulomb_phase=I / 2, coupling=0),
+    PotentialSpec({-6: 1, -12: -1}, coulomb_phase=I / 2, coupling=0),
+])
+def test_zero_coupling_is_rejected(V):
+    with pytest.raises(UnsupportedPotentialError, match="zero coupling q"):
+        match_coefficients(V, QN)
+
+
+@pytest.mark.parametrize("A,q,j,n", [(3, 1, Rational(9, 2), 4), (4, 1, Rational(9, 2), 3),
+                                     (1, 0, Rational(1, 2), 1)])
+def test_coulomb_pole_is_rejected(A, q, j, n):
+    """n' = sqrt((j+1/2)^2 - (qA)^2) zeroes gamma + n' + 1 on the second branch."""
+    with pytest.raises(UnsupportedPotentialError, match="pole"):
+        match_coefficients(PotentialSpec({}, coulomb_phase=A, coupling=q), QuantumNumbers(j, n))
+
+
+@pytest.mark.parametrize("value", [sp.nan, sp.zoo, sp.zoo * sp.Symbol("E"),
+                                   sp.Symbol("E") + sp.nan * sp.Symbol("E") ** 2])
+def test_non_finite_residual_is_infinite(value):
+    assert _residual_magnitude(value) == math.inf
+
+
+def test_nan_branch_fails_the_residual_gate():
+    """A branch holding nan (as q = 0 once gave) can no longer report residual 0."""
+    sol = match_coefficients(PotentialSpec({1: 1}, coulomb_phase=Rational(1, 3)), QN)
+    broken = dataclasses.replace(sol, branches=tuple(
+        dataclasses.replace(b, subs={**b.subs, next(iter(b.subs)): sp.nan}) for b in sol.branches))
+    assert residual_verify(sol.potential, sol, QN) == 0.0
+    assert residual_verify(broken.potential, broken, QN) == math.inf
 
 
 def test_explicit_inverse_first_term_folds_into_phase():
