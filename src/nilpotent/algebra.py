@@ -12,6 +12,17 @@ signs these form a group of order 64.  Internally the vector units are the
 complexified second quaternion copy (v = i*q2), so a single composition rule
 (two quaternion tables plus the central i) yields every product.
 
+The two groups of order 64 are plain ints 0..63 with bit 5 the sign (code 0
+is the identity, ``NEG`` is -1):
+
+* a Dirac-group code has the blade index in bits 0-4, the index the
+  multivectors use; :func:`group_mul` reads the same product tables;
+* a dualling code has bit n set for generator n of ``i1 j1 i2 j2 i3``;
+  :func:`dual_mul` XORs the bits and fixes the sign by parity.
+
+:func:`group_name` and :func:`dual_name` give the signed names (``-i.qk``,
+``+i1j1``).
+
 Multivectors are rational linear combinations of blades.  All arithmetic is
 exact; there is no floating point anywhere in this module.  Products run on
 integer numerators over a common denominator, which is cleared once per
@@ -28,20 +39,22 @@ from itertools import product as _iproduct
 
 __all__ = [
     "BasisBlade",
-    "GroupElement",
     "Multivector",
     "GammaPentad",
     "DualAlgebra",
-    "DualElement",
-    "blade_mul",
+    "NEG",
     "blade_name",
     "parse_blade",
+    "group_mul",
+    "group_name",
     "generate_group",
     "group_center",
     "matrix_rep",
     "matrices_equal",
     "dual_element_image",
     "gamma_pentad",
+    "dual_mul",
+    "dual_name",
     "dual_generate",
     "dual_to_dirac_map",
     "element_order_census",
@@ -161,79 +174,43 @@ class BasisBlade:
         return f"BasisBlade({self.name})"
 
 
-_BLADES = tuple(BasisBlade.from_index(i) for i in range(32))
+NEG = 32  # the sign bit of a group code; NEG alone is -1
 
 
-def blade_mul(a: BasisBlade, b: BasisBlade) -> tuple[int, BasisBlade]:
-    """Signed product of two blades: returns (sign, blade)."""
-    ia, ib = a.index, b.index
-    return MUL_SIGN[ia][ib], _BLADES[MUL_IDX[ia][ib]]
+def group_mul(g: int, h: int) -> int:
+    """Product of two Dirac-group codes (bit 5 the sign, bits 0-4 the blade)."""
+    a, b = g & 31, h & 31
+    # the tables are read at call time, so a patched MUL_SIGN is seen
+    return MUL_IDX[a][b] | ((g ^ h) & NEG) ^ (NEG if MUL_SIGN[a][b] < 0 else 0)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A signed blade; the 64 of them form the Dirac group."""
-
-    sign: int
-    blade: BasisBlade
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +/-1")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        s, b = blade_mul(self.blade, other.blade)
-        return GroupElement(self.sign * other.sign * s, b)
-
-    def inverse(self) -> "GroupElement":
-        # order of every element divides 4; cube of x is its inverse iff x^4 = 1
-        x = self * self * self
-        return x if (x * self) == IDENTITY else self * self
-
-    def order(self) -> int:
-        n, x = 1, self
-        while x != IDENTITY:
-            x, n = x * self, n + 1
-        return n
-
-    def __repr__(self):
-        return f"{'+' if self.sign > 0 else '-'}{self.blade.name}"
+def group_name(g: int) -> str:
+    """Signed blade name of a Dirac-group code, e.g. ``"-i.qk"``."""
+    return ("-" if g & NEG else "+") + blade_name(g & 31)
 
 
-IDENTITY = GroupElement(1, BasisBlade(0, 0, 0))
-
-
-def generate_group(generators: "set[GroupElement] | None" = None) -> set[GroupElement]:
-    """Closure of the generators under multiplication.
+def generate_group(generators: "set[int] | None" = None) -> set[int]:
+    """Closure of the generator codes under :func:`group_mul`.
 
     Default generators are -1, the central i, the quaternion units and the
-    vector units; the closure then has exactly 64 elements.
+    vector units; the closure then has exactly 64 elements.  In a finite
+    group right multiplication by the generators alone reaches every element.
     """
     if generators is None:
-        generators = {
-            GroupElement(-1, BasisBlade(0, 0, 0)),
-            GroupElement(1, BasisBlade(1, 0, 0)),
-            GroupElement(1, BasisBlade(0, 1, 0)),
-            GroupElement(1, BasisBlade(0, 2, 0)),
-            GroupElement(1, BasisBlade(0, 3, 0)),
-            GroupElement(1, BasisBlade(0, 0, 1)),
-            GroupElement(1, BasisBlade(0, 0, 2)),
-            GroupElement(1, BasisBlade(0, 0, 3)),
-        }
-    closure = {IDENTITY} | set(generators)
-    frontier = set(closure)
+        units = ("i", "qi", "qj", "qk", "vi", "vj", "vk")
+        generators = {NEG, *(parse_blade(n).index for n in units)}
+    closure, frontier = {0}, {0}
     while frontier:
-        new = {a * b for a in frontier for b in closure} | {a * b for a in closure for b in frontier}
-        frontier = new - closure
+        frontier = {group_mul(x, g) for x in frontier for g in generators} - closure
         closure |= frontier
     return closure
 
 
-def group_center(group: "set[GroupElement] | None" = None) -> set[GroupElement]:
+def group_center(group: "set[int] | None" = None) -> set[int]:
     """Elements commuting with the whole group (brute-force scan)."""
     if group is None:
         group = generate_group()
-    return {g for g in group if all(g * h == h * g for h in group)}
+    return {g for g in group if all(group_mul(g, h) == group_mul(h, g) for h in group)}
 
 
 # ---------------------------------------------------------------------------
@@ -538,56 +515,35 @@ DUAL_STEPS = (
 )
 
 _DUAL_GENS = ("i1", "j1", "i2", "j2", "i3")
-# each generator squares to -1; these pairs anticommute, all others commute.
-# The pairing is what makes the order-64 stage close onto the Dirac group:
-# (i1, j1) span the charge quaternions, i2 is the central i, and (j2, i3)
-# span the hidden second quaternion copy behind the vector units.
-_ANTI = {("i1", "j1"), ("j2", "i3")}
+# each generator squares to -1; these bit pairs, (i1, j1) and (j2, i3),
+# anticommute and all others commute.  The pairing is what makes the order-64
+# stage close onto the Dirac group: (i1, j1) span the charge quaternions, i2
+# is the central i, and (j2, i3) span the hidden second quaternion copy
+# behind the vector units.
+_ANTI = ((0, 1), (3, 4))
 
 
-def _anticommute(a: str, b: str) -> bool:
-    return (a, b) in _ANTI or (b, a) in _ANTI
+def dual_mul(x: int, y: int) -> int:
+    """Product of two dualling codes (bit 5 the sign, bit n generator n).
+
+    Reordering the word x y into generator order moves each factor of y left
+    past the higher factors of x: every shared generator squares to -1 and
+    every anticommuting pair passed flips the sign once more.
+    """
+    flips = (x & y & 31).bit_count() + sum((y >> lo) & (x >> hi) & 1 for lo, hi in _ANTI)
+    return x ^ y ^ (NEG if flips & 1 else 0)
 
 
-@dataclass(frozen=True)
-class DualElement:
-    """Signed word in the dualling generators (exponent bitmask per generator)."""
-
-    sign: int
-    flags: tuple[int, ...]  # one bit per generator in _DUAL_GENS order
-
-    def __mul__(self, other: "DualElement") -> "DualElement":
-        sign = self.sign * other.sign
-        # move each factor of `other` left past the tail of `self`
-        for ib, gb in enumerate(_DUAL_GENS):
-            if not other.flags[ib]:
-                continue
-            for ia in range(len(_DUAL_GENS) - 1, ib, -1):
-                if self.flags[ia] and _anticommute(_DUAL_GENS[ia], gb):
-                    sign = -sign
-            if self.flags[ib]:
-                sign = -sign  # g*g = -1
-        flags = tuple(a ^ b for a, b in zip(self.flags, other.flags))
-        return DualElement(sign, flags)
-
-    def order(self) -> int:
-        n, x = 1, self
-        while x != DUAL_ONE:
-            x, n = x * self, n + 1
-        return n
-
-    def __repr__(self):
-        word = "".join(g for g, f in zip(_DUAL_GENS, self.flags) if f) or "1"
-        return ("+" if self.sign > 0 else "-") + word
-
-
-DUAL_ONE = DualElement(1, (0, 0, 0, 0, 0))
+def dual_name(x: int) -> str:
+    """Signed generator word of a dualling code, e.g. ``"+i1j1"``."""
+    word = "".join(g for n, g in enumerate(_DUAL_GENS) if x >> n & 1) or "1"
+    return ("-" if x & NEG else "+") + word
 
 
 @dataclass(frozen=True)
 class DualAlgebra:
     order: int
-    elements: frozenset[DualElement]
+    elements: frozenset[int]
     history: tuple[tuple[int, str], ...]
 
 
@@ -601,52 +557,50 @@ def dual_generate(target_order: int) -> DualAlgebra:
     valid = [o for o, _, _ in DUAL_STEPS]
     if target_order not in valid:
         raise ValueError(f"target order must be one of {valid}, got {target_order}")
-    elements = {DUAL_ONE}
+    elements = {0}
     history = []
     for order, step, gen in DUAL_STEPS:
-        if order == 2:
-            elements |= {DualElement(-1, e.flags) for e in elements}
-        else:
-            gidx = _DUAL_GENS.index(gen)
-            flags = tuple(1 if i == gidx else 0 for i in range(len(_DUAL_GENS)))
-            g = DualElement(1, flags)
-            elements |= {e * g for e in elements}
+        g = NEG if gen is None else 1 << _DUAL_GENS.index(gen)
+        elements |= {dual_mul(e, g) for e in elements}
         history.append((order, step))
         if order == target_order:
             break
     return DualAlgebra(target_order, frozenset(elements), tuple(history))
 
 
-def dual_to_dirac_map() -> dict[str, GroupElement]:
-    """Candidate generator map onto the Dirac group.
+def dual_to_dirac_map() -> dict[str, int]:
+    """Candidate generator map onto the Dirac group, as group codes.
 
     i1, j1 -> charge quaternions qi, qj; i2 -> the central i; j2, i3 -> the
     hidden second quaternion copy (-i*vj, -i*vi) behind the vector units.
     """
     return {
-        "i1": GroupElement(1, BasisBlade(0, 1, 0)),
-        "j1": GroupElement(1, BasisBlade(0, 2, 0)),
-        "i2": GroupElement(1, BasisBlade(1, 0, 0)),
-        "j2": GroupElement(-1, BasisBlade(1, 0, 2)),
-        "i3": GroupElement(-1, BasisBlade(1, 0, 1)),
+        "i1": _blade_index(0, 1, 0),
+        "j1": _blade_index(0, 2, 0),
+        "i2": _blade_index(1, 0, 0),
+        "j2": NEG | _blade_index(1, 0, 2),
+        "i3": NEG | _blade_index(1, 0, 1),
     }
 
 
 _DUAL_TO_DIRAC = dual_to_dirac_map()
 
 
-def dual_element_image(e: DualElement, gen_map: "dict[str, GroupElement] | None" = None) -> GroupElement:
-    gen_map = gen_map or _DUAL_TO_DIRAC
-    out = GroupElement(e.sign, BasisBlade(0, 0, 0))
-    for g, f in zip(_DUAL_GENS, e.flags):
-        if f:
-            out = out * gen_map[g]
+def dual_element_image(x: int) -> int:
+    """Group code of a dualling code: its sign times the mapped generators, in order."""
+    out = x & NEG
+    for n, g in enumerate(_DUAL_GENS):
+        if x >> n & 1:
+            out = group_mul(out, _DUAL_TO_DIRAC[g])
     return out
 
 
-def element_order_census(elements) -> dict[int, int]:
+def element_order_census(elements, mul) -> dict[int, int]:
+    """How many elements have each order under ``mul``; code 0 is the identity."""
     census: dict[int, int] = {}
     for e in elements:
-        n = e.order()
+        n, x = 1, e
+        while x:
+            x, n = mul(x, e), n + 1
         census[n] = census.get(n, 0) + 1
     return census

@@ -7,7 +7,8 @@
     nilpotent gut ...                   running couplings and the M_X solve
     nilpotent mass ...                  multiplet tables and boson block
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 missing data.
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 missing or
+invalid data.
 Output formats: text (default), json, csv; JSON and CSV are deterministic
 for fixed flags, dataset and seed.
 """
@@ -240,21 +241,19 @@ def _cmd_algebra(args, config: RunConfig) -> int:
 
     if action == "dual":
         dual = algebra.dual_generate(args.order)
+        census = algebra.element_order_census(dual.elements, algebra.dual_mul)
         report = {
             "order": dual.order,
             "element_count": len(dual.elements),
             "history": [{"order": o, "step": s} for o, s in dual.history],
-            "order_census": {
-                str(k): v for k, v in sorted(algebra.element_order_census(dual.elements).items())
-            },
+            "order_census": {str(k): v for k, v in sorted(census.items())},
         }
         if args.order == 64:
             group = algebra.generate_group()
             image = {algebra.dual_element_image(e) for e in dual.elements}
             report["isomorphic_to_dirac_group"] = (
                 image == group
-                and algebra.element_order_census(dual.elements)
-                == algebra.element_order_census(group)
+                and census == algebra.element_order_census(group, algebra.group_mul)
             )
         emit(report, config)
         return EXIT_OK
@@ -586,6 +585,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (FileNotFoundError, datafiles.MissingDataError) as exc:
         sys.stderr.write(f"missing data: {exc}\n")
+        return EXIT_DATA
+    except datafiles.InvalidDataError as exc:
+        sys.stderr.write(f"invalid data: {exc}\n")
         return EXIT_DATA
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

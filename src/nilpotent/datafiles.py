@@ -12,6 +12,10 @@ class MissingDataError(LookupError):
     """A dataset file lacks an entry the program reads."""
 
 
+class InvalidDataError(ValueError):
+    """A dataset file holds a value outside the domain the program reads it in."""
+
+
 class DatasetRecord(dict):
     """One JSON object of a dataset file; a missing key names the file."""
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
-from .datafiles import DatasetRecord
+from .datafiles import DatasetRecord, InvalidDataError
 from .datafiles import data_path as _data_path
 
 __all__ = [
@@ -54,9 +55,27 @@ __all__ = [
 ]
 
 def load_constants(data_dir=None) -> dict:
+    """The constants file; every value, nested ones included, must be a finite
+    number above 0 (the mixing angle also below 1), else InvalidDataError."""
     path = _data_path("constants.json", data_dir)
     with open(path) as fh:
-        return json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
+        constants = json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
+    _check_values(path, "", constants)
+    return constants
+
+
+def _check_values(path: str, prefix: str, record: dict) -> None:
+    for key, value in record.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            _check_values(path, name + ".", value)
+            continue
+        angle = name == "sin2_theta_w_ideal"
+        # bool is an int; NaN fails every comparison, so it is rejected here too
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < (1 if angle else sys.float_info.max)):
+            expected = "a number between 0 and 1" if angle else "a finite number above 0"
+            raise InvalidDataError(f"{path}: {name} is {json.dumps(value)}, expected {expected}")
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,8 @@ def infrared_radius(E: float, q: float, sigma: float) -> float:
     """
     if q <= 0 or sigma <= 0:
         raise ValueError("coupling and string tension must be positive")
+    if q * sigma == 0:
+        raise ValueError(f"q * sigma underflows to 0 for q = {q}, sigma = {sigma}")
     return 2.0 * E / (q * sigma)
 
 

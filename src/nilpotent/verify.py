@@ -14,17 +14,21 @@ from fractions import Fraction
 from . import states
 from .algebra import (
     MV,
-    BasisBlade,
-    GroupElement,
+    NEG,
     Multivector,
     dual_element_image,
     dual_generate,
+    dual_mul,
+    dual_name,
     element_order_census,
     gamma_pentad,
     generate_group,
     group_center,
+    group_mul,
+    group_name,
     matrices_equal,
     matrix_rep,
+    parse_blade,
 )
 from .states import (
     BARYON_PHASES,
@@ -84,18 +88,12 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
 
     group = generate_group()
     check("group order 64", len(group) == 64, f"got {len(group)}")
-    quat = generate_group({
-        GroupElement(-1, BasisBlade(0, 0, 0)),
-        GroupElement(1, BasisBlade(0, 1, 0)),
-        GroupElement(1, BasisBlade(0, 2, 0)),
-        GroupElement(1, BasisBlade(0, 3, 0)),
-    })
+    quat = generate_group({NEG, *(parse_blade(q).index for q in ("qi", "qj", "qk"))})
     check("quaternion subgroup order 8", len(quat) == 8)
     center = group_center(group)
-    expected_center = {
-        GroupElement(s, BasisBlade(e, 0, 0)) for s in (1, -1) for e in (0, 1)
-    }
-    check("center is {+-1, +-i}", center == expected_center)
+    expected_center = {s | e for s in (0, NEG) for e in (0, parse_blade("i").index)}
+    check("center is {+-1, +-i}", center == expected_center,
+          f"missing {_names(expected_center - center)}, extra {_names(center - expected_center)}")
 
     one, i = MV("1"), MV("i")
     qi, qj, qk = MV("qi"), MV("qj"), MV("qk")
@@ -133,32 +131,34 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
         rhs = matrix_rep(pen.gamma0) @ matrix_rep(pen.gamma1)
         check(f"{tag} oracle spot product", matrices_equal(lhs, rhs))
 
-    ok = True
-    for _ in range(oracle_pairs):
+    witness = ""
+    for n in range(oracle_pairs):
         a = _random_multivector(rng)
         b = _random_multivector(rng)
         if not matrices_equal(matrix_rep(a * b), matrix_rep(a) @ matrix_rep(b)):
-            ok = False
+            witness = f"pair {n} under seed {seed}: a = {a!r}, b = {b!r}"
             break
-    check(f"matrix oracle on {oracle_pairs} random pairs", ok)
+    check(f"matrix oracle on {oracle_pairs} random pairs", not witness, witness)
 
     for order in (2, 4, 8, 16, 32, 64):
         check(f"dual order {order} count", len(dual_generate(order).elements) == order)
     d8 = dual_generate(8)
     check("dual order 8 is the quaternion group",
-          element_order_census(d8.elements) == {1: 1, 2: 1, 4: 6})
+          element_order_census(d8.elements, dual_mul) == {1: 1, 2: 1, 4: 6})
     d64 = dual_generate(64)
-    image = {dual_element_image(e) for e in d64.elements}
-    check("dual order 64 image bijective", len(image) == 64 and image == group)
+    image = [dual_element_image(x) for x in range(64)]  # every code, so every product has one
+    images = {image[x] for x in d64.elements}
+    check("dual order 64 image bijective", len(images) == 64 and images == group)
     check("dual order 64 census matches",
-          element_order_census(d64.elements) == element_order_census(group))
-    els = sorted(d64.elements, key=repr)
-    hom = all(
-        dual_element_image(x * y) == dual_element_image(x) * dual_element_image(y)
-        for x in els
-        for y in els
-    )
-    check("dual order 64 generator map is a homomorphism", hom)
+          element_order_census(d64.elements, dual_mul) == element_order_census(group, group_mul))
+    els = sorted(d64.elements)
+    witness = next((
+        f"{dual_name(x)} * {dual_name(y)} maps to {group_name(image[dual_mul(x, y)])}, "
+        f"but {group_name(image[x])} * {group_name(image[y])} = "
+        f"{group_name(group_mul(image[x], image[y]))}"
+        for x in els for y in els
+        if image[dual_mul(x, y)] != group_mul(image[x], image[y])), "")
+    check("dual order 64 generator map is a homomorphism", not witness, witness)
 
     # nilpotent machinery -------------------------------------------------
     sample_ok = {"square": True, "pauli": True, "vacuum": True}
@@ -222,6 +222,10 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
     check("massless spin-2 four-chain survives", not spin2_glueball.is_zero)
 
     return checks
+
+
+def _names(codes) -> str:
+    return "{" + ", ".join(sorted(map(group_name, codes))) + "}"
 
 
 def _random_multivector(rng: random.Random, max_blades: int = 6) -> Multivector:

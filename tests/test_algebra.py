@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -11,17 +12,20 @@ from hypothesis import given, settings
 from nilpotent import algebra
 from nilpotent.algebra import (
     MV,
+    NEG,
     BasisBlade,
-    GroupElement,
     Multivector,
-    blade_mul,
     blade_name,
     dual_element_image,
     dual_generate,
+    dual_mul,
+    dual_name,
     element_order_census,
     gamma_pentad,
     generate_group,
     group_center,
+    group_mul,
+    group_name,
     matrices_equal,
     matrix_rep,
     parse_blade,
@@ -40,9 +44,14 @@ def _reference_product(a: Multivector, b: Multivector) -> Multivector:
     out = {}
     for ba, va in a.blades().items():
         for bb, vb in b.blades().items():
-            sign, blade = blade_mul(ba, bb)
-            out[blade] = out.get(blade, Fraction(0)) + sign * va * vb
+            k = algebra.MUL_IDX[ba.index][bb.index]
+            out[k] = out.get(k, Fraction(0)) + algebra.MUL_SIGN[ba.index][bb.index] * va * vb
     return Multivector(out)
+
+
+def code(name: str) -> int:
+    """Dirac-group code of a signed blade name such as ``"-i.qk"``."""
+    return (NEG if name.startswith("-") else 0) | parse_blade(name.lstrip("+-")).index
 
 
 def test_exactly_32_blades():
@@ -57,34 +66,38 @@ def test_blade_roundtrip_names():
         assert parse_blade(blade.name) == blade
 
 
+def test_group_codes_and_names():
+    assert [group_name(g) for g in (0, NEG, 16, NEG | 28)] == ["+1", "-1", "+i", "-i.qk"]
+    assert all(code(group_name(g)) == g for g in range(64))
+    assert [dual_name(x) for x in (0, NEG, 0b11, NEG | 0b10100)] == ["+1", "-1", "+i1j1", "-i2i3"]
+
+
 def test_quaternion_product_qi_qj():
-    sign, blade = blade_mul(parse_blade("qi"), parse_blade("qj"))
-    assert (sign, blade.name) == (1, "qk")
+    assert group_name(group_mul(code("qi"), code("qj"))) == "+qk"
 
 
 def test_vector_product_vi_vj_is_i_vk():
-    sign, blade = blade_mul(parse_blade("vi"), parse_blade("vj"))
-    assert sign == 1
-    assert blade.i_power == 1 and blade.name == "i.vk"
+    product = group_mul(code("vi"), code("vj"))
+    assert product == code("i.vk") and BasisBlade.from_index(product).i_power == 1
 
 
 def test_identity_blade():
-    for idx in range(32):
-        b = BasisBlade.from_index(idx)
-        assert blade_mul(parse_blade("1"), b) == (1, b)
-        assert blade_mul(b, parse_blade("1")) == (1, b)
+    for g in range(64):
+        assert group_mul(0, g) == g == group_mul(g, 0)
 
 
-def test_blade_mul_associative():
-    blades = [BasisBlade.from_index(i) for i in range(32)]
+def test_group_mul_signs():
+    for g in range(64):
+        for h in range(64):
+            assert group_mul(g, h) == group_mul(g & 31, h & 31) ^ (g & NEG) ^ (h & NEG)
+    assert group_mul(NEG, NEG) == 0
+
+
+def test_group_mul_associative():
     rng = random.Random(1)
     for _ in range(300):
-        a, b, c = (rng.choice(blades) for _ in range(3))
-        s1, ab = blade_mul(a, b)
-        s2, ab_c = blade_mul(ab, c)
-        t1, bc = blade_mul(b, c)
-        t2, a_bc = blade_mul(a, bc)
-        assert (s1 * s2, ab_c) == (t1 * t2, a_bc)
+        a, b, c = (rng.randrange(64) for _ in range(3))
+        assert group_mul(group_mul(a, b), c) == group_mul(a, group_mul(b, c))
 
 
 def test_quaternion_relations_both_copies():
@@ -143,25 +156,19 @@ def test_group_order_64():
 
 
 def test_quaternion_subgroup_order_8():
-    gens = {
-        GroupElement(-1, BasisBlade(0, 0, 0)),
-        GroupElement(1, BasisBlade(0, 1, 0)),
-        GroupElement(1, BasisBlade(0, 2, 0)),
-        GroupElement(1, BasisBlade(0, 3, 0)),
-    }
+    gens = {code("-1"), code("qi"), code("qj"), code("qk")}
     assert len(generate_group(gens)) == 8
 
 
 def test_center_is_plus_minus_one_and_i():
-    expected = {GroupElement(s, BasisBlade(e, 0, 0)) for s in (1, -1) for e in (0, 1)}
-    assert group_center() == expected
+    assert group_center() == {code("1"), code("-1"), code("i"), code("-i")}
 
 
 def test_group_closure():
     group = generate_group()
     for a in group:
         for b in group:
-            assert a * b in group
+            assert group_mul(a, b) in group
 
 
 @settings(max_examples=150)
@@ -273,9 +280,21 @@ def test_oracle_sweep_catches_a_sign_the_spot_products_miss(monkeypatch):
     flipped = [row[:] for row in algebra.MUL_SIGN]
     flipped[a][b] = -flipped[a][b]
     monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
-    checks = {c.name: c.passed for c in run_identity_suite(oracle_pairs=1000, state_samples=0)}
-    assert checks["mapping-1 oracle spot product"] and checks["mapping-2 oracle spot product"]
-    assert checks["matrix oracle on 1000 random pairs"] is False
+    checks = {c.name: c for c in run_identity_suite(oracle_pairs=1000, state_samples=0)}
+    assert checks["mapping-1 oracle spot product"].passed
+    assert checks["mapping-2 oracle spot product"].passed
+    sweep = checks["matrix oracle on 1000 random pairs"]
+    assert sweep.passed is False
+    assert re.fullmatch(r"pair \d+ under seed 0: a = .+, b = .+", sweep.detail), sweep.detail
+
+
+def test_center_failure_names_the_missing_elements(monkeypatch):
+    flipped = [row[:] for row in algebra.MUL_SIGN]
+    flipped[code("i")][code("qi")] = -flipped[code("i")][code("qi")]
+    monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
+    checks = {c.name: c for c in run_identity_suite(oracle_pairs=0, state_samples=0)}
+    center = checks["center is {+-1, +-i}"]
+    assert not center.passed and center.detail == "missing {+i, -i}, extra {}"
 
 
 def test_dualling_counts_double():
@@ -285,18 +304,41 @@ def test_dualling_counts_double():
 
 def test_dual_order_2():
     d = dual_generate(2)
-    assert {repr(e) for e in d.elements} == {"+1", "-1"}
+    assert {dual_name(e) for e in d.elements} == {"+1", "-1"}
 
 
 def test_dual_order_8_is_quaternion_group():
     d = dual_generate(8)
     # Q8: one identity, one element of order 2, six of order 4
-    assert element_order_census(d.elements) == {1: 1, 2: 1, 4: 6}
-    els = {repr(e): e for e in d.elements}
-    i1j1 = els["+i1"] * els["+j1"]
-    assert repr(i1j1) == "+i1j1"
-    assert repr(i1j1 * i1j1) == "-1"
+    assert element_order_census(d.elements, dual_mul) == {1: 1, 2: 1, 4: 6}
+    els = {dual_name(e): e for e in d.elements}
+    i1j1 = dual_mul(els["+i1"], els["+j1"])
+    assert dual_name(i1j1) == "+i1j1"
+    assert dual_name(dual_mul(i1j1, i1j1)) == "-1"
     assert i1j1 in d.elements
+
+
+def _reference_dual_product(x: int, y: int) -> int:
+    """Sort the word x y into generator order by adjacent swaps, cancelling g g = -1."""
+    sign = (x ^ y) & NEG
+    word = [n for n in range(5) if x >> n & 1] + [n for n in range(5) if y >> n & 1]
+    anti = {(0, 1), (1, 0), (3, 4), (4, 3)}
+    k = 0
+    while k < len(word) - 1:
+        a, b = word[k], word[k + 1]
+        if a < b:
+            k += 1
+            continue
+        sign ^= NEG if a == b or (a, b) in anti else 0
+        word[k:k + 2] = [] if a == b else [b, a]
+        k = max(k - 1, 0)
+    return sign | sum(1 << n for n in word)
+
+
+def test_dual_mul_equals_word_reduction():
+    for x in range(64):
+        for y in range(64):
+            assert dual_mul(x, y) == _reference_dual_product(x, y)
 
 
 def test_dual_order_64_isomorphic_to_dirac_group():
@@ -304,11 +346,25 @@ def test_dual_order_64_isomorphic_to_dirac_group():
     group = generate_group()
     image = {dual_element_image(e) for e in d64.elements}
     assert image == group
-    assert element_order_census(d64.elements) == element_order_census(group)
-    els = sorted(d64.elements, key=repr)
+    assert element_order_census(d64.elements, dual_mul) == element_order_census(group, group_mul)
+    els = sorted(d64.elements)
     for a in els:
         for b in els:
-            assert dual_element_image(a * b) == dual_element_image(a) * dual_element_image(b)
+            assert dual_element_image(dual_mul(a, b)) == group_mul(dual_element_image(a),
+                                                                  dual_element_image(b))
+
+
+def test_homomorphism_failure_names_its_witness(monkeypatch):
+    """A wrong sign for qi qj breaks the generator map; the failing check names
+    the dual pair and both images."""
+    flipped = [row[:] for row in algebra.MUL_SIGN]
+    flipped[code("qi")][code("qj")] = -flipped[code("qi")][code("qj")]
+    monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
+    checks = {c.name: c for c in run_identity_suite(oracle_pairs=0, state_samples=0)}
+    hom = checks["dual order 64 generator map is a homomorphism"]
+    assert not hom.passed
+    # i1 (i1 j1) = -j1 maps to -qj, but the images multiply to qi (qi qj) = qi (-qk) = +qj
+    assert hom.detail == "+i1 * +i1j1 maps to -qj, but +qi * -qk = +qj"
 
 
 def test_dual_invalid_order():

@@ -1,5 +1,7 @@
 """CLI: subcommands, formats, exit codes, schemas, golden reports."""
 
+import argparse
+import contextlib
 import io
 import json
 import shutil
@@ -8,7 +10,9 @@ import sys
 import types
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
 from nilpotent import cli
@@ -322,9 +326,11 @@ def test_imaginary_pure_coulomb_phase_is_rejected(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ("solve", "--family", "strong", "--q", "0"),
     ("solve", "--family", "coulomb", "--qA", "3", "--j", "9/2", "--nprime", "4"),
+    ("solve", "--family", "strong", "--radius", "--E", "1", "--q", "1e-200", "--sigma", "1e-200"),
 ])
 def test_solve_that_divides_by_zero_is_rejected(argv, capsys):
-    """Zero coupling gave nan and the Coulomb pole zoo, each with residual 0.0."""
+    """Zero coupling gave nan and the Coulomb pole zoo, each with residual 0.0;
+    an underflowing q * sigma in the infrared radius was a ZeroDivisionError."""
     assert_rejected(["--format", "json", *argv], capsys)
 
 
@@ -371,24 +377,52 @@ def test_exit_code_missing_data():
     assert run_cli("--data-dir", "/nonexistent", "mass", "--bosons")[0] == cli.EXIT_DATA
 
 
-@pytest.mark.parametrize("argv,path", [
-    (("gut",), ("m_z_gev",)),
-    (("mass", "--bosons"), ("m_z_gev",)),
-    (("mass", "--ratios"), ("ratio_formula_inputs", "alpha3_mu")),
-])
-def test_missing_dataset_key_exits_3(argv, path, tmp_path, capsys):
+def doctor_constants(tmp_path, path, *value):
+    """Copy the dataset into tmp_path, then set the constants.json entry at
+    ``path`` to ``value``, or delete it when no value is given."""
     for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
         shutil.copy(data_path(name), tmp_path / name)
     constants = json.loads((tmp_path / "constants.json").read_text())
     parent = constants
     for key in path[:-1]:
         parent = parent[key]
-    del parent[path[-1]]
+    if value:
+        parent[path[-1]] = value[0]
+    else:
+        del parent[path[-1]]
     (tmp_path / "constants.json").write_text(json.dumps(constants))
+
+
+@pytest.mark.parametrize("argv,path", [
+    (("gut",), ("m_z_gev",)),
+    (("mass", "--bosons"), ("m_z_gev",)),
+    (("mass", "--ratios"), ("ratio_formula_inputs", "alpha3_mu")),
+])
+def test_missing_dataset_key_exits_3(argv, path, tmp_path, capsys):
+    doctor_constants(tmp_path, path)
     assert cli.main(["--data-dir", str(tmp_path), *argv]) == cli.EXIT_DATA
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"missing data: {tmp_path / 'constants.json'} has no key {path[-1]!r}\n"
+
+
+@pytest.mark.parametrize("argv", [("gut",), ("mass", "--all")])
+@pytest.mark.parametrize("path,value", [
+    (("alpha3_mz",), 0),
+    (("m_z_gev",), "91"),
+    (("m_z_gev",), True),
+    (("m_z_gev",), float("nan")),
+    (("m_z_gev",), -1),
+    (("ratio_formula_inputs", "alpha3_mx"), 0),
+    (("sin2_theta_w_ideal",), 1.5),
+])
+def test_invalid_dataset_value_exits_3(argv, path, value, tmp_path, capsys):
+    doctor_constants(tmp_path, path, value)
+    assert cli.main(["--data-dir", str(tmp_path), *argv]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"invalid data: {tmp_path / 'constants.json'}: "
+                          f"{'.'.join(path)} is {json.dumps(value)}, expected "), err
 
 
 def test_exit_code_verification_failure(monkeypatch):
@@ -434,8 +468,69 @@ def test_json_determinism():
     ("baryon_bgr.json", ("--format", "json", "algebra", "baryon", "--phase", "BGR",
                          "--E", "5", "--p", "0,0,4", "--m", "3")),
     ("gut_defaults.csv", ("--format", "csv", "gut")),
+    ("algebra_dual_8.json", ("--format", "json", "algebra", "dual", "--order", "8")),
+    ("algebra_dual_64.json", ("--format", "json", "algebra", "dual", "--order", "64")),
 ])
 def test_golden_reports(golden, argv):
     code, out = run_cli(*argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def _leaf_flags(parser, verbs=()):
+    """(verb path, {flag: its argparse action}) for every leaf command of the real parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, child in subs[0].choices.items():
+            yield from _leaf_flags(child, verbs + (name,))
+        return
+    yield verbs, {opt: action for action in parser._actions
+                  for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+
+
+LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
+FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
+               "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64"]
+# the sweep sizes of verify stay small so the whole fuzz run is quick
+SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
+RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A verb, its required flags, and a few more of its flags, with drawn values."""
+    verbs, flags = draw(st.sampled_from(LEAVES))
+    argv = ["--format", draw(st.sampled_from(["text", "json", "csv"])), *verbs]
+    required = [f for f, action in flags.items() if action.required]
+    for flag in required + draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        action = flags[flag]
+        argv.append(flag)
+        if action.nargs == 0:
+            continue
+        if flag in ("--pairs", "--samples"):
+            pool = st.sampled_from(SMALL_COUNTS)
+        else:
+            pool = st.sampled_from(FUZZ_VALUES) | RANDOM_TEXT
+        if action.choices:
+            pool = st.sampled_from(sorted(action.choices)) | pool
+        argv.append(draw(pool))
+    return argv
+
+
+def _strict(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cli_argvs())
+def test_fuzzed_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exit, e.g. for a value such as --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if argv.count("--format") == 1 and argv[1] == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_strict)
