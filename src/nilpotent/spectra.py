@@ -99,7 +99,7 @@ class PotentialSpec:
     coupling: object = 1
 
     def normalized(self) -> "PotentialSpec":
-        terms = {int(n): _num(c) for n, c in self.terms.items() if _num(c) != 0}
+        terms = {int(n): v for n, c in self.terms.items() if (v := _num(c)) != 0}
         return PotentialSpec(terms, _num(self.coulomb_phase), _num(self.coupling))
 
     def to_dict(self) -> dict:
@@ -497,20 +497,27 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
 
 
 def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
-    """Per-(branch, power) residuals of the coefficient relations."""
+    """Per-(branch, power) residuals of the coefficient relations.
+
+    Each branch's substitutions are plain symbol -> value maps whose values
+    hold none of the substituted symbols, so the structural ``xreplace`` does
+    the job of ``subs``; the result is expanded exactly once and never
+    simplified.  ``expand`` is an identity, so a value reads 0 only when it is
+    a true zero: a true zero left unreduced can only fail the gate, and a
+    nonzero value never passes it.
+    """
     out = {}
     for bi, branch in enumerate(sol.branches):
         for rel in sol.relations:
             if matched_only and not rel.matched:
                 continue
-            value = sp.expand(sp.simplify(rel.expr.subs(branch.subs)))
-            out[(bi, rel.power)] = value
+            out[(bi, rel.power)] = sp.expand(rel.expr.xreplace(branch.subs))
     return out
 
 
 def _residual_magnitude(value: sp.Expr) -> float:
-    """Largest coefficient magnitude; inf if any is not finite (nan, zoo)."""
-    value = sp.expand(value)
+    """Largest coefficient magnitude of an expanded residual; inf if any is
+    not finite (nan, zoo)."""
     if value == 0:
         return 0.0
     free = sorted(value.free_symbols, key=str)

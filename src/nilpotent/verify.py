@@ -79,7 +79,13 @@ class Check:
 
 def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
                        seed: int = 0) -> list[Check]:
-    """All algebra and state identities as a flat list of named checks."""
+    """All algebra and state identities as a flat list of named checks.
+
+    A negative ``oracle_pairs`` or ``state_samples`` raises ValueError.
+    """
+    for name, count in (("oracle_pairs", oracle_pairs), ("state_samples", state_samples)):
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
     rng = random.Random(seed)
     checks: list[Check] = []
 

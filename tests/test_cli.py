@@ -334,6 +334,13 @@ def test_solve_that_divides_by_zero_is_rejected(argv, capsys):
     assert_rejected(["--format", "json", *argv], capsys)
 
 
+@pytest.mark.parametrize("counts", [("-1", "30"), ("30", "-3"), ("-1", "-3")])
+def test_negative_verify_counts_are_rejected(counts, capsys):
+    """--pairs -1 --samples -3 once passed as 'matrix oracle on -1 random pairs'."""
+    pairs, samples = counts
+    assert_rejected(["algebra", "verify", "--pairs", pairs, "--samples", samples], capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ("algebra", "verify", "--pairs", "30", "--samples", "30"),
     ("gut",),

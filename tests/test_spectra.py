@@ -65,18 +65,6 @@ def test_strong_residual_exact_zero():
     assert residual_verify(V, sol, QN) == 0.0
 
 
-def test_perturbed_b_breaks_power_two():
-    V = strong_potential()
-    sol = match_coefficients(V, QN)
-    branch = sol.branches[0]
-    bad_subs = dict(branch.subs)
-    bad_subs[sp.Symbol("b")] = branch.subs[sp.Symbol("b")] + Rational(1, 100)
-    broken = dataclasses.replace(sol, branches=(dataclasses.replace(branch, subs=bad_subs),))
-    detail = residual_detail(broken)
-    assert detail[(0, 2)] != 0
-    assert residual_verify(V, broken, QN) > 0
-
-
 def test_exponent_powers_follow_potential_powers():
     sol = match_coefficients(strong_potential(), QN)
     for b in sol.branches:
@@ -229,6 +217,93 @@ def test_residuals_exact_zero_random_rational_parameters():
         for V in families:
             sol = match_coefficients(V, qn)
             assert residual_verify(V, sol, qn) == 0.0, (V, qn)
+
+
+def _potential_set(seed, count=40):
+    """(family, solution, qn, exact) for a seeded set of potentials: the four
+    families and lennard_jones_solution in turn, exact and float in turn."""
+    rng = random.Random(seed)
+
+    def frac(hi=9):
+        return Fraction(rng.randint(1, hi), rng.randint(1, 9))
+
+    out = []
+    for k in range(count):
+        family = ("confining", "coulomb", "oscillator", "inverse", "lennard-jones")[k % 5]
+        exact = k // 5 % 2 == 0
+        num = (lambda x: x) if exact else (lambda x: round(float(x), 4))
+        qn = QuantumNumbers(Fraction(2 * rng.randint(0, 2) + 1, 2), rng.randint(0, 3))
+        if family == "lennard-jones":
+            sol = lennard_jones_solution(I * num(frac()), num(frac()), num(frac()), qn)
+        else:
+            if family == "confining":
+                V = PotentialSpec({1: num(frac(30))}, num(frac()), num(frac()))
+            elif family == "coulomb":
+                # qA below (j + 1/2) and, for j <= 5/2 and n' <= 3, off the pole
+                qa, q = Fraction(rng.randint(1, 99), 100) * qn.j_plus_half, frac()
+                V = PotentialSpec({}, num(qa / q), num(q))
+            elif family == "oscillator":
+                V = PotentialSpec({2: num(frac(30))}, I * num(frac()), num(frac()))
+            else:
+                powers = rng.choice(((-6, -12), (-4,), (-2,), (-3, -5)))
+                V = PotentialSpec({p: num(rng.choice((1, -1)) * frac(30)) for p in powers},
+                                  I * num(frac()))
+            sol = match_coefficients(V, qn)
+        out.append((family, sol, qn, exact))
+    return out
+
+
+def _reference_residual(sol):
+    """The gate by subs, simplify and expand: what the xreplace gate must equal."""
+    return max(
+        _residual_magnitude(sp.expand(sp.simplify(rel.expr.subs(branch.subs))))
+        for branch in sol.branches
+        for rel in sol.relations
+        if rel.matched
+    )
+
+
+def test_branch_values_hold_no_substituted_symbol():
+    """xreplace does the job of subs only when no value holds a key of its map."""
+    for _, sol, _, _ in _potential_set(5):
+        for branch in sol.branches:
+            keys = set(branch.subs)
+            for value in branch.subs.values():
+                assert not value.free_symbols & keys, (sol.potential, value)
+
+
+def test_residual_gate_agrees_with_the_simplify_reference():
+    cases = _potential_set(11)
+    assert len({(family, exact) for family, _, _, exact in cases}) == 10
+    for family, sol, qn, exact in cases:
+        got, want = residual_verify(sol.potential, sol, qn), _reference_residual(sol)
+        if exact:
+            assert got == want == 0.0, (family, sol.potential, qn)
+        else:
+            assert got <= 1e-10 and want <= 1e-10, (family, sol.potential, qn, got, want)
+
+
+@pytest.mark.parametrize("make,key,power", [
+    pytest.param(lambda x: PotentialSpec({1: x(1)}, x(Fraction(3, 10)), x(Fraction(2, 5))),
+                 "b", 2, id="confining"),
+    pytest.param(lambda x: PotentialSpec({}, x(Fraction(1, 10))), "gamma0", -2, id="coulomb"),
+    pytest.param(lambda x: PotentialSpec({2: x(Fraction(3, 2))}, I * x(Fraction(1, 2))),
+                 "b", 4, id="oscillator"),
+    pytest.param(lambda x: PotentialSpec({-6: x(1), -12: -x(1)}, I * x(Fraction(1, 2))),
+                 "u6", -18, id="inverse"),
+])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_perturbed_branch_fails_the_gate(make, key, power, exact):
+    """One branch value moved by 1e-6 fails the gate: no false pass in any family."""
+    num, delta = (Fraction, Rational(1, 10**6)) if exact else (float, 1e-6)
+    sol = match_coefficients(make(num), QN)
+    assert residual_verify(sol.potential, sol, QN) <= (0.0 if exact else 1e-10)
+    branch = sol.branches[0]
+    moved = {**branch.subs, sp.Symbol(key): branch.subs[sp.Symbol(key)] + delta}
+    broken = dataclasses.replace(
+        sol, branches=(dataclasses.replace(branch, subs=moved), *sol.branches[1:]))
+    assert residual_detail(broken)[(0, power)] != 0
+    assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10)
 
 
 def test_float_inputs_bounded_residual():
