@@ -7,10 +7,11 @@ The algebra is generated by three commuting layers:
 * three multivariate vector units ``vi, vj, vk`` with vv = +1 and
   vi*vj = i*vk (cyclic), vi*vj = -vj*vi.
 
-A basis blade is one product i^e * q * v, giving 2*4*4 = 32 blades; with both
-signs these form a group of order 64.  Internally the vector units are the
-complexified second quaternion copy (v = i*q2), so a single composition rule
-(two quaternion tables plus the central i) yields every product.
+A basis blade is one product i^e * q * v, giving 2*4*4 = 32 blades, each an
+int index 0..31 (bit 4 e, bits 2-3 q, bits 0-1 v); with both signs these form
+a group of order 64.  Internally the vector units are the complexified second
+quaternion copy (v = i*q2), so a single composition rule (two quaternion
+tables plus the central i) yields every product.
 
 The two groups of order 64 are plain ints 0..63 with bit 5 the sign (code 0
 is the identity, ``NEG`` is -1):
@@ -33,15 +34,11 @@ blade images are monomial, built from the 2x2 quaternion images alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 
 __all__ = [
-    "BasisBlade",
     "Multivector",
-    "GammaPentad",
-    "DualAlgebra",
     "NEG",
     "blade_name",
     "parse_blade",
@@ -58,7 +55,6 @@ __all__ = [
     "dual_generate",
     "dual_to_dirac_map",
     "element_order_census",
-    "Cq",
     "MV",
 ]
 
@@ -124,8 +120,8 @@ def blade_name(idx: int) -> str:
     return ".".join(parts) if parts else "1"
 
 
-def parse_blade(name: str) -> "BasisBlade":
-    """Inverse of :func:`blade_name`; accepts factors in any order."""
+def parse_blade(name: str) -> int:
+    """Blade index of a name; inverse of :func:`blade_name`, factors in any order."""
     e, q, v = 0, 0, 0
     if name.strip() != "1":
         for part in name.strip().split("."):
@@ -143,35 +139,7 @@ def parse_blade(name: str) -> "BasisBlade":
                 v = _V_NAMES.index(part)
             else:
                 raise ValueError(f"unknown factor {part!r} in blade name {name!r}")
-    return BasisBlade(e, q, v)
-
-
-@dataclass(frozen=True, order=True)
-class BasisBlade:
-    """One of the 32 basis blades i^e * q1 * v."""
-
-    i_power: int
-    q1: int
-    vec: int
-
-    def __post_init__(self):
-        if self.i_power not in (0, 1) or not 0 <= self.q1 <= 3 or not 0 <= self.vec <= 3:
-            raise ValueError(f"invalid blade coordinates {(self.i_power, self.q1, self.vec)}")
-
-    @property
-    def index(self) -> int:
-        return _blade_index(self.i_power, self.q1, self.vec)
-
-    @classmethod
-    def from_index(cls, idx: int) -> "BasisBlade":
-        return cls(*_blade_parts(idx))
-
-    @property
-    def name(self) -> str:
-        return blade_name(self.index)
-
-    def __repr__(self):
-        return f"BasisBlade({self.name})"
+    return _blade_index(e, q, v)
 
 
 NEG = 32  # the sign bit of a group code; NEG alone is -1
@@ -198,7 +166,7 @@ def generate_group(generators: "set[int] | None" = None) -> set[int]:
     """
     if generators is None:
         units = ("i", "qi", "qj", "qk", "vi", "vj", "vk")
-        generators = {NEG, *(parse_blade(n).index for n in units)}
+        generators = {NEG, *map(parse_blade, units)}
     closure, frontier = {0}, {0}
     while frontier:
         frontier = {group_mul(x, g) for x in frontier for g in generators} - closure
@@ -235,44 +203,29 @@ def _cleared(c: "dict[int, Fraction]") -> tuple[int, list[tuple[int, int]]]:
 
 
 class Multivector:
-    """Exact rational linear combination of the 32 basis blades."""
+    """Exact rational linear combination of the 32 basis blades, keyed by blade index."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coefficients=None):
         c: dict[int, Fraction] = {}
         if coefficients:
-            for blade, coef in coefficients.items():
-                idx = blade.index if isinstance(blade, BasisBlade) else int(blade)
+            for idx, coef in coefficients.items():
                 f = _as_fraction(coef)
                 if f:
                     c[idx] = c.get(idx, Fraction(0)) + f
         self._c = {k: v for k, v in c.items() if v}
 
-    # construction helpers -------------------------------------------------
-    @classmethod
-    def from_name(cls, name: str, coef=1) -> "Multivector":
-        return cls({parse_blade(name).index: coef})
-
-    @classmethod
-    def scalar(cls, value) -> "Multivector":
-        return cls({0: value})
-
-    @classmethod
-    def zero(cls) -> "Multivector":
-        return cls()
-
     # inspection ------------------------------------------------------------
-    def coefficient(self, blade) -> Fraction:
-        idx = blade.index if isinstance(blade, BasisBlade) else parse_blade(blade).index
-        return self._c.get(idx, Fraction(0))
+    def coefficient(self, name: str) -> Fraction:
+        return self._c.get(parse_blade(name), Fraction(0))
 
     @property
     def scalar_part(self) -> Fraction:
         return self._c.get(0, Fraction(0))
 
-    def blades(self) -> dict[BasisBlade, Fraction]:
-        return {BasisBlade.from_index(i): v for i, v in sorted(self._c.items())}
+    def blades(self) -> dict[int, Fraction]:
+        return dict(sorted(self._c.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -349,45 +302,12 @@ class Multivector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Multivector":
-        return cls({parse_blade(k).index: Fraction(v) for k, v in d.items()})
+        return cls({parse_blade(k): Fraction(v) for k, v in d.items()})
 
 
 def MV(name: str, coef=1) -> Multivector:
-    """Shorthand for a single-blade multivector, e.g. ``MV("i.qk")``."""
-    return Multivector.from_name(name, coef)
-
-
-class Cq:
-    """Exact complex number with Fraction real and imaginary parts (the
-    per-step vacuum-chain factor of :mod:`nilpotent.states`)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def __mul__(self, other):
-        other = Cq._coerce(other)
-        return Cq(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = Cq._coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"Cq({self.re}, {self.im})"
-
-    @staticmethod
-    def _coerce(x) -> "Cq":
-        if isinstance(x, Cq):
-            return x
-        return Cq(_as_fraction(x))
+    """One blade by name times a coefficient, e.g. ``MV("i.qk")`` or ``MV("i", -10)``."""
+    return Multivector({parse_blade(name): coef})
 
 
 # ---------------------------------------------------------------------------
@@ -464,40 +384,19 @@ def matrices_equal(a: Mat4, b: Mat4) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaPentad:
-    """Five mutually anticommuting elements with squares (+1, -1, -1, -1, +1)."""
+def gamma_pentad(tag: str = "mapping-2") -> tuple[Multivector, ...]:
+    """The two unit mappings onto the gamma operators, as (g0, g1, g2, g3, g5).
 
-    gamma0: Multivector
-    gamma1: Multivector
-    gamma2: Multivector
-    gamma3: Multivector
-    gamma5: Multivector
-    representation_tag: str
-
-    def __iter__(self):
-        return iter((self.gamma0, self.gamma1, self.gamma2, self.gamma3, self.gamma5))
-
-    @property
-    def spatial(self) -> tuple[Multivector, Multivector, Multivector]:
-        return (self.gamma1, self.gamma2, self.gamma3)
-
-
-def gamma_pentad(tag: str = "mapping-2") -> GammaPentad:
-    """The two unit mappings onto the gamma operators.
+    The five anticommute pairwise and square to (+1, -1, -1, -1, +1).
 
     mapping-2 (the pinned default): g0 = i*qk, g_a = qi*v_a, g5 = i*qj.
     mapping-1: g0 = -i*qi, g_a = qk*v_a, g5 = i*qj; left multiplication by qj
     carries mapping-1 onto mapping-2.
     """
     if tag == "mapping-2":
-        return GammaPentad(
-            MV("i.qk"), MV("qi.vi"), MV("qi.vj"), MV("qi.vk"), MV("i.qj"), tag
-        )
+        return MV("i.qk"), MV("qi.vi"), MV("qi.vj"), MV("qi.vk"), MV("i.qj")
     if tag == "mapping-1":
-        return GammaPentad(
-            MV("i.qi", -1), MV("qk.vi"), MV("qk.vj"), MV("qk.vk"), MV("i.qj"), tag
-        )
+        return MV("i.qi", -1), MV("qk.vi"), MV("qk.vj"), MV("qk.vk"), MV("i.qj")
     raise ValueError(f"unknown pentad tag {tag!r} (expected 'mapping-1' or 'mapping-2')")
 
 
@@ -540,32 +439,23 @@ def dual_name(x: int) -> str:
     return ("-" if x & NEG else "+") + word
 
 
-@dataclass(frozen=True)
-class DualAlgebra:
-    order: int
-    elements: frozenset[int]
-    history: tuple[tuple[int, str], ...]
+def dual_generate(target_order: int) -> frozenset[int]:
+    """Iterative dualling: the dualling codes of the stage of ``target_order``.
 
-
-def dual_generate(target_order: int) -> DualAlgebra:
-    """Iterative dualling: each step doubles the element count.
-
-    The step sequence is conjugation, then alternating complexification and
-    dimensionalization; the order-8 stage is the quaternion group and the
-    order-64 stage is isomorphic to the full Dirac group.
+    Each step of ``DUAL_STEPS`` doubles the element count: conjugation, then
+    alternating complexification and dimensionalization.  The order-8 stage
+    is the quaternion group and the order-64 stage is isomorphic to the full
+    Dirac group.
     """
     valid = [o for o, _, _ in DUAL_STEPS]
     if target_order not in valid:
         raise ValueError(f"target order must be one of {valid}, got {target_order}")
     elements = {0}
-    history = []
-    for order, step, gen in DUAL_STEPS:
+    for order, _, gen in DUAL_STEPS:
         g = NEG if gen is None else 1 << _DUAL_GENS.index(gen)
         elements |= {dual_mul(e, g) for e in elements}
-        history.append((order, step))
         if order == target_order:
-            break
-    return DualAlgebra(target_order, frozenset(elements), tuple(history))
+            return frozenset(elements)
 
 
 def dual_to_dirac_map() -> dict[str, int]:

@@ -476,7 +476,7 @@ def charge_dirac(w, s, e) -> list[Fraction]:
     ]
     scalars = []
     for row in rows:
-        plain = Multivector.zero()
+        plain = Multivector()
         iso_residue: dict = {}
         for entry_terms, col_terms in zip(row, column):
             for t1 in entry_terms:
@@ -485,7 +485,7 @@ def charge_dirac(w, s, e) -> list[Fraction]:
                     if tag is None:
                         plain = plain + mv
                     else:
-                        iso_residue[tag] = iso_residue.get(tag, Multivector.zero()) + mv
+                        iso_residue[tag] = iso_residue.get(tag, Multivector()) + mv
         if any(not v.is_zero for v in iso_residue.values()):
             raise AssertionError("isospin-tagged terms failed to cancel")
         if not plain.is_scalar:

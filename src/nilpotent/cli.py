@@ -144,6 +144,26 @@ def _make_state(args) -> states.NilpotentVector:
     )
 
 
+def _check_chain_prints(x: states.NilpotentVector, n: int) -> None:
+    """Refuse an ``--n`` whose vacuum chain holds an int too long to print.
+
+    On shell the chain is lam^n X; its energy coefficient +-(2E)^(n+1)/2, for
+    2|E| = a/b in lowest terms, has numerator a^(n+1) (halved for an even a)
+    and denominator b^(n+1) (doubled for an odd a).  An int of 10^L or more
+    does not print under the interpreter's limit of L digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not (limit and x.on_shell and x.E):
+        return
+    a, b = abs(2 * x.E).as_integer_ratio()
+    k = min(n + 1, 4 * limit)  # past 4L steps, a or b >= 2 exceeds 10^L all the same
+    odd = math.log10(2) * (a % 2)  # the 2 of (2E)^k / 2 cancels only against an even a
+    digits = max(k * math.log10(a) - math.log10(2) + odd, k * math.log10(b) + odd)
+    if digits >= limit:
+        raise UsageError(f"--n {n} gives chain coefficients of at least {int(digits) + 1} "
+                         f"digits, over the {limit}-digit limit for printing an int")
+
+
 # ---------------------------------------------------------------------------
 # algebra subcommands
 # ---------------------------------------------------------------------------
@@ -174,7 +194,7 @@ def _cmd_algebra(args, config: RunConfig) -> int:
     if action == "multiply":
         def parse_operand(text):
             sign, name = (-1, text[1:]) if text.startswith("-") else (1, text)
-            return algebra.Multivector.from_name(name.strip(), sign)
+            return algebra.MV(name.strip(), sign)
 
         product = parse_operand(args.a) * parse_operand(args.b)
         emit({"a": args.a, "b": args.b, "product": str(product),
@@ -226,9 +246,11 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         image = states.vacuum_reflect(x, args.charge)
         report = {"charge": args.charge, "input": x.to_dict(), "image": image.to_dict()}
         if args.charge == "k":
+            _check_chain_prints(x, args.n)
             mv, lam = states.vacuum_chain(x, args.n)
             report["chain_reflections"] = args.n
-            report["per_step_factor"] = {"re": str(lam.re), "im": str(lam.im)}
+            report["per_step_factor"] = {"re": str(lam.scalar_part),
+                                         "im": str(lam.coefficient("i"))}
             report["chain"] = states.product_report(mv)
         emit(report, config)
         return EXIT_OK
@@ -240,17 +262,18 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         return EXIT_OK
 
     if action == "dual":
-        dual = algebra.dual_generate(args.order)
-        census = algebra.element_order_census(dual.elements, algebra.dual_mul)
+        elements = algebra.dual_generate(args.order)
+        census = algebra.element_order_census(elements, algebra.dual_mul)
         report = {
-            "order": dual.order,
-            "element_count": len(dual.elements),
-            "history": [{"order": o, "step": s} for o, s in dual.history],
+            "order": args.order,
+            "element_count": len(elements),
+            "history": [{"order": o, "step": s} for o, s, _ in algebra.DUAL_STEPS
+                        if o <= args.order],
             "order_census": {str(k): v for k, v in sorted(census.items())},
         }
         if args.order == 64:
             group = algebra.generate_group()
-            image = {algebra.dual_element_image(e) for e in dual.elements}
+            image = {algebra.dual_element_image(e) for e in elements}
             report["isomorphic_to_dirac_group"] = (
                 image == group
                 and census == algebra.element_order_census(group, algebra.group_mul)
@@ -458,16 +481,13 @@ def _cmd_mass(args, config: RunConfig) -> int:
         }
     if args.zeros or want_all:
         tables = charges.build_tables()
+        first = {}  # content -> the first baryon row holding it
+        for m in masses.load_multiplets(config.data_dir):
+            if m.family in ("decuplet", "octet"):
+                first.setdefault(m.contents, m.name)
         report["zero_counts"] = {
-            name: list(charges.multiplet_zero_candidates(combos, "A", tables))
-            for name, combos in (
-                ("Delta", ["ddd", "udd", "uud", "uuu"]),
-                ("Sigma*", ["dds", "uds", "uus"]),
-                ("Xi*", ["dss", "uss"]),
-                ("Omega", ["sss"]),
-                ("N", ["udd", "uud"]),
-                ("Lambda", ["uds"]),
-            )
+            name: list(charges.multiplet_zero_candidates(contents, "A", tables))
+            for contents, name in first.items()
         }
     emit(report, config)
     return EXIT_OK

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .algebra import MV, Cq, Multivector, gamma_pentad
+from .algebra import MV, Multivector, gamma_pentad
 
 __all__ = [
     "NilpotentVector",
@@ -40,29 +40,17 @@ __all__ = [
     "vacuum_chain",
     "vertex_sum",
     "vertex_report",
-    "scale_complex",
     "product_report",
 ]
 
 PENTAD = gamma_pentad("mapping-2")
-_G0 = PENTAD.gamma0
-_G = PENTAD.spatial
+_G0, _G = PENTAD[0], PENTAD[1:4]
 _MASS_UNIT = MV("qj")
 _QI, _QJ, _QK = MV("qi"), MV("qj"), MV("qk")
-_I_BLADE = MV("i")
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def scale_complex(mv: Multivector, z: Cq) -> Multivector:
-    """Multiply a multivector by an exact complex scalar a + bi, the
-    imaginary part acting through the central i blade."""
-    out = mv * z.re
-    if z.im:
-        out = out + _I_BLADE * mv * z.im
-    return out
 
 
 @dataclass(frozen=True)
@@ -242,7 +230,7 @@ def spinor_pair_sum(a: Spinor4, b: Spinor4, pairing: str) -> Multivector:
         cols = tuple(c.flip_p() for c in b.components)
     else:
         cols = b.components
-    total = Multivector.zero()
+    total = Multivector()
     unit = _VACUUM_UNITS.get(pairing)
     for x, y in zip(rows, cols):
         term = x.realized * unit * y.realized if unit is not None else x.realized * y.realized
@@ -310,32 +298,29 @@ def baryon_product(phase: str, E, p, m) -> tuple[Fraction, NilpotentVector]:
 # vacuum reflections and chains
 # ---------------------------------------------------------------------------
 
-_REFLECT_FLIPS = {"k": (True, False), "j": (True, True), "i": (False, True)}
-
-
 def vacuum_reflect(x: NilpotentVector, charge: str) -> NilpotentVector:
     """Sandwich by the named charge quaternion, up to overall state sign.
 
-    k gives the antistate (same as T), j the spin-0-type image (flips E and
-    p), i the parity image (flips p).  The j sandwich carries an overall -1
-    which is dropped: the state-vector sign is an arbitrary scalar factor.
+    k, j and i are the sandwiches of the conjugations T, C and P: k gives the
+    antistate, j the spin-0-type image (flips E and p), i the parity image
+    (flips p).  The j sandwich carries an overall -1 which is dropped: the
+    state-vector sign is an arbitrary scalar factor.
     """
-    if charge not in _REFLECT_FLIPS:
+    if charge not in ("k", "j", "i"):
         raise ValueError(f"unknown vacuum charge {charge!r}; expected 'k', 'j' or 'i'")
-    flip_e, flip_p = _REFLECT_FLIPS[charge]
-    out = x.flip_e() if flip_e else x
-    return out.flip_p() if flip_p else out
+    return conjugate(x, "TCP"["kji".index(charge)])
 
 
-def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Cq]:
+def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Multivector]:
     """The alternating chain X (kX)(kX)... with n reflections.
 
     Returns the final multivector and the per-step factor lam with
-    X k X = lam X; lam = -2iE*signE is purely imaginary with |lam| = 2E.
+    X k X = lam X on shell: lam = -2iE*signE, a multivector on the i blade
+    alone with |lam| = 2E, so the chain is lam^n X.
     """
     if n < 1:
         raise ValueError("need at least one reflection")
-    lam = Cq(0, -2 * x.sign_e * x.E)
+    lam = MV("i", -2 * x.sign_e * x.E)
     xr = x.realized
     out = xr
     for _ in range(n):
@@ -376,7 +361,7 @@ def vertex_sum(vertex: str, E, p, m) -> Multivector:
     row_massive, col_massive = VERTEX_KINDS[vertex]
     row = _vertex_row(E, p, m if row_massive else 0)
     col = tuple(c.flip_e().flip_p() for c in _vertex_row(E, p, m if col_massive else 0))
-    total = Multivector.zero()
+    total = Multivector()
     for x, y in zip(row, col):
         total = total + x.realized * y.realized
     return total

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
-from nilpotent import cli
+from nilpotent import charges, cli, states
+from nilpotent.algebra import MV
 from nilpotent.datafiles import data_path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -101,6 +102,51 @@ def test_vacuum_subcommand():
     report = json.loads(out)
     assert report["image"]["signE"] == -1
     assert report["per_step_factor"] == {"re": "0", "im": "-10"}
+
+
+def test_vacuum_chain_too_long_to_print_is_rejected(capsys):
+    argv = ["algebra", "vacuum", "--E", "5", "--p", "0,0,4", "--m", "3", "--n", "6000"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("usage error: --n 6000 gives chain coefficients of at least 6001 digits")
+
+
+def test_vacuum_chain_that_prints_is_kept():
+    code, out = run_cli("--format", "json", "algebra", "vacuum", "--E", "5", "--p", "0,0,4",
+                        "--m", "3", "--n", "2000")
+    assert code == 0
+    # (-10i)^2000 X = 10^2000 X
+    assert json.loads(out)["chain"]["blades"]["i.qk"] == str(5 * 10 ** 2000)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's smallest int-printing limit, so the boundary is near."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("E,p,m", [("5", "0,0,4", "3"), ("9/2", "0,0,0", "9/2"),
+                                   ("1/20", "0,0,1/20", "0"), ("13/7", "3/7,4/7,12/7", "0"),
+                                   ("-15/2", "9/2,0,-6", "0")])
+def test_vacuum_n_is_rejected_from_the_first_chain_that_cannot_print(E, p, m, digit_limit_640,
+                                                                     capsys):
+    """Each state's own chain coefficient is the largest, so the bound is exact."""
+    argv = ["algebra", "vacuum", f"--E={E}", f"--p={p}", f"--m={m}"]
+    x = cli._make_state(cli.build_parser().parse_args(argv))
+    chain, n = x.realized, 0
+    while True:
+        chain, n = chain * MV("qk") * x.realized, n + 1
+        try:
+            states.product_report(chain)
+        except ValueError:
+            break
+    assert run_cli(*argv, "--n", str(n - 1))[0] == cli.EXIT_OK
+    assert run_cli(*argv, "--n", str(n))[0] == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: --n {n} gives chain coefficients")
 
 
 def test_vertex_subcommand():
@@ -378,6 +424,25 @@ def test_gmo_inputs_come_from_the_dataset(tmp_path):
             == pytest.approx(0.5 * (16.5 - 13.5)))
     eta = next(r["measured_units"] for r in shipped["mesons"] if r["name"] == "eta")
     assert doctored["gmo_meson_K_units"] == pytest.approx((4.0 + 0.75 * eta * eta) ** 0.5)
+
+
+def test_zero_counts_come_from_the_dataset(tmp_path):
+    for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    rows = (tmp_path / "multiplets.csv").read_text()
+    rows = rows.replace("decuplet,Omega,sss,", "decuplet,Omega,uss|sss,")
+    rows += "octet,Extra,uuu,1,1,3,1,1,\n"
+    (tmp_path / "multiplets.csv").write_text(rows)
+    shipped = json.loads(run_cli("--format", "json", "mass", "--zeros")[1])["zero_counts"]
+    code, out = run_cli("--format", "json", "--data-dir", str(tmp_path), "mass", "--zeros")
+    assert code == 0
+    doctored = json.loads(out)["zero_counts"]
+    # the octet Sigma and Xi repeat the content of Sigma* and Xi*, so they are skipped
+    assert sorted(shipped) == ["Delta", "Lambda", "N", "Omega", "Sigma*", "Xi*"]
+    assert sorted(doctored) == sorted([*shipped, "Extra"])
+    assert doctored["Extra"] == list(charges.multiplet_zero_candidates(["uuu"]))
+    assert doctored["Omega"] == list(charges.multiplet_zero_candidates(["uss", "sss"]))
+    assert doctored["Omega"] != shipped["Omega"]
 
 
 def test_exit_code_missing_data():

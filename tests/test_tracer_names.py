@@ -1,0 +1,36 @@
+"""Every name the benchmark's tracer patches still resolves in the package.
+
+The tracer (``bench/tracer.py``) wraps functions by module and attribute
+name; a renamed or deleted function would otherwise only show as a failed
+traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SITES = sorted({site for sites in _load_tracer()._ALIASES.values() for site in sites})
+
+
+@pytest.mark.parametrize("module,attr", SITES)
+def test_traced_alias_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(f"nilpotent.{module}"), attr))
+
+
+def test_traced_product_and_solver_table_resolve():
+    from nilpotent import algebra, spectra
+
+    assert callable(algebra.Multivector.__mul__)
+    assert spectra._FAMILY_SOLVERS and all(map(callable, spectra._FAMILY_SOLVERS.values()))
