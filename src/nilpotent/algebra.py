@@ -125,6 +125,8 @@ def parse_blade(name: str) -> int:
     e, q, v = 0, 0, 0
     if name.strip() != "1":
         for part in name.strip().split("."):
+            if not part:  # "" is the name of no quaternion and no vector factor
+                raise ValueError(f"empty factor in blade name {name!r}")
             if part == "i":
                 if e:
                     raise ValueError(f"repeated factor in blade name {name!r}")

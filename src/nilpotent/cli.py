@@ -144,21 +144,37 @@ def _make_state(args) -> states.NilpotentVector:
     )
 
 
+def _gcd_of_power(base: int, k: int, other: int) -> int:
+    """gcd(base**k, other) without forming base**k."""
+    g = 1
+    for _ in range(k):  # each pass divides other by at least 2, so it stops early
+        d = math.gcd(base, other)
+        if d == 1:
+            break
+        g, other = g * d, other // d
+    return g
+
+
 def _check_chain_prints(x: states.NilpotentVector, n: int) -> None:
     """Refuse an ``--n`` whose vacuum chain holds an int too long to print.
 
-    On shell the chain is lam^n X; its energy coefficient +-(2E)^(n+1)/2, for
-    2|E| = a/b in lowest terms, has numerator a^(n+1) (halved for an even a)
-    and denominator b^(n+1) (doubled for an odd a).  An int of 10^L or more
-    does not print under the interpreter's limit of L digits.
+    On shell the chain is lam^n X with |lam| = 2|E| = a/b in lowest terms, so
+    a coefficient u/v of X (E, a momentum component or m) becomes
+    a^n u / (b^n v), reduced by gcd(a^n, v) gcd(u, b^n).  An int of 10^L or
+    more does not print under the interpreter's limit of L digits.
     """
     limit = sys.get_int_max_str_digits()
     if not (limit and x.on_shell and x.E):
         return
     a, b = abs(2 * x.E).as_integer_ratio()
-    k = min(n + 1, 4 * limit)  # past 4L steps, a or b >= 2 exceeds 10^L all the same
-    odd = math.log10(2) * (a % 2)  # the 2 of (2E)^k / 2 cancels only against an even a
-    digits = max(k * math.log10(a) - math.log10(2) + odd, k * math.log10(b) + odd)
+    coefficients = [abs(c).as_integer_ratio() for c in (x.E, *x.p, x.m) if c]
+    # past 4L steps beyond the bits of u and v, a or b >= 2 outgrows 10^L all the same
+    k = min(n, 4 * limit + max(max(uv).bit_length() for uv in coefficients))
+    digits = 0.0
+    for u, v in coefficients:
+        common = math.log10(_gcd_of_power(a, k, v) * _gcd_of_power(b, k, u))
+        digits = max(digits, k * math.log10(a) + math.log10(u) - common,
+                     k * math.log10(b) + math.log10(v) - common)
     if digits >= limit:
         raise UsageError(f"--n {n} gives chain coefficients of at least {int(digits) + 1} "
                          f"digits, over the {limit}-digit limit for printing an int")

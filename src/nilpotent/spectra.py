@@ -23,18 +23,18 @@ reported unmatched.  Four families are supported:
 * inverse multipole (Lennard-Jones, dipolar, ...): powers <= -2, oscillator levels
 
 Exact (Gaussian-rational / surd) arithmetic throughout via sympy; floats
-only when the caller passes floats.
+only when the caller passes floats.  Sympy loads on the first exact solve,
+not at import: the confinement geometry, the closed-form level series,
+rational coefficient parsing and a Fraction j never need it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import sympy as sp
-from sympy import I, Rational, Symbol, sqrt
 
 __all__ = [
     "PotentialSpec",
@@ -71,11 +71,36 @@ class SupercriticalCouplingError(ValueError):
     """q^2 A^2 >= (j + 1/2)^2: no real Coulomb-type level."""
 
 
+class _DeferredSympy:
+    """Stands in for the sympy module until exact work first reads from it.
+
+    That first attribute read imports sympy and rebinds this module's ``sp``
+    to it, so every later ``sp.<name>`` is a plain module attribute with no
+    check in front of it.
+    """
+
+    def __getattr__(self, name):
+        global sp
+        import sympy as sp
+
+        return getattr(sp, name)
+
+
+sp = _DeferredSympy()
+
+
+@functools.cache
+def _symbols():
+    """The solver unknowns a, b, gamma0 (= gamma + 1) and gammat (= gamma +
+    nu + 1), then the free E and m."""
+    return sp.symbols("a b gamma0 gammat E m")
+
+
 def _num(x):
     """Coerce to an exact sympy number when possible, else keep the float."""
     if isinstance(x, Fraction):
-        return Rational(x.numerator, x.denominator)
-    if isinstance(x, (int, Rational)):
+        return sp.Rational(x.numerator, x.denominator)
+    if isinstance(x, (int, sp.Rational)):
         return sp.Integer(x) if isinstance(x, int) else x
     if isinstance(x, sp.Expr):
         return x
@@ -122,7 +147,7 @@ class PotentialSpec:
                 value = Fraction(body)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"expected a rational number, got {s!r}") from None
-            return I * _num(value) if imaginary else value
+            return sp.I * _num(value) if imaginary else value
 
         terms = d.get("terms", {}) if isinstance(d, dict) else None
         if not isinstance(terms, dict):
@@ -140,14 +165,16 @@ class QuantumNumbers:
     n_prime: int = 0
 
     def __post_init__(self):
-        if _num(self.j) < Rational(1, 2):
+        # a Fraction or int j is compared without sympy
+        j = self.j if isinstance(self.j, (int, Fraction)) else _num(self.j)
+        if j < Fraction(1, 2):
             raise ValueError("j must be at least 1/2")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
 
     @property
     def j_plus_half(self):
-        return _num(self.j) + Rational(1, 2)
+        return _num(self.j) + sp.Rational(1, 2)
 
 
 @dataclass(frozen=True)
@@ -224,11 +251,6 @@ class AnsatzSolution:
         }
 
 
-# solver symbols
-_a, _b, _c, _g0, _gt = sp.symbols("a b c gamma0 gammat")
-E_SYM, M_SYM = sp.symbols("E m")
-
-
 def _detect_family(V: PotentialSpec) -> str:
     powers = sorted(V.terms)
     positive = [n for n in powers if n > 0]
@@ -257,6 +279,7 @@ def _detect_family(V: PotentialSpec) -> str:
 def _solve_confining(V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     sigma = V.terms[1]
+    _a, _b, _, _gt, _, _ = _symbols()
     J = qn.j_plus_half
     n = qn.n_prime
     relations = (
@@ -270,7 +293,7 @@ def _solve_confining(V, qn, E, m):
     )
     branches = []
     for s in (1, -1):
-        b = s * I * q * sigma / 2
+        b = s * sp.I * q * sigma / 2
         a = q * sigma * E / (2 * b)
         gt = q * A * E / a
         branches.append(
@@ -294,19 +317,20 @@ def _coulomb_gamma_t(qA, J):
         raise SupercriticalCouplingError(
             f"q^2 A^2 = {qA**2} reaches (j+1/2)^2 = {J**2}: no subcritical solution"
         )
-    return sqrt(disc)
+    return sp.sqrt(disc)
 
 
 def _solve_coulomb(V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     qA = q * A
+    _a, _, _g0, _gt, _, m_sym = _symbols()
     J = qn.j_plus_half
     n = qn.n_prime
     relations = (
         Relation(-2, qA**2 + _g0**2 - J**2, True,
                  "series head, nu = 0: the indicial condition fixing gamma"),
         Relation(-1, 2 * qA * E - 2 * _a * _gt, True, "series tail, nu = n'"),
-        Relation(0, E**2 + _a**2 - M_SYM**2, True, "fixes the level through m"),
+        Relation(0, E**2 + _a**2 - m_sym**2, True, "fixes the level through m"),
     )
     g0_root = _coulomb_gamma_t(qA, J)
     branches = []
@@ -319,7 +343,7 @@ def _solve_coulomb(V, qn, E, m):
                 "(a = qA E / (gamma + n' + 1))"
             )
         a = qA * E / gt
-        m_expr = sqrt(E**2 + a**2)
+        m_expr = sp.sqrt(E**2 + a**2)
         branches.append(
             AnsatzBranch(
                 a=a,
@@ -328,7 +352,7 @@ def _solve_coulomb(V, qn, E, m):
                 n_prime=n,
                 solver_vars={"a": a, "one_plus_gamma": g0,
                              "gamma_plus_nu_plus_1": gt, "m": m_expr},
-                subs={_a: a, _g0: g0, _gt: gt, M_SYM: m_expr},
+                subs={_a: a, _g0: g0, _gt: gt, m_sym: m_expr},
                 decaying=(s == 1),
             )
         )
@@ -351,6 +375,7 @@ def _solve_oscillator(V, qn, E, m):
     if A == 0:
         raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
     w2 = q * V.terms[2]
+    _a, _b, _g0, _gt, _, _ = _symbols()
     qA = q * A
     J = qn.j_plus_half
     n = qn.n_prime
@@ -367,10 +392,10 @@ def _solve_oscillator(V, qn, E, m):
     )
     branches = []
     for s in (1, -1):
-        b = s * I * w2 / 3
+        b = s * sp.I * w2 / 3
         g0 = -w2 * qA / (3 * b)  # 1 + gamma = -+ i q A
         gt = g0 + n
-        a = sqrt(m**2 - E**2)
+        a = sp.sqrt(m**2 - E**2)
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
         energy = -m * gt / J
         branches.append(
@@ -403,7 +428,8 @@ def _solve_inverse(V, qn, E, m):
     if len(powers) > 2:
         raise UnsupportedPotentialError("at most two inverse-power terms are supported")
     coeffs = {p: q * V.terms[p] for p in powers}
-    u_syms = {p: Symbol(f"u{abs(p)}") for p in powers}
+    _a, _, _g0, _gt, _, _ = _symbols()
+    u_syms = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
 
     relations = [Relation(2 * powers[-1], coeffs[powers[-1]] ** 2 + u_syms[powers[-1]] ** 2, True)]
     for hi, lo in zip(powers, powers[1:]):
@@ -432,12 +458,12 @@ def _solve_inverse(V, qn, E, m):
     for s in (1, -1):
         u_vals = {}
         deepest = powers[-1]
-        u_vals[deepest] = s * I * coeffs[deepest]
+        u_vals[deepest] = s * sp.I * coeffs[deepest]
         for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
             u_vals[hi] = -coeffs[hi] * coeffs[lo] / u_vals[lo]
         g0 = -qA * coeffs[powers[0]] / u_vals[powers[0]]
         gt = g0 + n
-        a = sqrt(m**2 - E**2)
+        a = sp.sqrt(m**2 - E**2)
         energy = -m * gt / J
         subs = {_a: a, _g0: g0, _gt: gt}
         subs.update({u_syms[p]: u_vals[p] for p in powers})
@@ -490,8 +516,9 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     if c_m1 != 0:
         phase = Vn.coulomb_phase + (-c_m1 if family == "confining" else c_m1)
         Vn = PotentialSpec(Vn.terms, phase, Vn.coupling)
-    E = E_SYM if E is None else _num(E)
-    m = M_SYM if m is None else _num(m)
+    *_, E_sym, m_sym = _symbols()
+    E = E_sym if E is None else _num(E)
+    m = m_sym if m is None else _num(m)
     name, branches, relations, series = _FAMILY_SOLVERS[family](Vn, qn, E, m)
     return AnsatzSolution(name, Vn, qn, branches, tuple(relations), series)
 

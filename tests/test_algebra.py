@@ -65,6 +65,13 @@ def test_blade_roundtrip_names():
     assert parse_blade("vk.qj.i") == parse_blade("i.qj.vk") == 0b11011
 
 
+@pytest.mark.parametrize("name", ["", " ", ".vj", "qi.", "qi..vj", "i..", "."])
+def test_parse_blade_refuses_an_empty_factor(name):
+    # "" is the quaternion and vector name of the unit, never a factor
+    with pytest.raises(ValueError, match="empty factor"):
+        parse_blade(name)
+
+
 def test_group_codes_and_names():
     assert [group_name(g) for g in (0, NEG, 16, NEG | 28)] == ["+1", "-1", "+i", "-i.qk"]
     assert all(code(group_name(g)) == g for g in range(64))
@@ -278,6 +285,42 @@ def test_exhaustive_oracle_catches_one_flipped_sign(a, b, monkeypatch):
     flipped[a][b] = -flipped[a][b]
     monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
     assert _basis_pairs_off_the_oracle() == [(blade_name(a), blade_name(b))]
+
+
+def _refuted(blades, products, a, b) -> bool:
+    """Whether the matrix oracle refutes the table product e_a e_b."""
+    return matrix_rep(blades[a] * blades[b]) != products[a][b]
+
+
+def test_exhaustive_oracle_refutes_every_sign_flip_and_index_swap(monkeypatch):
+    """Mutation analysis of the product table: each of the 1024 MUL_SIGN flips,
+    and a seeded sample of MUL_IDX swaps within a row, is refuted by the
+    basis-pair proof at every pair it touched."""
+    blades = [Multivector({k: 1}) for k in range(32)]
+    images = [matrix_rep(e) for e in blades]  # from BLADE_IMAGES alone
+    products = [[images[a] @ images[b] for b in range(32)] for a in range(32)]
+    signs = [row[:] for row in algebra.MUL_SIGN]
+    indices = [row[:] for row in algebra.MUL_IDX]
+    monkeypatch.setattr(algebra, "MUL_SIGN", signs)
+    monkeypatch.setattr(algebra, "MUL_IDX", indices)
+
+    survivors = []
+    for a in range(32):
+        for b in range(32):
+            signs[a][b] = -signs[a][b]
+            if not _refuted(blades, products, a, b):
+                survivors.append(("sign", a, b))
+            signs[a][b] = -signs[a][b]
+    rng = random.Random(0)
+    for _ in range(200):
+        a, (b, c) = rng.randrange(32), rng.sample(range(32), 2)
+        row = indices[a]
+        row[b], row[c] = row[c], row[b]
+        if not (_refuted(blades, products, a, b) and _refuted(blades, products, a, c)):
+            survivors.append(("index", a, b, c))
+        row[b], row[c] = row[c], row[b]
+    assert survivors == []
+    assert _basis_pairs_off_the_oracle() == []  # every mutant was undone
 
 
 def test_oracle_catches_a_flipped_product_sign(monkeypatch):

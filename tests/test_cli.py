@@ -69,6 +69,13 @@ def test_multiply_signed_operand():
     assert json.loads(out)["product"] == "-qk"
 
 
+@pytest.mark.parametrize("a", ["", ".vj", "qi.", "qi..vj", "-"])
+def test_multiply_refuses_an_empty_factor(a, capsys):
+    assert run_cli("algebra", "multiply", f"--a={a}", "--b=qi") == (cli.EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "empty factor" in err
+
+
 def test_cpt_identity_echo():
     code, out = run_cli("--format", "json", "algebra", "cpt", "--op", "TCP",
                         "--E", "5", "--p", "0,0,4", "--m", "3")
@@ -129,12 +136,19 @@ def digit_limit_640():
     sys.set_int_max_str_digits(old)
 
 
-@pytest.mark.parametrize("E,p,m", [("5", "0,0,4", "3"), ("9/2", "0,0,0", "9/2"),
-                                   ("1/20", "0,0,1/20", "0"), ("13/7", "3/7,4/7,12/7", "0"),
-                                   ("-15/2", "9/2,0,-6", "0")])
+@pytest.mark.parametrize("E,p,m", [
+    # the energy coefficient is the largest
+    ("5", "0,0,4", "3"), ("9/2", "0,0,0", "9/2"), ("1/20", "0,0,1/20", "0"),
+    ("13/7", "3/7,4/7,12/7", "0"), ("-15/2", "9/2,0,-6", "0"),
+    # a momentum or mass coefficient is the largest
+    ("10", "10/3,20/3,20/3", "0"), ("1", "1/3,-2/3,2/3", "0"),
+    ("-35/2", "-245/22,105/11,105/11", "0"), ("-39/4", "13/10,-13/2,0", "143/20"),
+    # the 3 of each denominator cancels against 2E = 240, shortening the chain coefficients
+    ("-120", "296/3,-128/3,0", "160/3"),
+])
 def test_vacuum_n_is_rejected_from_the_first_chain_that_cannot_print(E, p, m, digit_limit_640,
                                                                      capsys):
-    """Each state's own chain coefficient is the largest, so the bound is exact."""
+    """The bound covers every coefficient of X, so it is exact whichever is the largest."""
     argv = ["algebra", "vacuum", f"--E={E}", f"--p={p}", f"--m={m}"]
     x = cli._make_state(cli.build_parser().parse_args(argv))
     chain, n = x.realized, 0
@@ -523,6 +537,23 @@ def test_verify_runs_without_numpy():
     assert "OK" in proc.stdout
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("gut", cli.EXIT_OK),
+    ("mass --all", cli.EXIT_OK),
+    ("algebra multiply --a qi --b i.vj", cli.EXIT_OK),
+    ("algebra verify --pairs 0 --samples 0", cli.EXIT_OK),
+    ("solve --family strong --radius --E 3/4 --q 2/5", cli.EXIT_OK),
+    ("solve --lmin 3,4,5", cli.EXIT_OK),
+    ("solve --family coulomb", cli.EXIT_USAGE),  # no --qA
+])
+def test_requests_that_solve_nothing_never_load_sympy(argv, code):
+    script = ("import sys; from nilpotent import cli; code = cli.main(sys.argv[1:]); "
+              "assert 'sympy' not in sys.modules, 'sympy was imported'; sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv.split()],
+                          capture_output=True, text=True)
+    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_json_determinism():
     runs = [run_cli("--format", "json", "mass", "--all")[1] for _ in range(2)]
     assert runs[0] == runs[1]
@@ -562,7 +593,7 @@ def _leaf_flags(parser, verbs=()):
 
 LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
 FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
-               "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64"]
+               "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi."]
 # the sweep sizes of verify stay small so the whole fuzz run is quick
 SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
 RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

@@ -7,6 +7,8 @@ traced benchmark run.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,13 @@ def test_traced_product_and_solver_table_resolve():
 
     assert callable(algebra.Multivector.__mul__)
     assert spectra._FAMILY_SOLVERS and all(map(callable, spectra._FAMILY_SOLVERS.values()))
+
+
+def test_cli_import_loads_spectra_but_not_sympy():
+    """The tracer wraps only modules already loaded when ``nilpotent.cli`` is,
+    so ``spectra`` loads eagerly while sympy waits for the first exact solve."""
+    script = ("import sys, nilpotent.cli; "
+              "assert 'nilpotent.spectra' in sys.modules, 'spectra was not imported'; "
+              "assert 'sympy' not in sys.modules, 'sympy was imported'")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
