@@ -22,6 +22,13 @@ reported unmatched.  Four families are supported:
 * oscillator: bracket E + c2 r^2 + A / r, levels E = -m (1/2 + n') / (j + 1/2)
 * inverse multipole (Lennard-Jones, dipolar, ...): powers <= -2, oscillator levels
 
+Outside the Coulomb family, whose branches go through a surd, every branch
+value is a closed form on the sign s = +-1: b = s i q sigma/2, a = -s i E and
+gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
+(oscillator); u_p = s i q c_p per power and 1 + gamma = s i q A (inverse).
+No value is divided out of another, so a float potential coefficient leaks
+no rounding into gamma or a.
+
 Exact (Gaussian-rational / surd) arithmetic throughout via sympy; floats
 only when the caller passes floats.  Sympy loads on the first exact solve,
 not at import: the confinement geometry, the closed-form level series,
@@ -165,10 +172,12 @@ class QuantumNumbers:
     n_prime: int = 0
 
     def __post_init__(self):
-        # a Fraction or int j is compared without sympy
+        # a Fraction or int j is checked without sympy
         j = self.j if isinstance(self.j, (int, Fraction)) else _num(self.j)
         if j < Fraction(1, 2):
             raise ValueError("j must be at least 1/2")
+        if float((2 * j) % 2) != 1:
+            raise ValueError(f"j must be a half-integer (2j odd), got {self.j}")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
 
@@ -283,24 +292,25 @@ def _solve_confining(V, qn, E, m):
     J = qn.j_plus_half
     n = qn.n_prime
     relations = (
-        Relation(2, q**2 * sigma**2 + 4 * _b**2, True),
-        Relation(1, -2 * q * sigma * E + 4 * _a * _b, True),
-        Relation(-1, 2 * q * A * E - 2 * _a * _gt, True),
-        Relation(0, E**2 - 2 * q**2 * sigma * A + _a**2 - 4 * _b * _gt - m**2, False,
+        Relation(2, sp.Add(q**2 * sigma**2, 4 * _b**2), True),
+        Relation(1, sp.Add(-2 * q * sigma * E, 4 * _a * _b), True),
+        Relation(-1, sp.Add(2 * q * A * E, -2 * _a * _gt), True),
+        Relation(0, sp.Add(E**2, -2 * q**2 * sigma * A, _a**2, -4 * _b * _gt, -m**2), False,
                  "left open by the three-equation solution"),
-        Relation(-2, q**2 * A**2 + _gt**2 - J**2, False,
+        Relation(-2, sp.Add(q**2 * A**2, _gt**2, -J**2), False,
                  "left open by the three-equation solution"),
     )
     branches = []
     for s in (1, -1):
-        b = s * sp.I * q * sigma / 2
-        a = q * sigma * E / (2 * b)
-        gt = q * A * E / a
+        # the r^2, r and 1/r relations in closed form
+        b = s * sp.I * (q * sigma / 2)
+        a = -s * sp.I * E
+        gt = s * sp.I * (q * A)
         branches.append(
             AnsatzBranch(
                 a=a,
                 exp_coefficients={2: -b},
-                gamma=sp.expand(gt - 1 - n),
+                gamma=sp.Add(gt, -1 - n),
                 n_prime=n,
                 solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
                 subs={_a: a, _b: b, _gt: gt},
@@ -327,10 +337,10 @@ def _solve_coulomb(V, qn, E, m):
     J = qn.j_plus_half
     n = qn.n_prime
     relations = (
-        Relation(-2, qA**2 + _g0**2 - J**2, True,
+        Relation(-2, sp.Add(qA**2, _g0**2, -J**2), True,
                  "series head, nu = 0: the indicial condition fixing gamma"),
-        Relation(-1, 2 * qA * E - 2 * _a * _gt, True, "series tail, nu = n'"),
-        Relation(0, E**2 + _a**2 - m_sym**2, True, "fixes the level through m"),
+        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), True, "series tail, nu = n'"),
+        Relation(0, sp.Add(E**2, _a**2, -m_sym**2), True, "fixes the level through m"),
     )
     g0_root = _coulomb_gamma_t(qA, J)
     branches = []
@@ -380,20 +390,20 @@ def _solve_oscillator(V, qn, E, m):
     J = qn.j_plus_half
     n = qn.n_prime
     relations = (
-        Relation(4, w2**2 + 9 * _b**2, True),
-        Relation(1, 2 * w2 * qA + 6 * _b * _g0, True, "series head, nu = 0"),
-        Relation(0, E**2 + _a**2 - m**2, True),
-        Relation(-1, 2 * qA * E - 2 * _a * _gt, False,
+        Relation(4, sp.Add(w2**2, 9 * _b**2), True),
+        Relation(1, sp.Add(2 * w2 * qA, 6 * _b * _g0), True, "series head, nu = 0"),
+        Relation(0, sp.Add(E**2, _a**2, -m**2), True),
+        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), False,
                  "tail equation; with 1/r^2 it eliminates to the level formula"),
-        Relation(-2, qA**2 + _gt**2 - J**2, False,
+        Relation(-2, sp.Add(qA**2, _gt**2, -J**2), False,
                  "tail equation; with 1/r it eliminates to the level formula"),
-        Relation(2, 2 * E * w2 - 6 * _a * _b, False,
+        Relation(2, sp.Add(2 * w2 * E, -6 * _a * _b), False,
                  "cross term left open by the printed derivation"),
     )
     branches = []
     for s in (1, -1):
-        b = s * sp.I * w2 / 3
-        g0 = -w2 * qA / (3 * b)  # 1 + gamma = -+ i q A
+        b = s * sp.I * (w2 / 3)
+        g0 = s * sp.I * qA  # 1 + gamma = +- i q A
         gt = g0 + n
         a = sp.sqrt(m**2 - E**2)
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
@@ -431,37 +441,36 @@ def _solve_inverse(V, qn, E, m):
     _a, _, _g0, _gt, _, _ = _symbols()
     u_syms = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
 
-    relations = [Relation(2 * powers[-1], coeffs[powers[-1]] ** 2 + u_syms[powers[-1]] ** 2, True)]
+    relations = [Relation(2 * powers[-1],
+                          sp.Add(coeffs[powers[-1]] ** 2, u_syms[powers[-1]] ** 2), True)]
     for hi, lo in zip(powers, powers[1:]):
         relations.append(
-            Relation(hi + lo, 2 * coeffs[hi] * coeffs[lo] + 2 * u_syms[hi] * u_syms[lo], True)
+            Relation(hi + lo, sp.Add(2 * coeffs[hi] * coeffs[lo], 2 * u_syms[hi] * u_syms[lo]),
+                     True)
         )
     for p in powers:
         relations.append(
-            Relation(p - 1, 2 * qA * coeffs[p] + 2 * u_syms[p] * _g0, True,
+            Relation(p - 1, sp.Add(2 * qA * coeffs[p], 2 * u_syms[p] * _g0), True,
                      "series head, nu = 0")
         )
     relations += [
-        Relation(0, E**2 + _a**2 - m**2, True),
-        Relation(-1, 2 * qA * E - 2 * _a * _gt, False,
+        Relation(0, sp.Add(E**2, _a**2, -m**2), True),
+        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), False,
                  "tail equation; with 1/r^2 it eliminates to the level formula"),
-        Relation(-2, qA**2 + _gt**2 - J**2, False,
+        Relation(-2, sp.Add(qA**2, _gt**2, -J**2), False,
                  "tail equation; with 1/r it eliminates to the level formula"),
     ]
     for p in powers:
         relations.append(
-            Relation(p, 2 * E * coeffs[p] - 2 * _a * u_syms[p], False,
+            Relation(p, sp.Add(2 * coeffs[p] * E, -2 * _a * u_syms[p]), False,
                      "cross term left open by the printed derivation")
         )
 
     branches = []
     for s in (1, -1):
-        u_vals = {}
-        deepest = powers[-1]
-        u_vals[deepest] = s * sp.I * coeffs[deepest]
-        for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
-            u_vals[hi] = -coeffs[hi] * coeffs[lo] / u_vals[lo]
-        g0 = -qA * coeffs[powers[0]] / u_vals[powers[0]]
+        # the extreme, cross and head relations in closed form
+        u_vals = {p: s * sp.I * coeffs[p] for p in powers}
+        g0 = s * sp.I * qA
         gt = g0 + n
         a = sp.sqrt(m**2 - E**2)
         energy = -m * gt / J
@@ -611,6 +620,8 @@ def infrared_radius(E: float, q: float, sigma: float) -> float:
     would give 7.5 fm; the quoted ~4 fm corresponds to the reduced-mass
     reading E ~ 0.75 GeV.  Both readings use this same formula.
     """
+    if not E > 0:
+        raise ValueError(f"the energy E must be positive, got {E}")
     if q <= 0 or sigma <= 0:
         raise ValueError("coupling and string tension must be positive")
     if q * sigma == 0:

@@ -394,6 +394,29 @@ def test_solve_that_divides_by_zero_is_rejected(argv, capsys):
     assert_rejected(["--format", "json", *argv], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "coulomb", "--qA", "1/2", "--j", "1"),
+    ("solve", "--family", "coulomb", "--qA", "1/2", "--j", "3/4"),
+    ("solve", "--family", "strong", "--j", "2/3"),
+    ("solve", "--potential", '{"terms": {"2": "1"}, "coulombPhase": "1/2i"}', "--j", "2"),
+])
+def test_solve_rejects_a_j_that_is_not_a_half_integer(argv, capsys):
+    """j = 1, 3/4 and 2/3 each gave a full report with exit 0."""
+    assert cli.main(list(argv)) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: j must be a half-integer (2j odd), got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("E", ["-1", "0", "-3/4"])
+def test_radius_rejects_a_nonpositive_energy(E, capsys):
+    """--E -1 printed infrared_radius_fm -2.0, and --E 0 printed 0.0."""
+    argv = ["solve", "--family", "strong", "--radius", f"--E={E}", "--q", "1", "--sigma", "1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: the energy E must be positive")
+
+
 @pytest.mark.parametrize("counts", [("-1", "30"), ("30", "-3"), ("-1", "-3")])
 def test_negative_verify_counts_are_rejected(counts, capsys):
     """--pairs -1 --samples -3 once passed as 'matrix oracle on -1 random pairs'."""
@@ -545,6 +568,8 @@ def test_verify_runs_without_numpy():
     ("solve --family strong --radius --E 3/4 --q 2/5", cli.EXIT_OK),
     ("solve --lmin 3,4,5", cli.EXIT_OK),
     ("solve --family coulomb", cli.EXIT_USAGE),  # no --qA
+    ("solve --family coulomb --qA 1/2 --j 1", cli.EXIT_USAGE),  # j not a half-integer
+    ("solve --family strong --radius --E 0", cli.EXIT_USAGE),
 ])
 def test_requests_that_solve_nothing_never_load_sympy(argv, code):
     script = ("import sys; from nilpotent import cli; code = cli.main(sys.argv[1:]); "

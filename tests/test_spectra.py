@@ -1,6 +1,7 @@
 """Coefficient-matching solver: families, branches, residuals, geometry."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 from sympy import I, Rational
 
 from nilpotent.spectra import (
+    AnsatzBranch,
     AnsatzSolution,
     InconsistentSystemError,
     PotentialSpec,
@@ -306,6 +308,207 @@ def test_perturbed_branch_fails_the_gate(make, key, power, exact):
     assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10)
 
 
+# --- closed-form branch values against the division-based derivation --------
+
+
+def _reference_branches(sol):
+    """The branch values as the division-based derivation finds them: each value
+    divided out of the relation that holds the one before it."""
+    _a, _b, _g0, _gt, E, m = sp.symbols("a b gamma0 gammat E m")
+    V, qn = sol.potential, sol.quantum_numbers
+    q, A, J, n = V.coupling, V.coulomb_phase, qn.j_plus_half, qn.n_prime
+    if sol.family == "coulomb":  # the surd path, not a closed form of the sign
+        return sol.branches
+    out = []
+    for s in (1, -1):
+        if sol.family == "confining":
+            sigma = V.terms[1]
+            b = s * I * q * sigma / 2
+            a = q * sigma * E / (2 * b)
+            gt = q * A * E / a
+            out.append(AnsatzBranch(
+                a=a, exp_coefficients={2: -b}, gamma=sp.expand(gt - 1 - n), n_prime=n,
+                solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
+                subs={_a: a, _b: b, _gt: gt}))
+            continue
+        qA = q * A
+        if sol.family == "oscillator":
+            w2 = q * V.terms[2]
+            b = s * I * w2 / 3
+            g0 = -w2 * qA / (3 * b)
+            named, subs, exp = {"b": b}, {_b: b}, {3: b}
+        else:
+            powers = sorted(V.terms, reverse=True)
+            c = {p: q * V.terms[p] for p in powers}
+            u = {powers[-1]: s * I * c[powers[-1]]}
+            for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
+                u[hi] = -c[hi] * c[lo] / u[lo]
+            g0 = -qA * c[powers[0]] / u[powers[0]]
+            named = {chr(ord("b") + k): u[p] for k, p in enumerate(powers)}
+            subs = {sp.Symbol(f"u{abs(p)}"): u[p] for p in powers}
+            exp = {p + 1: u[p] / (p + 1) for p in powers}
+        gt, a = g0 + n, sp.sqrt(m**2 - E**2)
+        out.append(AnsatzBranch(
+            a=a, exp_coefficients=exp, gamma=g0 - 1, n_prime=n,
+            solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
+                         "E_level": -m * gt / J},
+            subs={_a: a, _g0: g0, _gt: gt, **subs}))
+    return tuple(out)
+
+
+def _reference_relations(sol):
+    """The relation exprs built term by term with binary + and -."""
+    _a, _b, _g0, _gt, E, m = sp.symbols("a b gamma0 gammat E m")
+    V = sol.potential
+    q, A, J = V.coupling, V.coulomb_phase, sol.quantum_numbers.j_plus_half
+    qA = q * A
+    if sol.family == "confining":
+        sigma = V.terms[1]
+        exprs = [q**2 * sigma**2 + 4 * _b**2, -2 * q * sigma * E + 4 * _a * _b,
+                 2 * q * A * E - 2 * _a * _gt,
+                 E**2 - 2 * q**2 * sigma * A + _a**2 - 4 * _b * _gt - m**2,
+                 q**2 * A**2 + _gt**2 - J**2]
+    elif sol.family == "coulomb":
+        exprs = [qA**2 + _g0**2 - J**2, 2 * qA * E - 2 * _a * _gt, E**2 + _a**2 - m**2]
+    elif sol.family == "oscillator":
+        w2 = q * V.terms[2]
+        exprs = [w2**2 + 9 * _b**2, 2 * w2 * qA + 6 * _b * _g0, E**2 + _a**2 - m**2,
+                 2 * qA * E - 2 * _a * _gt, qA**2 + _gt**2 - J**2, 2 * E * w2 - 6 * _a * _b]
+    else:
+        powers = sorted(V.terms, reverse=True)
+        c = {p: q * V.terms[p] for p in powers}
+        u = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
+        exprs = [c[powers[-1]] ** 2 + u[powers[-1]] ** 2]
+        exprs += [2 * c[hi] * c[lo] + 2 * u[hi] * u[lo] for hi, lo in zip(powers, powers[1:])]
+        exprs += [2 * qA * c[p] + 2 * u[p] * _g0 for p in powers]
+        exprs += [E**2 + _a**2 - m**2, 2 * qA * E - 2 * _a * _gt, qA**2 + _gt**2 - J**2]
+        exprs += [2 * E * c[p] - 2 * _a * u[p] for p in powers]
+    assert len(exprs) == len(sol.relations)
+    return tuple(dataclasses.replace(rel, expr=expr) for rel, expr in zip(sol.relations, exprs))
+
+
+INVERSE_POWERS = {"inverse-6-12": (-6, -12), "inverse-3-5": (-3, -5), "inverse-4": (-4,),
+                  "inverse-2": (-2,)}
+CLOSED_FORM_FAMILIES = ["confining", "coulomb", "oscillator", *INVERSE_POWERS, "from_dict",
+                        "lennard-jones"]
+
+
+def _closed_form_cases(family, exact, count):
+    """``count`` seeded solutions of one family, with exact or 4-digit float inputs."""
+    rng = random.Random(f"{family} {exact}")
+    num = (lambda x: x) if exact else (lambda x: round(float(x), 4))
+
+    def frac(hi=9):
+        return Fraction(rng.randint(1, hi), rng.randint(1, 9))
+
+    out = []
+    for _ in range(count):
+        qn = QuantumNumbers(Fraction(2 * rng.randint(0, 4) + 1, 2), rng.randint(0, 4))
+        if family == "lennard-jones":
+            out.append(lennard_jones_solution(I * num(frac()), num(frac(30)), num(frac(30)), qn))
+            continue
+        if family == "confining":
+            V = PotentialSpec({1: num(frac(30))}, num(frac(20)), num(frac(20)))
+        elif family == "coulomb":  # qA below j + 1/2; this seed draws no pole
+            qa = Fraction(rng.randint(1, 99), 100) * qn.j_plus_half
+            V = PotentialSpec({}, num(qa / 2), num(Fraction(2)))
+        elif family == "oscillator":
+            V = PotentialSpec({2: num(frac(30))}, I * num(frac()), num(frac()))
+        elif family == "from_dict":
+            def text(x):
+                return str(x) if exact else f"{float(x):.4f}"
+            power = rng.choice(("1", "2", "-2", "-4", "-6"))
+            V = PotentialSpec.from_dict({"terms": {power: text(frac(30))},
+                                         "coulombPhase": text(frac()), "q": text(frac())})
+        else:
+            terms = {p: num(rng.choice((1, -1)) * frac(30)) for p in INVERSE_POWERS[family]}
+            V = PotentialSpec(terms, I * num(frac()))
+        out.append(match_coefficients(V, qn))
+    return out
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+def test_closed_forms_equal_the_division_derivation(family):
+    """Exact inputs: the same sympy objects, and so the same report, as the divisions."""
+    for sol in _closed_form_cases(family, exact=True, count=40):
+        ref = dataclasses.replace(sol, branches=_reference_branches(sol),
+                                  relations=_reference_relations(sol))
+        assert sol.branches == ref.branches, sol.potential
+        assert sol.relations == ref.relations, sol.potential
+        assert json.dumps(sol.to_dict()) == json.dumps(ref.to_dict())
+
+
+def _numeric(expr):
+    """A complex value of expr, with every free symbol set to a fixed number."""
+    values = {s: sp.Float(0.3 + 0.1 * k) for k, s in enumerate(sorted(expr.free_symbols, key=str))}
+    return complex(sp.N(expr.xreplace(values)))
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+def test_closed_forms_match_the_division_derivation_on_floats(family):
+    """Float inputs: every value within 1e-12 of the divisions (absolute near 0),
+    and the gate still passes."""
+    def close(got, want):
+        g, w = _numeric(got), _numeric(want)
+        return abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    for sol in _closed_form_cases(family, exact=False, count=10):
+        for got, want in zip(sol.branches, _reference_branches(sol), strict=True):
+            pairs = [(got.a, want.a), (got.gamma, want.gamma)]
+            pairs += [(got.solver_vars[k], v) for k, v in want.solver_vars.items()]
+            pairs += [(got.exp_coefficients[k], v) for k, v in want.exp_coefficients.items()]
+            assert all(close(g, w) for g, w in pairs), sol.potential
+        for got, want in zip(sol.relations, _reference_relations(sol)):
+            assert close(got.expr, want.expr), (sol.potential, got.power)
+        assert residual_verify(sol.potential, sol, sol.quantum_numbers) <= 1e-10
+
+
+def test_branch_values_are_the_closed_forms():
+    E = sp.Symbol("E")
+    qn = QuantumNumbers(Fraction(3, 2), 1)
+    # confining, q = 2/5, sigma = 1, A = 3/10: b = +-i q sigma/2, a = -+iE, gt = +-i q A
+    sol = match_coefficients(strong_potential(), qn)
+    for s, branch in zip((1, -1), sol.branches):
+        assert branch.solver_vars == {"b": s * I / 5, "a": -s * I * E,
+                                      "gamma_plus_nu_plus_1": s * 3 * I / 25}
+        assert branch.gamma == -2 + s * 3 * I / 25
+    # a float sigma leaves a and gamma exact
+    sol = match_coefficients(PotentialSpec({1: 1.0}, Fraction(3, 10), Fraction(2, 5)), qn)
+    assert [b.a for b in sol.branches] == [-I * E, I * E]
+    assert not any(b.gamma.atoms(sp.Float) for b in sol.branches)
+    # oscillator, A = i/5, q = 3/10, c2 = 10: b = +-i q c2/3, 1 + gamma = +-i q A
+    sol = match_coefficients(PotentialSpec({2: 10}, I / 5, Fraction(3, 10)), qn)
+    assert [b.solver_vars["b"] for b in sol.branches] == [I, -I]
+    assert [b.solver_vars["one_plus_gamma"] for b in sol.branches] == [Rational(-3, 50),
+                                                                      Rational(3, 50)]
+    # inverse with float coefficients and an exact phase: u_p = +-i c_p, gamma exact
+    sol = match_coefficients(PotentialSpec({-6: 0.5, -12: -0.25}, I / 5), qn)
+    assert [(b.solver_vars["b"], b.solver_vars["c"]) for b in sol.branches] == [
+        (0.5 * I, -0.25 * I), (-0.5 * I, 0.25 * I)]
+    assert [b.gamma for b in sol.branches] == [Rational(-6, 5), Rational(-4, 5)]
+    assert not any(b.gamma.atoms(sp.Float) for b in sol.branches)
+
+
+@pytest.mark.parametrize("power,key,want", [
+    (1, "gamma_plus_nu_plus_1", "I*(-2/7 + 2*I/15)"),
+    (2, "one_plus_gamma", "I*(2/7 + 2*I/15)"),
+    (-6, "one_plus_gamma", "I*(2/7 + 2*I/15)"),
+])
+def test_complex_phase_prints_as_i_times_q_a(power, key, want):
+    """A c_{-1} term folded into an imaginary phase makes q A complex; the
+    branch values then read i q A unexpanded, equal in value to the division
+    forms."""
+    V = PotentialSpec({power: 2, -1: Fraction(3, 7)}, I / 5, Fraction(2, 3))
+    sol = match_coefficients(V, QN)
+    assert [str(b.solver_vars[key]) for b in sol.branches] == [want, "-" + want]
+    assert [str(b.gamma) for b in sol.branches] == ["-1 + " + want, "-1 - " + want]
+    for branch, ref in zip(sol.branches, _reference_branches(sol), strict=True):
+        for got, old in [(branch.gamma, ref.gamma), (branch.a, ref.a),
+                         *((branch.solver_vars[k], v) for k, v in ref.solver_vars.items())]:
+            assert sp.expand(got - old) == 0
+    assert residual_verify(V, sol, QN) == 0.0
+
+
 def test_float_inputs_bounded_residual():
     V = PotentialSpec({1: 1.0}, coulomb_phase=0.3, coupling=0.4)
     sol = match_coefficients(V, QN)
@@ -421,13 +624,19 @@ def test_infrared_radius_full_mass_reading():
 
 
 def test_infrared_radius_linear():
-    assert infrared_radius(0.0, 0.4, 1.0) == 0.0
     assert infrared_radius(2.0, 0.5, 2.0) == 2 * infrared_radius(1.0, 0.5, 2.0)
 
 
 def test_infrared_radius_positive_coupling():
     with pytest.raises(ValueError):
         infrared_radius(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("E", [0.0, -1.0, -0.75, float("nan")])
+def test_infrared_radius_needs_a_positive_energy(E):
+    """E = -1 gave the radius -2 fm, and E = 0 gave 0."""
+    with pytest.raises(ValueError, match="energy E must be positive"):
+        infrared_radius(E, 0.4, 1.0)
 
 
 def test_lmin_equilateral():
