@@ -25,10 +25,11 @@ is the identity, ``NEG`` is -1):
 ``+i1j1``).
 
 Multivectors are rational linear combinations of blades.  All arithmetic is
-exact; there is no floating point anywhere in this module.  Products run on
-integer numerators over a common denominator, which is cleared once per
-operand.  The 4x4 matrix oracle checks the product tables independently: its
-blade images are monomial, built from the 2x2 quaternion images alone.
+exact; there is no floating point anywhere in this module.  A multivector is
+stored in lowest terms as int numerators over one int denominator, so sums,
+products and matrix images run on ints alone.  The 4x4 matrix oracle checks
+the product tables independently: its blade images are monomial, built from
+the 2x2 quaternion images alone.
 """
 
 from __future__ import annotations
@@ -188,109 +189,104 @@ def group_center(group: "set[int] | None" = None) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms of an exact rational or its string."""
+    if isinstance(x, str):
+        x = Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
     raise TypeError(f"multivector coefficients must be exact rationals, got {type(x).__name__}")
 
 
-def _cleared(c: "dict[int, Fraction]") -> tuple[int, list[tuple[int, int]]]:
-    """Coefficients over their least common denominator d: (d, [(blade, numerator)])."""
-    # a list, not a generator, here and in Mat4: unpacking or tuple() of a
-    # generator grows its buffer step by step, which raised peak memory
-    d = math.lcm(*[v.denominator for v in c.values()])
-    return d, [(k, v.numerator * (d // v.denominator)) for k, v in c.items()]
+def _reduced(d: int, n: "dict[int, int]") -> "Multivector":
+    """The multivector with numerators ``n`` (nonzero) over ``d > 0``, in lowest terms."""
+    g = math.gcd(d, *n.values())
+    out = Multivector.__new__(Multivector)
+    out._d, out._n = (d, n) if g == 1 else (d // g, {k: v // g for k, v in n.items()})
+    return out
 
 
 class Multivector:
-    """Exact rational linear combination of the 32 basis blades, keyed by blade index."""
+    """Exact rational linear combination of the 32 basis blades, keyed by blade index.
 
-    __slots__ = ("_c",)
+    Stored in lowest terms: nonzero int numerators ``_n = {blade: numerator}``
+    over one int ``_d > 0``, gcd(d, *n) = 1, so ``==`` and ``hash`` are exact.
+    Fractions appear only in the constructor, the inspectors and the serializers.
+    """
+
+    __slots__ = ("_d", "_n")
 
     def __init__(self, coefficients=None):
-        c: dict[int, Fraction] = {}
-        if coefficients:
-            for idx, coef in coefficients.items():
-                f = _as_fraction(coef)
-                if f:
-                    c[idx] = c.get(idx, Fraction(0)) + f
-        self._c = {k: v for k, v in c.items() if v}
+        c = [(k, *_ratio(v)) for k, v in coefficients.items()] if coefficients else []
+        # over the lcm of reduced denominators the numerators share no factor with it
+        d = math.lcm(*[b for _, _, b in c])
+        self._d, self._n = d, {k: a * (d // b) for k, a, b in c if a}
 
     # inspection ------------------------------------------------------------
     def coefficient(self, name: str) -> Fraction:
-        return self._c.get(parse_blade(name), Fraction(0))
+        return Fraction(self._n.get(parse_blade(name), 0), self._d)
 
     @property
     def scalar_part(self) -> Fraction:
-        return self._c.get(0, Fraction(0))
+        return Fraction(self._n.get(0, 0), self._d)
 
     def blades(self) -> dict[int, Fraction]:
-        return dict(sorted(self._c.items()))
+        return {k: Fraction(v, self._d) for k, v in sorted(self._n.items())}
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def is_scalar(self) -> bool:
-        return not self._c or set(self._c) == {0}
+        return not self._n or self._n.keys() == {0}
 
     # arithmetic ------------------------------------------------------------
     def __add__(self, other: "Multivector") -> "Multivector":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + v
-        out = Multivector.__new__(Multivector)
-        out._c = {k: v for k, v in c.items() if v}
-        return out
+        d = math.lcm(self._d, other._d)
+        sa, sb = d // self._d, d // other._d
+        n = {k: v * sa for k, v in self._n.items()}
+        for k, v in other._n.items():
+            n[k] = n.get(k, 0) + v * sb
+        return _reduced(d, {k: v for k, v in n.items() if v})
 
     def __neg__(self) -> "Multivector":
-        out = Multivector.__new__(Multivector)
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return _reduced(self._d, {k: -v for k, v in self._n.items()})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            da, na = _cleared(self._c)
-            db, nb = _cleared(other._c)
+            nb = other._n.items()
             acc: dict[int, int] = {}
-            for ka, va in na:
+            for ka, va in self._n.items():
                 # the tables are read at call time, so a patched MUL_SIGN is seen
                 srow, irow = MUL_SIGN[ka], MUL_IDX[ka]
                 for kb, vb in nb:
                     k = irow[kb]
                     acc[k] = acc.get(k, 0) + srow[kb] * va * vb
-            d = da * db
-            out = Multivector.__new__(Multivector)
-            out._c = {k: Fraction(n, d) for k, n in acc.items() if n}
-            return out
-        f = _as_fraction(other)
-        out = Multivector.__new__(Multivector)
-        out._c = {k: v * f for k, v in self._c.items()} if f else {}
-        return out
+            return _reduced(self._d * other._d, {k: n for k, n in acc.items() if n})
+        a, b = _ratio(other)
+        return _reduced(self._d * b, {k: v * a for k, v in self._n.items()} if a else {})
 
     def __rmul__(self, other):
         return self.__mul__(other)  # scalars commute
 
     def __eq__(self, other):
-        return isinstance(other, Multivector) and self._c == other._c
+        return isinstance(other, Multivector) and self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._d, frozenset(self._n.items())))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._n)
 
     def __repr__(self):
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
-        for idx, coef in sorted(self._c.items()):
+        for idx, coef in self.blades().items():
             name = blade_name(idx)
             mag = abs(coef)
             term = name if (mag == 1 and name != "1") else (str(mag) if name == "1" else f"{mag}*{name}")
@@ -300,7 +296,7 @@ class Multivector:
 
     # serialization ----------------------------------------------------------
     def to_dict(self) -> dict[str, str]:
-        return {blade_name(i): str(v) for i, v in sorted(self._c.items())}
+        return {blade_name(i): str(v) for i, v in self.blades().items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Multivector":
@@ -347,6 +343,8 @@ class Mat4(tuple):
 
     @classmethod
     def _reduced(cls, den: int, re, im) -> "Mat4":
+        # lists, not generators, here and in Multivector: unpacking or tuple()
+        # of a generator grows its buffer step by step, which raised peak memory
         g = math.gcd(den, *re, *im)
         return cls((den // g, tuple([x // g for x in re]), tuple([x // g for x in im])))
 
@@ -356,11 +354,19 @@ class Mat4(tuple):
         cols = [(bre[c::4], bim[c::4]) for c in range(4)]
         re, im = [], []
         for r in range(0, 16, 4):
-            ar, ai = are[r:r + 4], aim[r:r + 4]
-            for br, bi in cols:
-                re.append(sum(x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)))
-                im.append(sum(x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)))
+            x0, x1, x2, x3 = are[r:r + 4]
+            u0, u1, u2, u3 = aim[r:r + 4]
+            for (y0, y1, y2, y3), (v0, v1, v2, v3) in cols:
+                re.append(x0*y0 + x1*y1 + x2*y2 + x3*y3 - u0*v0 - u1*v1 - u2*v2 - u3*v3)
+                im.append(x0*v0 + x1*v1 + x2*v2 + x3*v3 + u0*y0 + u1*y1 + u2*y2 + u3*y3)
         return Mat4._reduced(da * db, re, im)
+
+
+# BLADE_IMAGES flattened for matrix_rep: per blade, one (row-major slot,
+# imaginary?, sign) per row
+_IMAGE_SLOTS = tuple(
+    tuple((4 * r + c, p & 1, -1 if p & 2 else 1) for r, (c, p) in enumerate(image))
+    for image in BLADE_IMAGES)
 
 
 def matrix_rep(x: Multivector) -> Mat4:
@@ -369,12 +375,11 @@ def matrix_rep(x: Multivector) -> Mat4:
     Ring homomorphism: matrix_rep(a*b) equals matrix_rep(a) @ matrix_rep(b)
     entrywise, with exact equality.
     """
-    den, nums = _cleared(x._c)
     re, im = [0] * 16, [0] * 16
-    for idx, n in nums:
-        for r, (c, p) in enumerate(BLADE_IMAGES[idx]):
-            (im if p & 1 else re)[4 * r + c] += -n if p & 2 else n
-    return Mat4._reduced(den, re, im)
+    for idx, n in x._n.items():
+        for slot, imaginary, sign in _IMAGE_SLOTS[idx]:
+            (im if imaginary else re)[slot] += sign * n
+    return Mat4._reduced(x._d, re, im)
 
 
 def matrices_equal(a: Mat4, b: Mat4) -> bool:

@@ -8,7 +8,8 @@
     nilpotent mass ...                  multiplet tables and boson block
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 missing or
-invalid data.
+invalid data, 141 standard output closed before the report was written (as a
+shell reports a process ended by SIGPIPE).
 Output formats: text (default), json, csv; JSON and CSV are deterministic
 for fixed flags, dataset and seed.
 """
@@ -19,6 +20,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_DATA = 3
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -36,6 +40,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -3/4 or -3,0,4 after a space is a value, not a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -318,7 +327,10 @@ def _build_potential(args) -> spectra.PotentialSpec:
             raise UsageError("coulomb family needs --qA")
         spec = {"coulombPhase": _parse_fraction(args.qA)}
     elif family == "oscillator":
-        spec = {"terms": {2: _parse_fraction(args.c) / 2}, "coulombPhase": args.A or "1/2i"}
+        c = _parse_fraction(args.c)
+        if not c:
+            raise UsageError("the oscillator family needs a nonzero --c")
+        spec = {"terms": {2: c / 2}, "coulombPhase": args.A or "1/2i"}
     elif family == "lennard-jones":
         spec = {"terms": {-6: _parse_fraction(args.B), -12: -_parse_fraction(args.C)},
                 "coulombPhase": args.A or "1/2i"}
@@ -615,7 +627,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = RunConfig(args.format, args.data_dir, args.seed)
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: send what is left to devnull, so the flush
+        # at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -44,9 +44,12 @@ __all__ = [
 ]
 
 PENTAD = gamma_pentad("mapping-2")
-_G0, _G = PENTAD[0], PENTAD[1:4]
 _MASS_UNIT = MV("qj")
-_QI, _QJ, _QK = MV("qi"), MV("qj"), MV("qk")
+_I, _QI, _QJ, _QK = MV("i"), MV("qi"), MV("qj"), MV("qk")
+# (blade, sign) of the signed blades carrying E, px, py, pz and m, read from
+# the pentad so that a sign there reaches every realized state
+_STATE_UNITS = [(k, 1 if c > 0 else -1) for u in (*PENTAD[:4], _MASS_UNIT)
+                for k, c in u.blades().items()]
 
 
 def _frac(x) -> Fraction:
@@ -69,10 +72,10 @@ class NilpotentVector:
 
     @cached_property
     def realized(self) -> Multivector:
-        out = _G0 * (self.sign_e * self.E)
-        for gamma, comp in zip(_G, self.p):
-            out = out + gamma * (self.sign_p * comp)
-        return out + _MASS_UNIT * self.m
+        values = (self.E, *self.p, self.m)
+        signs = (self.sign_e, self.sign_p, self.sign_p, self.sign_p, 1)
+        return Multivector({k: v if c == s else -v
+                            for (k, c), v, s in zip(_STATE_UNITS, values, signs)})
 
     @property
     def p_squared(self) -> Fraction:
@@ -320,7 +323,7 @@ def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Multivector]:
     """
     if n < 1:
         raise ValueError("need at least one reflection")
-    lam = MV("i", -2 * x.sign_e * x.E)
+    lam = _I * (-2 * x.sign_e * x.E)
     xr = x.realized
     out = xr
     for _ in range(n):

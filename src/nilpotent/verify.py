@@ -174,7 +174,7 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
         if not square.is_zero:
             sample_ok["pauli"] = False
         mv, lam = vacuum_chain(x, 1)
-        if mv != lam * x.realized or lam not in (MV("i", 2 * x.E), MV("i", -2 * x.E)):
+        if mv != lam * x.realized or lam not in (i * (2 * x.E), i * (-2 * x.E)):
             sample_ok["vacuum"] = False
     check(f"on-shell square zero ({state_samples} samples)", sample_ok["square"])
     check("Pauli exclusion on samples", sample_ok["pauli"])

@@ -35,7 +35,8 @@ ONE = MV("1")
 
 # mixed denominators; an empty dict is the zero multivector
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
-multivectors = st.dictionaries(st.integers(0, 31), coefficients, max_size=8).map(Multivector)
+coefficient_maps = st.dictionaries(st.integers(0, 31), coefficients, max_size=8)
+multivectors = coefficient_maps.map(Multivector)
 
 
 def _reference_product(a: Multivector, b: Multivector) -> Multivector:
@@ -193,6 +194,95 @@ def test_integer_product_cancels_to_exact_zero(k, c, d):
     a, z = (ONE + b) * c, (ONE - b) * d
     assert (a * z).is_zero and _reference_product(a, z).is_zero
     assert (a * Multivector()).is_zero and (Multivector() * a).is_zero
+
+
+def _ref_add(x: dict, y: dict) -> dict:
+    """Sum of two {blade: Fraction} maps, zero coefficients dropped."""
+    out = {k: x.get(k, 0) + y.get(k, 0) for k in x.keys() | y.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_scale(x: dict, s: Fraction) -> dict:
+    return {k: v * s for k, v in x.items() if v * s}
+
+
+def _in_lowest_terms(x: Multivector) -> bool:
+    return x._d > 0 and all(x._n.values()) and math.gcd(x._d, *x._n.values()) == 1
+
+
+@settings(max_examples=150)
+@given(coefficient_maps, coefficient_maps, coefficients)
+def test_linear_operations_equal_fraction_reference(ca, cb, s):
+    """+, binary -, unary -, scalar * and == on the integer form against plain
+    {blade: Fraction} maps, and hash agreeing with ==."""
+    a, b = Multivector(ca), Multivector(cb)
+    ra, rb = _ref_add(ca, {}), _ref_add(cb, {})
+    cases = [
+        (a, ra),
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, _ref_scale(rb, Fraction(-1)))),
+        (-a, _ref_scale(ra, Fraction(-1))),
+        (a * s, _ref_scale(ra, s)),
+        (s * a, _ref_scale(ra, s)),
+        (a * int(s.numerator), _ref_scale(ra, Fraction(s.numerator))),
+    ]
+    for got, ref in cases:
+        assert got.blades() == dict(sorted(ref.items()))
+        assert _in_lowest_terms(got) and got.is_zero == (not ref)
+    assert (a == b) == (ra == rb)
+    # the same value reached two ways is one value
+    for x, y in (((a + b) * s, a * s + b * s), (a + b - b, a), (a - a, Multivector())):
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+def test_equal_values_built_different_ways_are_one_value():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    pairs = [
+        (MV("qi", Fraction(2, 4)) * 3, MV("qi", Fraction(3, 2))),
+        (MV("qi", half) + MV("qi", half), MV("qi")),
+        (MV("qi", half) * MV("qi", 2), -ONE),
+        (MV("i", Fraction(1, 6)) + MV("vj", third) - MV("vj", third), MV("i", "1/6")),
+        ((MV("qi", third) + MV("qj", Fraction(2, 5))) - (MV("qj", Fraction(2, 5)) + MV("qi", third)),
+         Multivector()),
+        (MV("vk", Fraction(7, 3)) * 0, Multivector({5: 0})),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert x.blades() == y.blades() and repr(x) == repr(y) and _in_lowest_terms(x)
+    assert len({v for pair in pairs for v in pair}) == 5  # 3/2 qi, qi, -1, i/6 and 0
+    assert MV("qi", half) != MV("qi", Fraction(1, 4)) and MV("qi") != MV("qj")
+
+
+def _complex_entries(m) -> list[tuple[Fraction, Fraction]]:
+    den, re, im = m
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
+
+
+def _naive_matmul(a, b) -> list[tuple[Fraction, Fraction]]:
+    """Row-major 4x4 product of (re, im) Fraction entries, term by term."""
+    out = []
+    for r in range(4):
+        for c in range(4):
+            re = im = Fraction(0)
+            for k in range(4):
+                (x, u), (y, v) = a[4 * r + k], b[4 * k + c]
+                re, im = re + x * y - u * v, im + x * v + u * y
+            out.append((re, im))
+    return out
+
+
+sixteen_ints = st.lists(st.integers(-9, 9), min_size=16, max_size=16)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12), sixteen_ints, sixteen_ints, st.integers(1, 12), sixteen_ints,
+       sixteen_ints)
+def test_mat4_product_equals_a_naive_complex_product(da, are, aim, db, bre, bim):
+    a, b = algebra.Mat4._reduced(da, are, aim), algebra.Mat4._reduced(db, bre, bim)
+    product = a @ b
+    assert _complex_entries(product) == _naive_matmul(_complex_entries(a), _complex_entries(b))
+    den, re, im = product
+    assert den > 0 and math.gcd(den, *re, *im) == 1
 
 
 def test_matrix_rep_identity():

@@ -417,6 +417,54 @@ def test_radius_rejects_a_nonpositive_energy(E, capsys):
     assert err.startswith("error: the energy E must be positive")
 
 
+def test_oscillator_without_a_spring_constant_names_the_flag(capsys):
+    """--c 0 was refused as 'a pure Coulomb potential needs a real q A, got I/2'."""
+    assert cli.main(["solve", "--family", "oscillator", "--c", "0"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: the oscillator family needs a nonzero --c\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("solve --family strong --radius --E -3/4 --q 1 --sigma 1", "--E"),
+    ("solve --family strong --j -1/2", "--j"),
+    ("algebra vacuum --E -5/2 --p 3/2,0,2 --m 0", "--E"),
+    ("algebra vacuum --E 5 --p -3,0,4 --m 0", "--p"),
+])
+def test_negative_value_after_a_space_reads_as_a_value(argv, flag):
+    """Each spaced form exited 1 with 'argument --E: expected one argument'."""
+    def run(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+        return code, out.getvalue(), err.getvalue()
+
+    spaced = argv.split()
+    joined = list(spaced)
+    at = joined.index(flag)
+    joined[at:at + 2] = [f"{flag}={joined[at + 1]}"]
+    result = run(spaced)
+    assert "expected one argument" not in result[2]
+    assert result == run(joined)
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """mass --all | head -1 often ended in a BrokenPipeError traceback and exit 1.
+
+    The child waits on its stdin until the read end of its stdout is closed,
+    so its first write always meets a pipe with no reader."""
+    script = ("import sys; sys.stdin.read(); from nilpotent import cli; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    with subprocess.Popen([sys.executable, "-c", script, "mass", "--all"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == cli.EXIT_PIPE
+    assert "Traceback" not in err and err == "", err
+
+
 @pytest.mark.parametrize("counts", [("-1", "30"), ("30", "-3"), ("-1", "-3")])
 def test_negative_verify_counts_are_rejected(counts, capsys):
     """--pairs -1 --samples -3 once passed as 'matrix oracle on -1 random pairs'."""
@@ -618,7 +666,8 @@ def _leaf_flags(parser, verbs=()):
 
 LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
 FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
-               "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi."]
+               "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi.", "-3/4",
+               "-3,0,4"]
 # the sweep sizes of verify stay small so the whole fuzz run is quick
 SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
 RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

@@ -1,5 +1,6 @@
 """Nilpotent states: mass shell, CPT, bosons, baryons, vacuum, vertices."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import on_shell_states, rationals
-from nilpotent.algebra import MV, Multivector
+from nilpotent.algebra import MV, Multivector, gamma_pentad
 from nilpotent.states import (
     BARYON_PHASES,
     BARYON_PLUS_CLASS,
@@ -24,9 +25,34 @@ from nilpotent.states import (
     vertex_report,
     vertex_sum,
 )
+from nilpotent.verify import random_on_shell
 
 ONE = MV("1")
 X_REF = make_nilpotent(5, (0, 0, 4), 3)
+
+
+def _sum_of_unit_products(x: NilpotentVector) -> Multivector:
+    """The state as 5 scalar products of the pentad units and qj, and 4 sums."""
+    g0, g1, g2, g3, _ = gamma_pentad("mapping-2")
+    out = g0 * (x.sign_e * x.E)
+    for gamma, comp in zip((g1, g2, g3), x.p):
+        out = out + gamma * (x.sign_p * comp)
+    return out + MV("qj") * x.m
+
+
+def test_realized_equals_the_sum_of_unit_products():
+    rng = random.Random(2)
+
+    def rational():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+    for _ in range(60):
+        on = random_on_shell(rng)
+        off = make_nilpotent(rational(), (rational(), rational(), rational()), rational())
+        for x in (on, off, make_nilpotent(0, (0, 0, 0), 0)):
+            for se, sp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                y = x.with_signs(se, sp)
+                assert y.realized == _sum_of_unit_products(y), y
 
 
 def test_on_shell_square_is_zero():
