@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as _iproduct
+from typing import NamedTuple
 
 from .algebra import MV, Multivector
 from .datafiles import data_path
@@ -62,8 +62,7 @@ COLOURS = ("B", "G", "R")
 CHARGE_TYPES = ("e", "s", "w")
 
 
-@dataclass(frozen=True)
-class FermionChargeSpec:
+class FermionChargeSpec(NamedTuple):
     """Parameter block of the unified charge-structure generator."""
 
     flavour: str
@@ -141,8 +140,7 @@ def fermion_spec(flavour: str, colour_assignment=None) -> tuple[FermionChargeSpe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChargeEntry:
+class ChargeEntry(NamedTuple):
     value: str  # "0" | "1" | "z_P" | "z_T"
     label: str  # quaternion label i | j | k
 
@@ -186,14 +184,12 @@ _BASE_OF = {
 }
 
 
-@dataclass(frozen=True)
-class ChargeRow:
+class ChargeRow(NamedTuple):
     sign: str  # "+" | "-"
     entries: tuple[ChargeEntry, ...]
 
 
-@dataclass(frozen=True)
-class ChargeTable:
+class ChargeTable(NamedTuple):
     representation: str
     rows: dict  # (flavour, charge_type) -> ChargeRow
 
@@ -356,8 +352,7 @@ def multiplet_zero_candidates(states, representation: str = "A", tables=None) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakChargeResult:
+class WeakChargeResult(NamedTuple):
     kind: str  # "w" | "0" | "alternatives"
     alternatives: tuple[str, ...]
 
@@ -390,8 +385,7 @@ def composite_weak_charge(combo) -> WeakChargeResult:
 _SU5_UNITS = ("s_G", "s_B", "s_R", "w", "e")
 
 
-@dataclass(frozen=True)
-class SU5Grid:
+class SU5Grid(NamedTuple):
     extended: bool
     cells: dict  # (row unit, conjugate column unit) -> label
 

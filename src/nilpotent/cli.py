@@ -23,8 +23,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import algebra, charges, datafiles, masses, spectra, states, unification, verify
 
@@ -42,15 +42,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value such as -3/4 or -3,0,4 after a space is a value, not a flag
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a value such as -3/4, -3,0,4 or the signed blade -i.qk after a space
+        # is a value, not a flag
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(i|[qv][ijk])(\.|$))")
 
     def error(self, message):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     output_format: str = "text"
     data_dir: "str | None" = None
     seed: int = 0
@@ -332,8 +332,10 @@ def _build_potential(args) -> spectra.PotentialSpec:
             raise UsageError("the oscillator family needs a nonzero --c")
         spec = {"terms": {2: c / 2}, "coulombPhase": args.A or "1/2i"}
     elif family == "lennard-jones":
-        spec = {"terms": {-6: _parse_fraction(args.B), -12: -_parse_fraction(args.C)},
-                "coulombPhase": args.A or "1/2i"}
+        B, C = _parse_fraction(args.B), _parse_fraction(args.C)
+        if not (B or C):
+            raise UsageError("the lennard-jones family needs a nonzero --B or --C")
+        spec = {"terms": {-6: B, -12: -C}, "coulombPhase": args.A or "1/2i"}
     else:
         raise UsageError(f"unknown family {family!r}")
     return spectra.PotentialSpec.from_dict(spec)

@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .datafiles import DatasetRecord, InvalidDataError
 from .datafiles import data_path as _data_path
@@ -78,8 +78,7 @@ def _check_values(path: str, prefix: str, record: dict) -> None:
             raise InvalidDataError(f"{path}: {name} is {json.dumps(value)}, expected {expected}")
 
 
-@dataclass(frozen=True)
-class MassUnit:
+class MassUnit(NamedTuple):
     """The m_e/alpha quantum: one unit per zeroed charge."""
 
     electron_mass_gev: float = 0.000510998902
@@ -95,8 +94,7 @@ class MassUnit:
         return cls(c["electron_mass_gev"], 1.0 / c["inv_alpha_low_energy"])
 
 
-@dataclass(frozen=True)
-class Multiplet:
+class Multiplet(NamedTuple):
     family: str
     name: str
     contents: tuple[str, ...]
@@ -224,8 +222,7 @@ def higgs_mass(unit: MassUnit, count: "int | None" = None) -> float:
     return (higgs_zero_count() if count is None else count) * unit.unit_gev
 
 
-@dataclass(frozen=True)
-class BosonBlock:
+class BosonBlock(NamedTuple):
     m_z: float
     sin2_theta_w: float
     m_w_predicted: float

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "PotentialSpec",
@@ -116,8 +115,7 @@ def _num(x):
     return sp.sympify(x)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class PotentialSpec(NamedTuple):
     """Laurent-polynomial potential with its Coulomb phase tracked separately.
 
     ``terms`` maps integer powers n to coefficients c_n of c_n r^n; the
@@ -166,12 +164,17 @@ class PotentialSpec:
         )
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+# a NamedTuple body may not define __new__, so the checks sit in a subclass
+class _QuantumFields(NamedTuple):
     j: object  # half-integer total angular momentum
     n_prime: int = 0
 
-    def __post_init__(self):
+
+class QuantumNumbers(_QuantumFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a Fraction or int j is checked without sympy
         j = self.j if isinstance(self.j, (int, Fraction)) else _num(self.j)
         if j < Fraction(1, 2):
@@ -180,14 +183,14 @@ class QuantumNumbers:
             raise ValueError(f"j must be a half-integer (2j odd), got {self.j}")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
+        return self
 
     @property
     def j_plus_half(self):
         return _num(self.j) + sp.Rational(1, 2)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """One Laurent-coefficient relation expr == 0 at the given power of r."""
 
     power: int
@@ -196,8 +199,7 @@ class Relation:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class AnsatzBranch:
+class AnsatzBranch(NamedTuple):
     """One sign branch of the solved trial state.
 
     ``exp_coefficients`` are the literal exponent-polynomial coefficients
@@ -224,8 +226,7 @@ class AnsatzBranch:
         }
 
 
-@dataclass(frozen=True)
-class LevelSeries:
+class LevelSeries(NamedTuple):
     family: str  # coulomb | confining | oscillator
     levels: Callable  # (j, n_prime) -> E/m
 
@@ -237,8 +238,7 @@ class LevelSeries:
         ]
 
 
-@dataclass(frozen=True)
-class AnsatzSolution:
+class AnsatzSolution(NamedTuple):
     family: str
     potential: PotentialSpec
     quantum_numbers: QuantumNumbers

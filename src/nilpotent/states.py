@@ -18,9 +18,9 @@ Sign conventions here are representation dependent (the vacuum factor is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .algebra import MV, Multivector, gamma_pentad
 
@@ -56,19 +56,24 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class NilpotentVector:
-    """The (E, p, m) state vector with its two free sign choices."""
-
+# A NamedTuple body may not define __new__, so a record that checks its fields
+# subclasses them; NilpotentVector keeps a __dict__ to cache ``realized``.
+class _NilpotentFields(NamedTuple):
     E: Fraction
     p: tuple[Fraction, Fraction, Fraction]
     m: Fraction
     sign_e: int = 1
     sign_p: int = 1
 
-    def __post_init__(self):
+
+class NilpotentVector(_NilpotentFields):
+    """The (E, p, m) state vector with its two free sign choices."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign_e not in (1, -1) or self.sign_p not in (1, -1):
             raise ValueError("sign_e and sign_p must be +/-1")
+        return self
 
     @cached_property
     def realized(self) -> Multivector:
@@ -174,22 +179,27 @@ _FERMION_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _ANTIFERMION_SIGNS = ((-1, 1), (-1, -1), (1, 1), (1, -1))
 
 
-@dataclass(frozen=True)
-class Spinor4:
+class _SpinorFields(NamedTuple):
+    E: Fraction
+    p: tuple[Fraction, Fraction, Fraction]
+    m: Fraction
+    kind: str = "fermion"
+
+
+class Spinor4(_SpinorFields):
     """The four sign variants of one state arranged as fermion or antifermion.
 
     Fermion order: (+E,+p), (+E,-p), (-E,+p), (-E,-p); the antifermion
     arrangement starts at (-E,+p).
     """
 
-    E: Fraction
-    p: tuple[Fraction, Fraction, Fraction]
-    m: Fraction
-    kind: str = "fermion"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("fermion", "antifermion"):
             raise ValueError("kind must be 'fermion' or 'antifermion'")
+        return self
 
     @property
     def components(self) -> tuple[NilpotentVector, ...]:

@@ -26,8 +26,8 @@ Everything is one loop; no thresholds, no two-loop corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ChargeContent",
@@ -68,8 +68,7 @@ def _log_ratio2(m_x: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChargeContent:
+class ChargeContent(NamedTuple):
     """Weak isospin and electric charge assignments over the fermion states."""
 
     t3_values: tuple
@@ -218,8 +217,7 @@ def legacy_su5(mu: float, alpha_g: float, m_x: float) -> tuple[float, float, flo
     return inv_a1, inv_a, sin2
 
 
-@dataclass(frozen=True)
-class LegacySU5Report:
+class LegacySU5Report(NamedTuple):
     m_x: float
     alpha_g: float
     inv_alpha1_mu: float

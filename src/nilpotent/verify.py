@@ -8,8 +8,8 @@ seeded and exact, so the suite is deterministic for a given seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import states
 from .algebra import (
@@ -69,8 +69,7 @@ def random_on_shell(rng: random.Random) -> states.NilpotentVector:
                           rng.choice((1, -1)), rng.choice((1, -1)))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

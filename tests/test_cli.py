@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
-from nilpotent import charges, cli, states
+from nilpotent import charges, cli, masses, spectra, states, unification, verify
 from nilpotent.algebra import MV
 from nilpotent.datafiles import data_path
 
@@ -363,6 +364,59 @@ def test_cli_does_not_know_sympy():
     assert modules and not any(name.split(".")[0] == "sympy" for name in modules)
 
 
+RECORD_TYPES = [
+    "charges.FermionChargeSpec", "charges.ChargeEntry", "charges.ChargeRow",
+    "charges.ChargeTable", "charges.WeakChargeResult", "charges.SU5Grid",
+    "spectra.PotentialSpec", "spectra.QuantumNumbers", "spectra.Relation",
+    "spectra.AnsatzBranch", "spectra.LevelSeries", "spectra.AnsatzSolution",
+    "masses.MassUnit", "masses.Multiplet", "masses.BosonBlock",
+    "states.NilpotentVector", "states.Spinor4",
+    "unification.ChargeContent", "unification.LegacySU5Report",
+    "verify.Check", "cli.RunConfig",
+]
+
+
+@pytest.fixture(scope="module")
+def one_record_of_each_type():
+    """{module.name: instance} for every public record type, built as the program builds it."""
+    tables = charges.build_tables()
+    sol = spectra.match_coefficients(spectra.PotentialSpec({}, Fraction(1, 10)),
+                                     spectra.QuantumNumbers(Fraction(1, 2)))
+    unit = masses.MassUnit()
+    records = [
+        charges.fermion_spec("u")[0], tables["A"].entry("u", "e", "B"), tables["A"].rows[("u", "e")],
+        tables["A"], charges.composite_weak_charge("uud"), charges.su5_grid(),
+        sol.potential, sol.quantum_numbers, sol.relations[0], sol.branches[0], sol.level_series,
+        sol, unit, masses.load_multiplets()[0], masses.electroweak_bosons(91.1876, 0.2312, unit=unit),
+        states.make_nilpotent(5, (0, 0, 4), 3), states.make_spinor(5, (0, 0, 4), 3),
+        unification.phenomenological_content(), unification.solve_legacy_su5(128.0, 8.5, 91.1876),
+        verify.Check("x", True), cli.RunConfig(),
+    ]
+    return {f"{type(r).__module__.rsplit('.', 1)[1]}.{type(r).__name__}": r for r in records}
+
+
+def test_record_types_are_every_public_record():
+    modules = (charges, spectra, masses, states, unification, verify, cli)
+    found = {f"{m.__name__.rsplit('.', 1)[1]}.{name}" for m in modules
+             for name, value in vars(m).items()
+             if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+             and not name.startswith("_") and value.__module__ == m.__name__}
+    assert found == set(RECORD_TYPES)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_read_only(name, one_record_of_each_type):
+    record = one_record_of_each_type[name]
+    field = record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
+    if name != "states.NilpotentVector":  # its __dict__ caches ``realized``
+        with pytest.raises(AttributeError):
+            record.other = None
+
+
 def test_potential_json_equals_family_flags():
     potential = json.dumps({"terms": {"2": "1/2"}, "coulombPhase": "1/2i"})
     assert (run_cli("--format", "json", "solve", "--potential", potential)
@@ -418,10 +472,15 @@ def test_radius_rejects_a_nonpositive_energy(E, capsys):
 
 
 def test_oscillator_without_a_spring_constant_names_the_flag(capsys):
-    """--c 0 was refused as 'a pure Coulomb potential needs a real q A, got I/2'."""
-    assert cli.main(["solve", "--family", "oscillator", "--c", "0"]) == cli.EXIT_USAGE
-    out, err = capsys.readouterr()
-    assert out == "" and err == "usage error: the oscillator family needs a nonzero --c\n"
+    """--c 0, and a Lennard-Jones --B 0 --C 0, were refused as 'a pure Coulomb
+    potential needs a real q A, got I/2'."""
+    for argv, message in (
+            ("solve --family oscillator --c 0", "the oscillator family needs a nonzero --c"),
+            ("solve --family lennard-jones --B 0 --C 0",
+             "the lennard-jones family needs a nonzero --B or --C")):
+        assert cli.main(argv.split()) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -429,6 +488,8 @@ def test_oscillator_without_a_spring_constant_names_the_flag(capsys):
     ("solve --family strong --j -1/2", "--j"),
     ("algebra vacuum --E -5/2 --p 3/2,0,2 --m 0", "--E"),
     ("algebra vacuum --E 5 --p -3,0,4 --m 0", "--p"),
+    ("algebra multiply --a -qi --b qj", "--a"),
+    ("algebra multiply --a qj --b -i.qk", "--b"),
 ])
 def test_negative_value_after_a_space_reads_as_a_value(argv, flag):
     """Each spaced form exited 1 with 'argument --E: expected one argument'."""
@@ -445,6 +506,22 @@ def test_negative_value_after_a_space_reads_as_a_value(argv, flag):
     result = run(spaced)
     assert "expected one argument" not in result[2]
     assert result == run(joined)
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_no_flag_reads_as_a_negative_value():
+    """If a flag matched the value pattern, argparse would read every such value as a flag."""
+    for parser in _parsers(cli.build_parser()):
+        flags = [s for action in parser._actions for s in action.option_strings]
+        assert flags and not [s for s in flags if parser._negative_number_matcher.match(s)]
+        assert not parser._has_negative_number_optionals
 
 
 def test_closed_stdout_ends_without_a_traceback():
@@ -621,7 +698,9 @@ def test_verify_runs_without_numpy():
 ])
 def test_requests_that_solve_nothing_never_load_sympy(argv, code):
     script = ("import sys; from nilpotent import cli; code = cli.main(sys.argv[1:]); "
-              "assert 'sympy' not in sys.modules, 'sympy was imported'; sys.exit(code)")
+              "assert 'sympy' not in sys.modules, 'sympy was imported'; "
+              "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'; "
+              "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", script, *argv.split()],
                           capture_output=True, text=True)
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
@@ -667,7 +746,7 @@ def _leaf_flags(parser, verbs=()):
 LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
 FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
                "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi.", "-3/4",
-               "-3,0,4"]
+               "-3,0,4", "-qi", "-i.qk"]
 # the sweep sizes of verify stay small so the whole fuzz run is quick
 SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
 RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

@@ -1,6 +1,5 @@
 """Coefficient-matching solver: families, branches, residuals, geometry."""
 
-import dataclasses
 import json
 import math
 import random
@@ -32,6 +31,10 @@ from nilpotent.spectra import (
 )
 
 QN = QuantumNumbers(Fraction(1, 2), 0)
+
+
+def test_quantum_numbers_repr_names_each_field():
+    assert repr(QuantumNumbers(Fraction(3, 2), 2)) == "QuantumNumbers(j=Fraction(3, 2), n_prime=2)"
 
 
 def _branch_var(sol, key):
@@ -302,8 +305,7 @@ def test_perturbed_branch_fails_the_gate(make, key, power, exact):
     assert residual_verify(sol.potential, sol, QN) <= (0.0 if exact else 1e-10)
     branch = sol.branches[0]
     moved = {**branch.subs, sp.Symbol(key): branch.subs[sp.Symbol(key)] + delta}
-    broken = dataclasses.replace(
-        sol, branches=(dataclasses.replace(branch, subs=moved), *sol.branches[1:]))
+    broken = sol._replace(branches=(branch._replace(subs=moved), *sol.branches[1:]))
     assert residual_detail(broken)[(0, power)] != 0
     assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10)
 
@@ -384,7 +386,7 @@ def _reference_relations(sol):
         exprs += [E**2 + _a**2 - m**2, 2 * qA * E - 2 * _a * _gt, qA**2 + _gt**2 - J**2]
         exprs += [2 * E * c[p] - 2 * _a * u[p] for p in powers]
     assert len(exprs) == len(sol.relations)
-    return tuple(dataclasses.replace(rel, expr=expr) for rel, expr in zip(sol.relations, exprs))
+    return tuple(rel._replace(expr=expr) for rel, expr in zip(sol.relations, exprs))
 
 
 INVERSE_POWERS = {"inverse-6-12": (-6, -12), "inverse-3-5": (-3, -5), "inverse-4": (-4,),
@@ -431,8 +433,8 @@ def _closed_form_cases(family, exact, count):
 def test_closed_forms_equal_the_division_derivation(family):
     """Exact inputs: the same sympy objects, and so the same report, as the divisions."""
     for sol in _closed_form_cases(family, exact=True, count=40):
-        ref = dataclasses.replace(sol, branches=_reference_branches(sol),
-                                  relations=_reference_relations(sol))
+        ref = sol._replace(branches=_reference_branches(sol),
+                           relations=_reference_relations(sol))
         assert sol.branches == ref.branches, sol.potential
         assert sol.relations == ref.relations, sol.potential
         assert json.dumps(sol.to_dict()) == json.dumps(ref.to_dict())
@@ -597,8 +599,8 @@ def test_non_finite_residual_is_infinite(value):
 def test_nan_branch_fails_the_residual_gate():
     """A branch holding nan (as q = 0 once gave) can no longer report residual 0."""
     sol = match_coefficients(PotentialSpec({1: 1}, coulomb_phase=Rational(1, 3)), QN)
-    broken = dataclasses.replace(sol, branches=tuple(
-        dataclasses.replace(b, subs={**b.subs, next(iter(b.subs)): sp.nan}) for b in sol.branches))
+    broken = sol._replace(branches=tuple(
+        b._replace(subs={**b.subs, next(iter(b.subs)): sp.nan}) for b in sol.branches))
     assert residual_verify(sol.potential, sol, QN) == 0.0
     assert residual_verify(broken.potential, broken, QN) == math.inf
 

@@ -13,6 +13,7 @@ from nilpotent.states import (
     BARYON_PHASES,
     BARYON_PLUS_CLASS,
     NilpotentVector,
+    Spinor4,
     baryon_product,
     chain_product,
     conjugate,
@@ -128,6 +129,27 @@ def test_spinor_component_orders():
     assert [(c.sign_e, c.sign_p) for c in f.components] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     a = make_spinor(5, (0, 0, 4), 3, "antifermion")
     assert [(c.sign_e, c.sign_p) for c in a.components] == [(-1, 1), (-1, -1), (1, 1), (1, -1)]
+
+
+def test_signs_other_than_plus_or_minus_one_are_refused():
+    for signs in ({"sign_e": 0}, {"sign_p": 2}):
+        with pytest.raises(ValueError, match=r"^sign_e and sign_p must be \+/-1$"):
+            NilpotentVector(X_REF.E, X_REF.p, X_REF.m, **signs)
+
+
+def test_spinor_kind_other_than_fermion_or_antifermion_is_refused():
+    with pytest.raises(ValueError, match="^kind must be 'fermion' or 'antifermion'$"):
+        Spinor4(X_REF.E, X_REF.p, X_REF.m, kind="boson")
+
+
+def test_state_is_the_tuple_of_its_fields():
+    """Equal to and hashed as its fields; the repr names each field."""
+    fields = (Fraction(5), (Fraction(0), Fraction(0), Fraction(4)), Fraction(3), 1, -1)
+    x = X_REF.flip_p()
+    assert x == fields and hash(x) == hash(fields)
+    assert repr(x) == ("NilpotentVector(E=Fraction(5, 1), p=(Fraction(0, 1), Fraction(0, 1), "
+                       "Fraction(4, 1)), m=Fraction(3, 1), sign_e=1, sign_p=-1)")
+    assert x.realized is x.realized
 
 
 def _pair(e, p, m):
