@@ -346,6 +346,8 @@ class Mat4(tuple):
         # lists, not generators, here and in Multivector: unpacking or tuple()
         # of a generator grows its buffer step by step, which raised peak memory
         g = math.gcd(den, *re, *im)
+        if g == 1:
+            return cls((den, tuple(re), tuple(im)))
         return cls((den // g, tuple([x // g for x in re]), tuple([x // g for x in im])))
 
     def __matmul__(self, other: "Mat4") -> "Mat4":

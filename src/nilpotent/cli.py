@@ -164,16 +164,59 @@ def _gcd_of_power(base: int, k: int, other: int) -> int:
     return g
 
 
+def _off_shell_chain_largest(x: states.NilpotentVector, n: int) -> int:
+    """The largest numerator or denominator, in lowest terms, of the chain X (kX)^n.
+
+    X k X = lam X - delta k, with delta the mass-shell defect, so the chain is
+    alpha X + beta k: alpha = 1 and beta = 0 at n = 0, and each step takes
+    them to lam alpha - beta and -delta alpha.  With lam = i l, the two run as
+    Gaussian integers (re, im) scaled by d^n, d the lcm of the denominators of
+    l and delta, so a step multiplies by the ints l d and delta d only.
+    """
+    ln, ld = (-2 * x.sign_e * x.E).as_integer_ratio()
+    dn, dd = x.mass_shell_defect.as_integer_ratio()
+    d = math.lcm(ld, dd)
+    l_d, delta_d = ln * (d // ld), dn * (d // dd)
+    ar, ai, br, bi = 1, 0, 0, 0
+    for _ in range(n):
+        ar, ai, br, bi = -l_d * ai - d * br, l_d * ar - d * bi, -delta_d * ar, -delta_d * ai
+    scale = d ** n
+    alpha = algebra.MV("1", Fraction(ar, scale)) + algebra.MV("i", Fraction(ai, scale))
+    beta = algebra.MV("1", Fraction(br, scale)) + algebra.MV("i", Fraction(bi, scale))
+    chain = alpha * x.realized + beta * algebra.MV("qk")
+    return max((max(abs(c.numerator), c.denominator) for c in chain.blades().values()),
+               default=0)
+
+
+def _digit_count(v: int) -> int:
+    """Decimal digits of v > 0, without str(), which refuses a long int."""
+    k = int(math.log10(v))  # off by at most one next to a power of ten
+    k -= v < 10 ** k
+    k += v >= 10 ** (k + 1)
+    return k + 1
+
+
 def _check_chain_prints(x: states.NilpotentVector, n: int) -> None:
     """Refuse an ``--n`` whose vacuum chain holds an int too long to print.
 
     On shell the chain is lam^n X with |lam| = 2|E| = a/b in lowest terms, so
     a coefficient u/v of X (E, a momentum component or m) becomes
-    a^n u / (b^n v), reduced by gcd(a^n, v) gcd(u, b^n).  An int of 10^L or
-    more does not print under the interpreter's limit of L digits.
+    a^n u / (b^n v), reduced by gcd(a^n, v) gcd(u, b^n).  Off shell the
+    chain's coefficients come exactly from two scalar recurrences, which cost
+    far less than the chain.  An int of 10^L or more does not print under the
+    interpreter's limit of L digits.
     """
     limit = sys.get_int_max_str_digits()
-    if not (limit and x.on_shell and x.E):
+    if not limit:
+        return
+    if not x.on_shell:
+        largest = _off_shell_chain_largest(x, n)
+        if largest >= 10 ** limit:
+            raise UsageError(f"--n {n} gives chain coefficients of at least "
+                             f"{_digit_count(largest)} digits, over the {limit}-digit "
+                             f"limit for printing an int")
+        return
+    if not x.E:
         return
     a, b = abs(2 * x.E).as_integer_ratio()
     coefficients = [abs(c).as_integer_ratio() for c in (x.E, *x.p, x.m) if c]

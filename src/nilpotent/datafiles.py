@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from importlib import resources
 
 DATA_ENV_VAR = "NILPOTENT_DATA_DIR"
 
@@ -34,4 +33,6 @@ def data_path(name: str, data_dir=None) -> str:
         if not os.path.exists(path):
             raise FileNotFoundError(f"dataset file {name} not found in {data_dir}")
         return path
-    return str(resources.files("nilpotent").joinpath("data", name))
+    # the shipped files sit beside this module; importlib.resources would load
+    # inspect and its imports on Python 3.12 and later
+    return os.path.join(os.path.dirname(__file__), "data", name)

@@ -18,11 +18,12 @@ Sign conventions here are representation dependent (the vacuum factor is
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple
 
-from .algebra import MV, Multivector, gamma_pentad
+from .algebra import MV, Multivector, _ratio, _reduced, gamma_pentad
 
 __all__ = [
     "NilpotentVector",
@@ -75,12 +76,20 @@ class NilpotentVector(_NilpotentFields):
             raise ValueError("sign_e and sign_p must be +/-1")
         return self
 
+    def _cleared(self) -> tuple[int, list[int]]:
+        """(d, numerators of E, px, py, pz, m over d): d > 0 is the lcm of the
+        reduced denominators, so the numerators share no factor with it.
+        A field that is not an exact rational raises TypeError."""
+        ratios = [_ratio(v) for v in (self.E, *self.p, self.m)]
+        d = math.lcm(*[b for _, b in ratios])
+        return d, [a * (d // b) for a, b in ratios]
+
     @cached_property
     def realized(self) -> Multivector:
-        values = (self.E, *self.p, self.m)
+        d, numerators = self._cleared()
         signs = (self.sign_e, self.sign_p, self.sign_p, self.sign_p, 1)
-        return Multivector({k: v if c == s else -v
-                            for (k, c), v, s in zip(_STATE_UNITS, values, signs)})
+        return _reduced(d, {k: n if c == s else -n
+                            for (k, c), n, s in zip(_STATE_UNITS, numerators, signs) if n})
 
     @property
     def p_squared(self) -> Fraction:
@@ -88,8 +97,12 @@ class NilpotentVector(_NilpotentFields):
 
     @property
     def mass_shell_defect(self) -> Fraction:
-        """E^2 - p^2 - m^2; zero exactly when the state is nilpotent."""
-        return self.E * self.E - self.p_squared - self.m * self.m
+        """E^2 - p^2 - m^2; zero exactly when the state is nilpotent.
+
+        Computed on the cleared numerators, with no multivector product, so
+        it checks the product tables rather than repeating them."""
+        d, (e, px, py, pz, m) = self._cleared()
+        return Fraction(e * e - px * px - py * py - pz * pz - m * m, d * d)
 
     @property
     def on_shell(self) -> bool:

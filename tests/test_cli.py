@@ -146,6 +146,10 @@ def digit_limit_640():
     ("-35/2", "-245/22,105/11,105/11", "0"), ("-39/4", "13/10,-13/2,0", "143/20"),
     # the 3 of each denominator cancels against 2E = 240, shortening the chain coefficients
     ("-120", "296/3,-128/3,0", "160/3"),
+    # off shell, where the chain does not grow as (2E)^n: it may shrink, and at
+    # (1/3, 2/3) it keeps its size while its denominators grow
+    ("5/3", "1,0,0", "1/7"), ("2", "1,0,0", "0"), ("0", "3/2,0,0", "0"), ("1/3", "1/5,0,0", "0"),
+    ("1/3", "2/3,0,0", "0"), ("-7/2", "1/2,-1/3,0", "5/4"),
 ])
 def test_vacuum_n_is_rejected_from_the_first_chain_that_cannot_print(E, p, m, digit_limit_640,
                                                                      capsys):
@@ -162,6 +166,30 @@ def test_vacuum_n_is_rejected_from_the_first_chain_that_cannot_print(E, p, m, di
     assert run_cli(*argv, "--n", str(n - 1))[0] == cli.EXIT_OK
     assert run_cli(*argv, "--n", str(n))[0] == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"usage error: --n {n} gives chain coefficients")
+
+
+def test_off_shell_vacuum_chain_that_never_grows_is_kept(digit_limit_640):
+    """With X = i.qk, kX = -i and the chain is (-i)^n X, although the
+    recurrence's alpha and beta grow as n on their own."""
+    code, out = run_cli("--format", "json", "algebra", "vacuum", "--E", "1", "--p", "0,0,0",
+                        "--m", "0", "--n", "2999")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["chain"]["blades"] == {"qk": "-1"}  # (-i)^2999 = i, i i.qk = -qk
+
+
+def test_off_shell_vacuum_chain_past_the_print_limit_is_refused(capsys):
+    argv = ["algebra", "vacuum", "--E", "5/3", "--p", "1,0,0", "--m", "1/7", "--n", "3000"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("usage error: --n 3000 gives chain coefficients of at least "
+                                 "5251 digits, over the 4300-digit limit for printing an int\n")
+
+
+def test_digit_count_is_exact_next_to_a_power_of_ten():
+    """log10 rounds 10^k - 1 up to k (k >= 15) and 10^512 down below 512."""
+    for k in (1, 15, 512, 1024, 4300):
+        assert cli._digit_count(10 ** k - 1) == k
+        assert cli._digit_count(10 ** k) == cli._digit_count(10 ** k + 1) == k + 1
 
 
 def test_vertex_subcommand():
@@ -697,9 +725,15 @@ def test_verify_runs_without_numpy():
     ("solve --family strong --radius --E 0", cli.EXIT_USAGE),
 ])
 def test_requests_that_solve_nothing_never_load_sympy(argv, code):
-    script = ("import sys; from nilpotent import cli; code = cli.main(sys.argv[1:]); "
+    """Nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), which
+    ``importlib.resources`` loads on Python 3.12 and later; a module the
+    interpreter loaded at start-up, through a ``.pth`` file, is not ours."""
+    script = ("import sys; started = set(sys.modules); "
+              "from nilpotent import cli; code = cli.main(sys.argv[1:]); "
               "assert 'sympy' not in sys.modules, 'sympy was imported'; "
               "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'; "
+              "extra = {'inspect', 'importlib.resources'} & (set(sys.modules) - started); "
+              "assert not extra, f'{extra} imported'; "
               "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", script, *argv.split()],
                           capture_output=True, text=True)
