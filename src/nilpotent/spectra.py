@@ -9,13 +9,18 @@ the four-solution square of the state vector imposes the pointwise condition
     W(r)^2 = m^2 - u(r)^2 + (j + 1/2)^2 / r^2,
 
 with u = -a + sum_s s b_s r^{s-1} + (gamma + nu + 1)/r, the +-i(j+1/2)/r
-cross terms having cancelled over the four sign choices.  Equating Laurent
-coefficients gives one relation per power of r.  Each supported family
-matches the subset of those relations that its printed derivation uses
-(extreme powers fix the exponent coefficients, the potential-Coulomb cross
-fixes gamma at the series head, and the constant/1/r/1/r^2 trio at the
-series tail fixes a and the energy); the remaining cross relations are
-reported unmatched.  Four families are supported:
+cross terms having cancelled over the four sign choices.  The relations are
+the Laurent coefficients of W^2 + u^2 - m^2 - (j+1/2)^2/r^2, one per power of
+r, from one expansion of W's and u's terms; gamma + nu + 1 reads gamma0 =
+gamma + 1 at the series-head powers and gammat = gamma + n' + 1 elsewhere.
+Each family matches the groups of products its derivation solves (extreme
+powers fix the exponent coefficients, the potential-Coulomb cross fixes gamma
+at the series head, the constant/1/r/1/r^2 trio at the tail fixes a and the
+energy): confining r^2, r and 1/r; coulomb the 1/r^2 head, the 1/r tail and
+r^0; oscillator r^4, the r head and r^0; inverse each r^{2p}, the r^{p+p'}
+cross, each r^{p-1} head and r^0.  The rest is reported unmatched.  Groups on
+one power make its one relation, matched only if each group is: with c3/r^3 +
+c4/r^4 the r^-3 head shares r^-4 with an open cross term.  Four families:
 
 * confining: V = sigma r (+ constant), bracket E - q sigma r + q A / r
 * coulomb:   bracket E + q A / r, hydrogen-like level series
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -154,11 +160,17 @@ class PotentialSpec(NamedTuple):
                 raise ValueError(f"expected a rational number, got {s!r}") from None
             return sp.I * _num(value) if imaginary else value
 
+        def power(k):
+            try:
+                return int(str(k))
+            except ValueError:
+                raise ValueError(f"a power must be an integer, got {k!r}") from None
+
         terms = d.get("terms", {}) if isinstance(d, dict) else None
         if not isinstance(terms, dict):
             raise ValueError("a potential is an object whose 'terms' is an object of powers")
         return cls(
-            {int(k): parse(v) for k, v in terms.items()},
+            {power(k): parse(v) for k, v in terms.items()},
             parse(d.get("coulombPhase", 0)),
             parse(d.get("q", 1)),
         )
@@ -191,7 +203,10 @@ class QuantumNumbers(_QuantumFields):
 
 
 class Relation(NamedTuple):
-    """One Laurent-coefficient relation expr == 0 at the given power of r."""
+    """The Laurent coefficient of the pointwise condition at one power of r,
+    as the relation expr == 0; each power has one relation, so ``power`` is a
+    key.  ``matched`` holds when every group of the derivation at that power
+    is one the family solves, and ``note`` names the groups."""
 
     power: int
     expr: sp.Expr
@@ -285,37 +300,74 @@ def _detect_family(V: PotentialSpec) -> str:
     )
 
 
+def _product(factors):
+    """The product from the left, numbers first, with a factor object that
+    recurs raised to its count: q, sigma, q, A give q**2 * sigma * A, so a
+    float rounds as the derivation's q**2 does."""
+    counts = {}
+    for f in factors:
+        counts[id(f)] = (f, counts.get(id(f), (f, 0))[1] + 1)
+    powers = [f if k == 1 else f**k for f, k in counts.values()]
+    return functools.reduce(operator.mul, sorted(
+        powers, key=lambda f: not isinstance(f, (int, sp.Number))))
+
+
+def _laurent_relations(W, u, head, J, m, groups):
+    """The Laurent coefficients of W(r)^2 + u(r)^2 - m^2 - J^2/r^2 as relations.
+
+    ``W`` and ``u`` list (power, factors) terms; the factor None is the g of
+    u's g/r, gamma0 at the ``head`` powers and gammat elsewhere.  Each pair of
+    terms is multiplied once and each power summed into one Add.  ``groups``
+    lists (power, matched, note) in print order; a power listed twice is
+    matched only if both groups are, and joins their notes with " + ".
+    """
+    _, _, g0, gt, _, _ = _symbols()
+    sums = {}
+    for terms in (W, u):
+        for i, (p, f) in enumerate(terms):
+            for k, (p2, f2) in enumerate(terms[i:]):
+                g = g0 if p + p2 in head else gt
+                factors = (*f, *f2) if k == 0 else (2, *f, *f2)
+                sums.setdefault(p + p2, []).append(_product(g if x is None else x for x in factors))
+    sums[0].append(-m**2)
+    sums[-2].append(-J**2)
+    merged = {}
+    for power, matched, note in groups:
+        was_matched, was_note = merged.get(power, (True, ""))
+        merged[power] = (was_matched and matched, " + ".join(filter(None, (was_note, note))))
+    assert merged.keys() == sums.keys(), "every power of the expansion is printed once"
+    return tuple(Relation(p, sp.Add(*sums[p]), ok, note) for p, (ok, note) in merged.items())
+
+
+_HEAD = "series head, nu = 0"
+_TAILS = ((-1, False, "tail equation; with 1/r^2 it eliminates to the level formula"),
+          (-2, False, "tail equation; with 1/r it eliminates to the level formula"))
+_CROSS = "cross term left open by the printed derivation"
+_OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_levels(1, j, n_prime))
+
+
 def _solve_confining(V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     sigma = V.terms[1]
     _a, _b, _, _gt, _, _ = _symbols()
-    J = qn.j_plus_half
     n = qn.n_prime
-    relations = (
-        Relation(2, sp.Add(q**2 * sigma**2, 4 * _b**2), True),
-        Relation(1, sp.Add(-2 * q * sigma * E, 4 * _a * _b), True),
-        Relation(-1, sp.Add(2 * q * A * E, -2 * _a * _gt), True),
-        Relation(0, sp.Add(E**2, -2 * q**2 * sigma * A, _a**2, -4 * _b * _gt, -m**2), False,
-                 "left open by the three-equation solution"),
-        Relation(-2, sp.Add(q**2 * A**2, _gt**2, -J**2), False,
-                 "left open by the three-equation solution"),
-    )
+    # exponent b2 r^2 with b2 = -b, so u holds 2 b2 r = -2 b r
+    open_note = "left open by the three-equation solution"
+    relations = _laurent_relations(
+        [(1, (-1, q, sigma)), (-1, (q, A)), (0, (E,))],
+        [(1, (-2, _b)), (-1, (None,)), (0, (-1, _a))], (), qn.j_plus_half, m,
+        [(2, True, ""), (1, True, ""), (-1, True, ""), (0, False, open_note),
+         (-2, False, open_note)])
     branches = []
     for s in (1, -1):
         # the r^2, r and 1/r relations in closed form
         b = s * sp.I * (q * sigma / 2)
         a = -s * sp.I * E
         gt = s * sp.I * (q * A)
-        branches.append(
-            AnsatzBranch(
-                a=a,
-                exp_coefficients={2: -b},
-                gamma=sp.Add(gt, -1 - n),
-                n_prime=n,
-                solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
-                subs={_a: a, _b: b, _gt: gt},
-            )
-        )
+        branches.append(AnsatzBranch(
+            a=a, exp_coefficients={2: -b}, gamma=sp.Add(gt, -1 - n), n_prime=n,
+            solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
+            subs={_a: a, _b: b, _gt: gt}))
     return "confining", tuple(branches), relations, None
 
 
@@ -331,17 +383,14 @@ def _coulomb_gamma_t(qA, J):
 
 
 def _solve_coulomb(V, qn, E, m):
-    q, A = V.coupling, V.coulomb_phase
-    qA = q * A
+    qA = V.coupling * V.coulomb_phase
     _a, _, _g0, _gt, _, m_sym = _symbols()
     J = qn.j_plus_half
     n = qn.n_prime
-    relations = (
-        Relation(-2, sp.Add(qA**2, _g0**2, -J**2), True,
-                 "series head, nu = 0: the indicial condition fixing gamma"),
-        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), True, "series tail, nu = n'"),
-        Relation(0, sp.Add(E**2, _a**2, -m_sym**2), True, "fixes the level through m"),
-    )
+    relations = _laurent_relations(
+        [(-1, (qA,)), (0, (E,))], [(-1, (None,)), (0, (-1, _a))], (-2,), J, m_sym,
+        [(-2, True, _HEAD + ": the indicial condition fixing gamma"),
+         (-1, True, "series tail, nu = n'"), (0, True, "fixes the level through m")])
     g0_root = _coulomb_gamma_t(qA, J)
     branches = []
     for s in (1, -1):
@@ -354,30 +403,12 @@ def _solve_coulomb(V, qn, E, m):
             )
         a = qA * E / gt
         m_expr = sp.sqrt(E**2 + a**2)
-        branches.append(
-            AnsatzBranch(
-                a=a,
-                exp_coefficients={},
-                gamma=g0 - 1,
-                n_prime=n,
-                solver_vars={"a": a, "one_plus_gamma": g0,
-                             "gamma_plus_nu_plus_1": gt, "m": m_expr},
-                subs={_a: a, _g0: g0, _gt: gt, m_sym: m_expr},
-                decaying=(s == 1),
-            )
-        )
-
-    def levels(j, n_prime, _qA=qA):
-        return coulomb_levels(float(_qA), j, n_prime)
-
-    return "coulomb", tuple(branches), relations, LevelSeries("coulomb", levels)
-
-
-def _oscillator_levels_callable():
-    def levels(j, n_prime):
-        return oscillator_levels(1, j, n_prime)
-
-    return LevelSeries("oscillator", levels)
+        branches.append(AnsatzBranch(
+            a=a, exp_coefficients={}, gamma=g0 - 1, n_prime=n,
+            solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
+            subs={_a: a, _g0: g0, _gt: gt, m_sym: m_expr}, decaying=(s == 1)))
+    series = LevelSeries("coulomb", functools.partial(coulomb_levels, float(qA)))
+    return "coulomb", tuple(branches), relations, series
 
 
 def _solve_oscillator(V, qn, E, m):
@@ -389,17 +420,11 @@ def _solve_oscillator(V, qn, E, m):
     qA = q * A
     J = qn.j_plus_half
     n = qn.n_prime
-    relations = (
-        Relation(4, sp.Add(w2**2, 9 * _b**2), True),
-        Relation(1, sp.Add(2 * w2 * qA, 6 * _b * _g0), True, "series head, nu = 0"),
-        Relation(0, sp.Add(E**2, _a**2, -m**2), True),
-        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), False,
-                 "tail equation; with 1/r^2 it eliminates to the level formula"),
-        Relation(-2, sp.Add(qA**2, _gt**2, -J**2), False,
-                 "tail equation; with 1/r it eliminates to the level formula"),
-        Relation(2, sp.Add(2 * w2 * E, -6 * _a * _b), False,
-                 "cross term left open by the printed derivation"),
-    )
+    # exponent b r^3, so u holds 3 b r^2
+    relations = _laurent_relations(
+        [(2, (w2,)), (-1, (qA,)), (0, (E,))], [(2, (3, _b)), (-1, (None,)), (0, (-1, _a))],
+        (1,), J, m,
+        [(4, True, ""), (1, True, _HEAD), (0, True, ""), *_TAILS, (2, False, _CROSS)])
     branches = []
     for s in (1, -1):
         b = s * sp.I * (w2 / 3)
@@ -407,24 +432,12 @@ def _solve_oscillator(V, qn, E, m):
         gt = g0 + n
         a = sp.sqrt(m**2 - E**2)
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
-        energy = -m * gt / J
-        branches.append(
-            AnsatzBranch(
-                a=a,
-                exp_coefficients={3: b},
-                gamma=g0 - 1,
-                n_prime=n,
-                solver_vars={
-                    "b": b,
-                    "one_plus_gamma": g0,
-                    "a": a,
-                    "gamma_plus_nu_plus_1": gt,
-                    "E_level": energy,
-                },
-                subs={_a: a, _b: b, _g0: g0, _gt: gt},
-            )
-        )
-    return "oscillator", tuple(branches), relations, _oscillator_levels_callable()
+        branches.append(AnsatzBranch(
+            a=a, exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
+            solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
+                         "E_level": -m * gt / J},
+            subs={_a: a, _b: b, _g0: g0, _gt: gt}))
+    return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
 def _solve_inverse(V, qn, E, m):
@@ -440,32 +453,14 @@ def _solve_inverse(V, qn, E, m):
     coeffs = {p: q * V.terms[p] for p in powers}
     _a, _, _g0, _gt, _, _ = _symbols()
     u_syms = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
-
-    relations = [Relation(2 * powers[-1],
-                          sp.Add(coeffs[powers[-1]] ** 2, u_syms[powers[-1]] ** 2), True)]
-    for hi, lo in zip(powers, powers[1:]):
-        relations.append(
-            Relation(hi + lo, sp.Add(2 * coeffs[hi] * coeffs[lo], 2 * u_syms[hi] * u_syms[lo]),
-                     True)
-        )
-    for p in powers:
-        relations.append(
-            Relation(p - 1, sp.Add(2 * qA * coeffs[p], 2 * u_syms[p] * _g0), True,
-                     "series head, nu = 0")
-        )
-    relations += [
-        Relation(0, sp.Add(E**2, _a**2, -m**2), True),
-        Relation(-1, sp.Add(2 * qA * E, -2 * _a * _gt), False,
-                 "tail equation; with 1/r^2 it eliminates to the level formula"),
-        Relation(-2, sp.Add(qA**2, _gt**2, -J**2), False,
-                 "tail equation; with 1/r it eliminates to the level formula"),
-    ]
-    for p in powers:
-        relations.append(
-            Relation(p, sp.Add(2 * coeffs[p] * E, -2 * _a * u_syms[p]), False,
-                     "cross term left open by the printed derivation")
-        )
-
+    # exponent u_p r^(p+1) / (p+1), so u holds u_p r^p
+    relations = _laurent_relations(
+        [*((p, (coeffs[p],)) for p in powers), (-1, (qA,)), (0, (E,))],
+        [*((p, (u_syms[p],)) for p in powers), (-1, (None,)), (0, (-1, _a))],
+        {p - 1 for p in powers}, J, m,
+        [(2 * powers[-1], True, ""), *((hi + lo, True, "") for hi, lo in zip(powers, powers[1:])),
+         *((p - 1, True, _HEAD) for p in powers), (0, True, ""), *_TAILS,
+         *((p, False, _CROSS) for p in powers), *((2 * p, True, "") for p in powers[:-1])])
     branches = []
     for s in (1, -1):
         # the extreme, cross and head relations in closed form
@@ -473,29 +468,14 @@ def _solve_inverse(V, qn, E, m):
         g0 = s * sp.I * qA
         gt = g0 + n
         a = sp.sqrt(m**2 - E**2)
-        energy = -m * gt / J
-        subs = {_a: a, _g0: g0, _gt: gt}
-        subs.update({u_syms[p]: u_vals[p] for p in powers})
-        named = {}
-        for idx, p in enumerate(powers):
-            named[chr(ord("b") + idx)] = u_vals[p]
-        branches.append(
-            AnsatzBranch(
-                a=a,
-                exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers},
-                gamma=g0 - 1,
-                n_prime=n,
-                solver_vars={
-                    **named,
-                    "one_plus_gamma": g0,
-                    "a": a,
-                    "gamma_plus_nu_plus_1": gt,
-                    "E_level": energy,
-                },
-                subs=subs,
-            )
-        )
-    return "inverse-multipole", tuple(branches), tuple(relations), _oscillator_levels_callable()
+        named = {chr(ord("b") + k): u_vals[p] for k, p in enumerate(powers)}
+        branches.append(AnsatzBranch(
+            a=a, exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
+            n_prime=n,
+            solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
+                         "E_level": -m * gt / J},
+            subs={_a: a, _g0: g0, _gt: gt, **{u_syms[p]: u_vals[p] for p in powers}}))
+    return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
 _FAMILY_SOLVERS = {
@@ -533,7 +513,8 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
 
 
 def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
-    """Per-(branch, power) residuals of the coefficient relations.
+    """Per-(branch, power) residuals of the coefficient relations: one entry
+    per branch and relation, each power having one relation.
 
     Each branch's substitutions are plain symbol -> value maps whose values
     hold none of the substituted symbols, so the structural ``xreplace`` does
@@ -553,11 +534,16 @@ def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
 
 def _residual_magnitude(value: sp.Expr) -> float:
     """Largest coefficient magnitude of an expanded residual; inf if any is
-    not finite (nan, zoo)."""
+    not finite (nan, zoo).  A residual that is no polynomial in its free
+    symbols (a moved ``a`` leaves sqrt(m^2 - E^2) in it) is measured over
+    generators found from it, each such surd being one more variable."""
     if value == 0:
         return 0.0
     free = sorted(value.free_symbols, key=str)
-    coeffs = sp.Poly(value, *free).coeffs() if free else [value]
+    try:
+        coeffs = sp.Poly(value, *free).coeffs() if free else [value]
+    except sp.PolynomialError:
+        coeffs = sp.Poly(value).coeffs()
     mags = [abs(complex(sp.N(c))) for c in coeffs]
     return max(mags) if all(map(math.isfinite, mags)) else math.inf
 

@@ -456,6 +456,13 @@ def test_malformed_potential_document_is_rejected(potential, capsys):
     assert_rejected(["solve", "--potential", potential], capsys)
 
 
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_potential_power_that_is_not_an_integer_is_named(key, capsys):
+    assert cli.main(["solve", "--potential", json.dumps({"terms": {key: 1}})]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: a power must be an integer, got '{key}'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--family", "strong", "--sigma", "0", "--A", "1/2i"),
     ("solve", "--family", "oscillator", "--c", "0"),

@@ -288,26 +288,63 @@ def test_residual_gate_agrees_with_the_simplify_reference():
             assert got <= 1e-10 and want <= 1e-10, (family, sol.potential, qn, got, want)
 
 
-@pytest.mark.parametrize("make,key,power", [
+def _inverse(*powers):
+    """An inverse-power potential c_p r^p with alternating signs and phase i/2."""
+    return lambda x: PotentialSpec({p: (-1) ** k * x(Fraction(k + 3, 2))
+                                    for k, p in enumerate(powers)}, I * x(Fraction(1, 2)))
+
+
+FAMILY_POTENTIALS = [
     pytest.param(lambda x: PotentialSpec({1: x(1)}, x(Fraction(3, 10)), x(Fraction(2, 5))),
-                 "b", 2, id="confining"),
-    pytest.param(lambda x: PotentialSpec({}, x(Fraction(1, 10))), "gamma0", -2, id="coulomb"),
+                 id="confining"),
+    pytest.param(lambda x: PotentialSpec({}, x(Fraction(1, 10))), id="coulomb"),
     pytest.param(lambda x: PotentialSpec({2: x(Fraction(3, 2))}, I * x(Fraction(1, 2))),
-                 "b", 4, id="oscillator"),
+                 id="oscillator"),
     pytest.param(lambda x: PotentialSpec({-6: x(1), -12: -x(1)}, I * x(Fraction(1, 2))),
-                 "u6", -18, id="inverse"),
-])
+                 id="inverse"),
+    pytest.param(_inverse(-4), id="inverse-4"),
+    pytest.param(_inverse(-2), id="inverse-2"),
+    pytest.param(_inverse(-3, -5), id="inverse-3-5"),
+    pytest.param(_inverse(-3, -4), id="inverse-3-4"),
+    pytest.param(_inverse(-2, -4), id="inverse-2-4"),
+]
+
+
+@pytest.mark.parametrize("make", FAMILY_POTENTIALS)
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_perturbed_branch_fails_the_gate(make, key, power, exact):
-    """One branch value moved by 1e-6 fails the gate: no false pass in any family."""
+def test_perturbed_branch_fails_the_gate(make, exact):
+    """Each branch value that a matched relation holds, moved by 1e-6 on its own,
+    fails the gate: no false pass in any family, and no value left ungated where
+    groups of the derivation merge on one power."""
     num, delta = (Fraction, Rational(1, 10**6)) if exact else (float, 1e-6)
     sol = match_coefficients(make(num), QN)
     assert residual_verify(sol.potential, sol, QN) <= (0.0 if exact else 1e-10)
-    branch = sol.branches[0]
-    moved = {**branch.subs, sp.Symbol(key): branch.subs[sp.Symbol(key)] + delta}
-    broken = sol._replace(branches=(branch._replace(subs=moved), *sol.branches[1:]))
-    assert residual_detail(broken)[(0, power)] != 0
-    assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10)
+    gated = set().union(*(rel.expr.free_symbols for rel in sol.relations if rel.matched))
+    moved_keys = set()
+    for bi, branch in enumerate(sol.branches):
+        for key in branch.subs.keys() & gated:
+            moved = {**branch.subs, key: branch.subs[key] + delta}
+            branches = list(sol.branches)
+            branches[bi] = branch._replace(subs=moved)
+            broken = sol._replace(branches=tuple(branches))
+            assert any(value != 0 for value in residual_detail(broken).values()), key
+            assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10), key
+            moved_keys.add(str(key))
+    # every unknown but gammat, which only the unmatched tail holds outside two families
+    want = {str(k) for k in sol.branches[0].subs} - (
+        set() if sol.family in ("confining", "coulomb") else {"gammat"})
+    assert moved_keys == want
+
+
+@pytest.mark.parametrize("make", FAMILY_POTENTIALS)
+def test_every_relation_has_its_own_power(make):
+    """One relation per power, so residual_detail has one entry per (branch,
+    relation); the inverse sets -2, -3 -4 and -2 -4 once gave two relations
+    at one power."""
+    sol = match_coefficients(make(Fraction), QN)
+    powers = [rel.power for rel in sol.relations]
+    assert len(set(powers)) == len(powers)
+    assert len(residual_detail(sol, matched_only=False)) == 2 * len(sol.relations)
 
 
 # --- closed-form branch values against the division-based derivation --------
@@ -358,39 +395,8 @@ def _reference_branches(sol):
     return tuple(out)
 
 
-def _reference_relations(sol):
-    """The relation exprs built term by term with binary + and -."""
-    _a, _b, _g0, _gt, E, m = sp.symbols("a b gamma0 gammat E m")
-    V = sol.potential
-    q, A, J = V.coupling, V.coulomb_phase, sol.quantum_numbers.j_plus_half
-    qA = q * A
-    if sol.family == "confining":
-        sigma = V.terms[1]
-        exprs = [q**2 * sigma**2 + 4 * _b**2, -2 * q * sigma * E + 4 * _a * _b,
-                 2 * q * A * E - 2 * _a * _gt,
-                 E**2 - 2 * q**2 * sigma * A + _a**2 - 4 * _b * _gt - m**2,
-                 q**2 * A**2 + _gt**2 - J**2]
-    elif sol.family == "coulomb":
-        exprs = [qA**2 + _g0**2 - J**2, 2 * qA * E - 2 * _a * _gt, E**2 + _a**2 - m**2]
-    elif sol.family == "oscillator":
-        w2 = q * V.terms[2]
-        exprs = [w2**2 + 9 * _b**2, 2 * w2 * qA + 6 * _b * _g0, E**2 + _a**2 - m**2,
-                 2 * qA * E - 2 * _a * _gt, qA**2 + _gt**2 - J**2, 2 * E * w2 - 6 * _a * _b]
-    else:
-        powers = sorted(V.terms, reverse=True)
-        c = {p: q * V.terms[p] for p in powers}
-        u = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
-        exprs = [c[powers[-1]] ** 2 + u[powers[-1]] ** 2]
-        exprs += [2 * c[hi] * c[lo] + 2 * u[hi] * u[lo] for hi, lo in zip(powers, powers[1:])]
-        exprs += [2 * qA * c[p] + 2 * u[p] * _g0 for p in powers]
-        exprs += [E**2 + _a**2 - m**2, 2 * qA * E - 2 * _a * _gt, qA**2 + _gt**2 - J**2]
-        exprs += [2 * E * c[p] - 2 * _a * u[p] for p in powers]
-    assert len(exprs) == len(sol.relations)
-    return tuple(rel._replace(expr=expr) for rel, expr in zip(sol.relations, exprs))
-
-
 INVERSE_POWERS = {"inverse-6-12": (-6, -12), "inverse-3-5": (-3, -5), "inverse-4": (-4,),
-                  "inverse-2": (-2,)}
+                  "inverse-2": (-2,), "inverse-3-4": (-3, -4), "inverse-2-4": (-2, -4)}
 CLOSED_FORM_FAMILIES = ["confining", "coulomb", "oscillator", *INVERSE_POWERS, "from_dict",
                         "lennard-jones"]
 
@@ -433,10 +439,8 @@ def _closed_form_cases(family, exact, count):
 def test_closed_forms_equal_the_division_derivation(family):
     """Exact inputs: the same sympy objects, and so the same report, as the divisions."""
     for sol in _closed_form_cases(family, exact=True, count=40):
-        ref = sol._replace(branches=_reference_branches(sol),
-                           relations=_reference_relations(sol))
+        ref = sol._replace(branches=_reference_branches(sol))
         assert sol.branches == ref.branches, sol.potential
-        assert sol.relations == ref.relations, sol.potential
         assert json.dumps(sol.to_dict()) == json.dumps(ref.to_dict())
 
 
@@ -460,9 +464,122 @@ def test_closed_forms_match_the_division_derivation_on_floats(family):
             pairs += [(got.solver_vars[k], v) for k, v in want.solver_vars.items()]
             pairs += [(got.exp_coefficients[k], v) for k, v in want.exp_coefficients.items()]
             assert all(close(g, w) for g, w in pairs), sol.potential
-        for got, want in zip(sol.relations, _reference_relations(sol)):
-            assert close(got.expr, want.expr), (sol.potential, got.power)
         assert residual_verify(sol.potential, sol, sol.quantum_numbers) <= 1e-10
+
+
+# --- the relations are the Laurent coefficients of the pointwise condition ---
+
+
+def _condition(sol, r, values):
+    """W(r)^2 + u(r)^2 - m^2 - J^2/r^2 from the ansatz of the spectra docstring,
+    at the point r and the symbol values given by name."""
+    V, J = sol.potential, sol.quantum_numbers.j_plus_half
+    q, A = V.coupling, V.coulomb_phase
+    a, b, g, E, m = (values[k] for k in ("a", "b", "g", "E", "m"))
+    W, u = E + q * A / r, -a + g / r
+    if sol.family == "confining":  # exponent -a r + b2 r^2 with b2 = -b
+        W, u = W - q * V.terms[1] * r, u + 2 * -b * r
+    elif sol.family == "oscillator":  # exponent -a r + b3 r^3 with b3 = b
+        W, u = W + q * V.terms[2] * r**2, u + 3 * b * r**2
+    elif sol.family == "inverse-multipole":  # exponent -a r + sum_p u_p r^(p+1) / (p+1)
+        for p, c in V.terms.items():
+            W, u = W + q * c * r**p, u + values[f"u{abs(p)}"] * r**p
+    return W**2 + u**2 - m**2 - J**2 / r**2
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_relations_sum_to_the_pointwise_condition(family, exact):
+    """With gamma0 = gammat = g, sum_k expr_k r^k is the condition itself, at a
+    random rational r and random values of every symbol."""
+    rng = random.Random(f"{family} {exact} condition")
+
+    def rand():
+        return Rational(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for sol in _closed_form_cases(family, exact, count=10):
+        r = rand()
+        names = ["a", "b", "g", "E", "m", *(f"u{abs(p)}" for p in sol.potential.terms)]
+        values = {name: rand() for name in names}
+        symbols = {sp.Symbol(name): v for name, v in values.items()}
+        symbols.update({sp.Symbol("gamma0"): values["g"], sp.Symbol("gammat"): values["g"]})
+        got = sum(rel.expr.xreplace(symbols) * r**rel.power for rel in sol.relations)
+        want = _condition(sol, r, values)
+        if exact:
+            assert sp.expand(got - want) == 0, sol.potential
+        else:
+            assert abs(complex(got - want)) <= 1e-9 * max(1.0, abs(complex(want))), sol.potential
+
+
+PINNED_RELATIONS = {
+    "confining": (PotentialSpec({1: Fraction(2)}, Fraction(3, 10), Fraction(2, 5)), [
+        (2, "4*b**2 + 16/25", True, ""),
+        (1, "-8*E/5 + 4*a*b", True, ""),
+        (-1, "6*E/25 - 2*a*gammat", True, ""),
+        (0, "E**2 + a**2 - 4*b*gammat - m**2 - 24/125", False,
+         "left open by the three-equation solution"),
+        (-2, "gammat**2 - 2491/625", False, "left open by the three-equation solution"),
+    ]),
+    # q**2 * sigma**2 and -2*q**2*sigma*A, not (q*sigma)**2 and 2*(-q*sigma)*(q*A),
+    # which round to ...502 and -1.42694844574622
+    "confining-float": (PotentialSpec({1: 1.1131}, 0.9095, 0.8395), [
+        (2, "4*b**2 + 0.873192036811503", True, ""),
+        (1, "-1.8688949*E + 4*a*b", True, ""),
+        (-1, "1.5270505*E - 2*a*gammat", True, ""),
+        (0, "E**2 + a**2 - 4*b*gammat - m**2 - 1.42694844574623", False,
+         "left open by the three-equation solution"),
+        (-2, "gammat**2 - 3.41702919261244", False, "left open by the three-equation solution"),
+    ]),
+    "coulomb": (PotentialSpec({}, Fraction(1, 10)), [
+        (-2, "gamma0**2 - 399/100", True,
+         "series head, nu = 0: the indicial condition fixing gamma"),
+        (-1, "E/5 - 2*a*gammat", True, "series tail, nu = n'"),
+        (0, "E**2 + a**2 - m**2", True, "fixes the level through m"),
+    ]),
+    "oscillator": (PotentialSpec({2: Fraction(3, 2)}, I / 2), [
+        (4, "9*b**2 + 9/4", True, ""),
+        (1, "6*b*gamma0 + 3*I/2", True, "series head, nu = 0"),
+        (0, "E**2 + a**2 - m**2", True, ""),
+        (-1, "I*E - 2*a*gammat", False,
+         "tail equation; with 1/r^2 it eliminates to the level formula"),
+        (-2, "gammat**2 - 17/4", False,
+         "tail equation; with 1/r it eliminates to the level formula"),
+        (2, "3*E - 6*a*b", False, "cross term left open by the printed derivation"),
+    ]),
+    # the head of -3 and the cross term of -4 share r^-4, which is left open
+    "inverse-3-4": (PotentialSpec({-3: Fraction(1, 2), -4: Fraction(-3)}, I / 2), [
+        (-8, "u4**2 + 9", True, ""),
+        (-7, "2*u3*u4 - 3", True, ""),
+        (-4, "-6*E - 2*a*u4 + 2*gamma0*u3 + I/2", False,
+         "series head, nu = 0 + cross term left open by the printed derivation"),
+        (-5, "2*gamma0*u4 - 3*I", True, "series head, nu = 0"),
+        (0, "E**2 + a**2 - m**2", True, ""),
+        (-1, "I*E - 2*a*gammat", False,
+         "tail equation; with 1/r^2 it eliminates to the level formula"),
+        (-2, "gammat**2 - 17/4", False,
+         "tail equation; with 1/r it eliminates to the level formula"),
+        (-3, "E - 2*a*u3", False, "cross term left open by the printed derivation"),
+        (-6, "u3**2 + 1/4", True, ""),
+    ]),
+    # the tail and the cross term share r^-2
+    "inverse-2": (PotentialSpec({-2: Fraction(5, 2)}, I / 2), [
+        (-4, "u2**2 + 25/4", True, ""),
+        (-3, "2*gamma0*u2 + 5*I/2", True, "series head, nu = 0"),
+        (0, "E**2 + a**2 - m**2", True, ""),
+        (-1, "I*E - 2*a*gammat", False,
+         "tail equation; with 1/r^2 it eliminates to the level formula"),
+        (-2, "5*E - 2*a*u2 + gammat**2 - 17/4", False,
+         "tail equation; with 1/r it eliminates to the level formula"
+         " + cross term left open by the printed derivation"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RELATIONS)
+def test_relation_text_is_pinned(name):
+    V, want = PINNED_RELATIONS[name]
+    sol = match_coefficients(V, QuantumNumbers(Fraction(3, 2), 1))
+    assert [(r.power, str(r.expr), r.matched, r.note) for r in sol.relations] == want
 
 
 def test_branch_values_are_the_closed_forms():
@@ -559,6 +676,13 @@ def test_potential_coefficient_literals_are_exact(text, value):
 def test_potential_coefficient_rejects_non_rational(text):
     with pytest.raises(ValueError, match="expected a rational number"):
         PotentialSpec.from_dict({"terms": {"1": text}})
+
+
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_potential_power_must_be_an_integer(key):
+    """int() once leaked its own message: invalid literal for int() with base 10."""
+    with pytest.raises(ValueError, match=rf"^a power must be an integer, got '{key}'$"):
+        PotentialSpec.from_dict({"terms": {key: "1"}})
 
 
 @pytest.mark.parametrize("doc", [[], 1, "x", {"terms": []}, {"terms": "1"}])
