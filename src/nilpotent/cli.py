@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -26,7 +27,26 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import algebra, charges, datafiles, masses, spectra, states, unification, verify
+
+def _lazy(name: str):
+    """The package module ``name``, compiled and run only when one of its
+    attributes is first read, so a cold process pays only for the modules
+    its verb uses; one already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    # as an import would; `from . import name` then finds it without reading it
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+algebra, charges, datafiles, masses, spectra, states, unification, verify = map(_lazy, (
+    "algebra", "charges", "datafiles", "masses", "spectra", "states", "unification", "verify"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,7 +311,7 @@ def _cmd_algebra(args, config: RunConfig) -> int:
             "kind": spinor.kind,
             "components": [c.to_dict() for c in spinor.components],
         }
-        if args.pairing:
+        if args.pairing is not None:
             total = states.spinor_pair_sum(spinor, partner, args.pairing)
             report["pairing"] = args.pairing
             report["pair_sum"] = states.product_report(total)
@@ -605,11 +625,11 @@ def build_parser() -> _Parser:
 
     p = alg_sub.add_parser("spinor", help="4-component spinor and pair sums", parents=[common])
     p.add_argument("--kind", choices=("fermion", "antifermion"), default="fermion")
-    p.add_argument("--pairing", choices=states.PAIRING_KINDS, default=None)
+    p.add_argument("--pairing", default=None, help="pairing kind, such as spin0")
     _state_args(p)
 
     p = alg_sub.add_parser("baryon", help="three-bracket phase product", parents=[common])
-    p.add_argument("--phase", required=True, choices=sorted(states.BARYON_PHASES))
+    p.add_argument("--phase", required=True, help="colour phase, such as BGR or -RGB")
     _state_args(p)
 
     p = alg_sub.add_parser("vacuum", help="vacuum reflections and chains", parents=[common])

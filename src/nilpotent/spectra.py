@@ -27,6 +27,15 @@ c4/r^4 the r^-3 head shares r^-4 with an open cross term.  Four families:
 * oscillator: bracket E + c2 r^2 + A / r, levels E = -m (1/2 + n') / (j + 1/2)
 * inverse multipole (Lennard-Jones, dipolar, ...): powers <= -2, oscillator levels
 
+The oscillator-type level E = -m gammat / (j + 1/2) is the paper's printed
+elimination, which takes q^2 A^2 + gammat^2 = (j + 1/2)^2 in place of the
+1/r^2 tail; it does not follow from the printed relations.  At that E, with
+a = sqrt(m^2 - E^2), the 1/r and 1/r^2 tails are nonzero: with no c_{-2}
+term the 1/r^2 tail reads n' (n' + 2 gamma0) - (j + 1/2)^2, so -(j + 1/2)^2
+at n' = 0.  With c_{-2}/r^2, and a = E q A / gammat from the 1/r tail, the
+1/r^2 relation reads q^2 A^2 + gammat^2 - (j + 1/2)^2 + 2 q c_{-2} E n' /
+gammat, a term the printed level does not see.
+
 Outside the Coulomb family, whose branches go through a surd, every branch
 value is a closed form on the sign s = +-1: b = s i q sigma/2, a = -s i E and
 gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
@@ -486,6 +495,18 @@ _FAMILY_SOLVERS = {
 }
 
 
+def _folded(V: PotentialSpec) -> tuple[str, PotentialSpec]:
+    """The family of ``V`` and ``V`` as its solver reads it: normalized, with
+    c_{-1} folded into the phase as ``match_coefficients`` says."""
+    Vn = V.normalized()
+    c_m1 = Vn.terms.pop(-1, sp.Integer(0))
+    family = _detect_family(Vn)
+    if c_m1 != 0:
+        phase = Vn.coulomb_phase + (-c_m1 if family == "confining" else c_m1)
+        Vn = PotentialSpec(Vn.terms, phase, Vn.coupling)
+    return family, Vn
+
+
 def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> AnsatzSolution:
     """Solve the coefficient relations for a supported potential family.
 
@@ -495,16 +516,11 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     term folds into the phase with the family's bracket sign (negatively
     for the confining family, where potential terms enter as -qV).
     """
-    Vn = V.normalized()
-    c_m1 = Vn.terms.pop(-1, sp.Integer(0))
-    family = _detect_family(Vn)
+    family, Vn = _folded(V)
     if Vn.terms and Vn.coupling == 0:
         raise UnsupportedPotentialError(
             f"zero coupling q: the {family} relations divide by q times the potential terms"
         )
-    if c_m1 != 0:
-        phase = Vn.coulomb_phase + (-c_m1 if family == "confining" else c_m1)
-        Vn = PotentialSpec(Vn.terms, phase, Vn.coupling)
     *_, E_sym, m_sym = _symbols()
     E = E_sym if E is None else _num(E)
     m = m_sym if m is None else _num(m)
@@ -554,8 +570,14 @@ def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -
     Exact zero for rational inputs; bounded by 1e-10 for float inputs.
     Unsolved symbols (the free E and m of families that leave them open)
     are treated as polynomial variables, the residual being the largest
-    coefficient magnitude.
+    coefficient magnitude.  A ``sol`` matched for another potential or other
+    quantum numbers than ``V`` and ``qn`` raises ValueError.
     """
+    if sol.potential != _folded(V)[1]:
+        raise ValueError(f"the solution was matched for the potential {sol.potential.to_dict()}, "
+                         f"not {V.to_dict()}")
+    if sol.quantum_numbers != qn:
+        raise ValueError(f"the solution was matched for {sol.quantum_numbers}, not {qn}")
     worst = 0.0
     for value in residual_detail(sol, matched_only=True).values():
         worst = max(worst, _residual_magnitude(value))

@@ -246,7 +246,7 @@ def spinor_pair_sum(a: Spinor4, b: Spinor4, pairing: str) -> Multivector:
     pairings insert the named charge quaternion between the factors.
     """
     if pairing not in PAIRING_KINDS:
-        raise ValueError(f"unknown pairing {pairing!r}")
+        raise ValueError(f"unknown pairing {pairing!r}; expected one of {list(PAIRING_KINDS)}")
     if (a.E, a.p, a.m) != (b.E, b.p, b.m):
         raise ValueError("paired spinors must share (E, p, m)")
     rows = a.components

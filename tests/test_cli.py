@@ -747,6 +747,65 @@ def test_requests_that_solve_nothing_never_load_sympy(argv, code):
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
 
 
+RUN_MODULES = """
+import json, os, sys
+ran = set()  # the file of each code object the interpreter runs
+def record(event, args):
+    if event == "exec":
+        ran.add(getattr(args[0], "co_filename", ""))
+sys.addaudithook(record)
+from nilpotent import cli
+sys.stdout = open(os.devnull, "w")
+code = cli.main(sys.argv[1:])
+package = os.path.dirname(cli.__file__)
+json.dump([code, sorted(os.path.basename(f)[:-3] for f in ran
+                        if os.path.dirname(f) == package and not f.endswith("__init__.py"))],
+          sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,modules", [
+    ("gut", "cli datafiles masses unification"),
+    ("algebra multiply --a qi --b qj", "algebra cli"),
+    ("algebra dual --order 8", "algebra cli"),
+    ("solve --lmin 3,4,5", "cli spectra"),
+    ("solve --family strong --radius --E 3/4 --q 2/5", "cli spectra"),
+    ("algebra verify --pairs 0 --samples 0", "algebra cli states verify"),
+    ("algebra baryon --phase BGR --E 5 --p 0,0,4 --m 3", "algebra cli states"),
+    ("mass --bosons", "cli datafiles masses"),
+    ("mass --zeros", "algebra charges cli datafiles masses"),
+])
+def test_each_request_runs_only_the_modules_its_verb_uses(argv, modules):
+    """A cold process compiles (when its bytecode is not current) and runs
+    only these package files: the rest are registered but never read."""
+    proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *argv.split()],
+                          capture_output=True, text=True)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, modules.split()], proc.stderr
+
+
+def test_a_module_imported_before_the_cli_is_kept():
+    """And one registered by the CLI is bound on the package, as an import binds it."""
+    script = ("import sys, nilpotent; from nilpotent import spectra, states; "
+              "from nilpotent import cli; "
+              "assert cli.states is states and sys.modules['nilpotent.states'] is states; "
+              "assert cli.spectra is spectra; "
+              "assert cli.verify is sys.modules['nilpotent.verify'] is nilpotent.verify; "
+              "assert cli.verify.states is states, 'states was registered twice'")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["algebra", "baryon", "--phase", "BRG"], "unknown baryon phase 'BRG'; expected one of"),
+    (["algebra", "spinor", "--pairing", "spin2"], "unknown pairing 'spin2'; expected one of"),
+    (["algebra", "spinor", "--pairing="], "unknown pairing ''; expected one of"),
+])
+def test_unknown_phase_or_pairing_names_the_choices(argv, message, capsys):
+    assert cli.main([*argv, "--E", "5", "--p", "0,0,4", "--m", "3"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_json_determinism():
     runs = [run_cli("--format", "json", "mass", "--all")[1] for _ in range(2)]
     assert runs[0] == runs[1]
@@ -787,7 +846,7 @@ def _leaf_flags(parser, verbs=()):
 LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
 FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
                "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi.", "-3/4",
-               "-3,0,4", "-qi", "-i.qk"]
+               "-3,0,4", "-qi", "-i.qk", "BGR", "spin0"]
 # the sweep sizes of verify stay small so the whole fuzz run is quick
 SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
 RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)

@@ -201,6 +201,74 @@ def test_r2_and_inverse_share_level_series():
             assert inv.level_series.levels(j, n) == osc.level_series.levels(j, n)
 
 
+# --- what the oscillator-type level series rests on ---------------------------
+
+_m = sp.Symbol("m")
+# {(n', branch): (1/r tail, 1/r^2 tail)} at E = E_level and a = sqrt(m^2 - E^2);
+# without a c_{-2} term the 1/r^2 tail is n'(n' + 2 gamma0) - (j+1/2)^2 at any E
+_TAILS_HALF_I = {
+    (0, 0): (I * _m / 2 + sp.sqrt(3) * sp.sqrt(_m**2) / 2, -1),
+    (0, 1): (-I * _m / 2 - sp.sqrt(3) * sp.sqrt(_m**2) / 2, -1),
+    (1, 0): (-I * _m / 2 - sp.sqrt(3) * sp.sqrt(_m**2) / 2, -1),
+    (1, 1): (-3 * I * _m / 2 - 3 * sp.sqrt(5) * sp.sqrt(-_m**2) / 2, 1),
+}
+LEVEL_TAILS = [
+    ("oscillator, phase i/2", PotentialSpec({2: Fraction(1, 2)}, I / 2), _TAILS_HALF_I),
+    ("oscillator, phase 1/3", PotentialSpec({2: Fraction(1, 2)}, Rational(1, 3)), {
+        (0, 0): (2 * I * (-_m - sp.sqrt(10) * sp.sqrt(_m**2)) / 9, -1),
+        (0, 1): (2 * I * (_m + sp.sqrt(10) * sp.sqrt(_m**2)) / 9, -1),
+        (1, 0): (2 * (-3 - I) * (_m + sp.sqrt(_m**2 * (1 - 6 * I))) / 9, 2 * I / 3),
+        (1, 1): (2 * (-3 + I) * (_m + sp.sqrt(_m**2 * (1 + 6 * I))) / 9, -2 * I / 3),
+    }),
+    ("inverse -6", PotentialSpec({-6: 1}, I / 2), _TAILS_HALF_I),
+    ("inverse -2", PotentialSpec({-2: Fraction(5, 2)}, I / 2), {
+        (0, 0): (_TAILS_HALF_I[0, 0][0], 5 * _m / 2 - 5 * sp.sqrt(3) * I * sp.sqrt(_m**2) / 2 - 1),
+        (0, 1): (_TAILS_HALF_I[0, 1][0], -5 * _m / 2 + 5 * sp.sqrt(3) * I * sp.sqrt(_m**2) / 2 - 1),
+        (1, 0): (_TAILS_HALF_I[1, 0][0], -5 * _m / 2 - 5 * sp.sqrt(3) * I * sp.sqrt(_m**2) / 2 - 1),
+        (1, 1): (_TAILS_HALF_I[1, 1][0],
+                 -15 * _m / 2 + 5 * sp.sqrt(5) * I * sp.sqrt(-_m**2) / 2 + 1),
+    }),
+    ("lennard-jones", PotentialSpec({-6: 1, -12: -1}, I / 2), _TAILS_HALF_I),
+    ("inverse -3 -4", PotentialSpec({-3: 1, -4: 1}, I / 2), _TAILS_HALF_I),
+]
+
+
+@pytest.mark.parametrize("V,tails", [case[1:] for case in LEVEL_TAILS],
+                         ids=[case[0] for case in LEVEL_TAILS])
+def test_level_series_leaves_the_tails_nonzero(V, tails):
+    """The level is the paper's elimination, not a root of the 1/r and 1/r^2
+    relations: pinned at j = 1/2, n' = 0 and 1, on both branches."""
+    E = sp.Symbol("E")
+    for n in (0, 1):
+        sol = match_coefficients(V, QuantumNumbers(Fraction(1, 2), n))
+        rel = {r.power: r.expr for r in sol.relations}
+        for bi, branch in enumerate(sol.branches):
+            level = {E: branch.solver_vars["E_level"]}
+            for power, want in zip((-1, -2), tails[n, bi]):
+                got = rel[power].xreplace(branch.subs).xreplace(level)
+                assert sp.simplify(got - want) == 0, (n, bi, power, sp.simplify(got))
+
+
+@pytest.mark.parametrize("q", [1, Fraction(3, 5)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_c_minus_2_shifts_the_centrifugal_term(q, n):
+    """With a = E qA / gammat, the root of the 1/r tail, the merged 1/r^2
+    relation of c_{-2}/r^2 is qA^2 + gammat^2 - J^2 + 2 c E n' / gammat, with
+    c = q c_{-2}: the cross term drops out at n' = 0 only."""
+    a, _, _, gt, E, _ = sp.symbols("a b gamma0 gammat E m")
+    sol = match_coefficients(PotentialSpec({-2: Fraction(5, 2)}, I / 2, q),
+                             QuantumNumbers(Fraction(1, 2), n))
+    qA = sol.potential.coupling * sol.potential.coulomb_phase
+    c = sol.potential.coupling * sol.potential.terms[-2]
+    J = sol.quantum_numbers.j_plus_half
+    rel = {r.power: r.expr for r in sol.relations}
+    for branch in sol.branches:
+        g = branch.subs[gt]
+        subs = {**branch.subs, a: E * qA / g}
+        assert sp.expand(rel[-1].xreplace(subs)) == 0
+        assert sp.expand(rel[-2].xreplace(subs) - (qA**2 + g**2 - J**2 + 2 * c * E * n / g)) == 0
+
+
 # --- residual sweep over all four families -----------------------------------
 
 
@@ -736,6 +804,30 @@ def test_explicit_inverse_first_term_folds_into_phase():
     assert sol.family == "confining"
     assert sol.potential.coulomb_phase == -Rational(3, 10)
     assert residual_verify(V, sol, QN) == 0.0
+
+
+@pytest.mark.parametrize("other", [
+    # folds to -3/10; folded with the other sign it would give the solution's 1/10
+    PotentialSpec({1: 1, -1: Fraction(1, 5)}, coulomb_phase=Fraction(-1, 10)),
+    PotentialSpec({1: 2}, coulomb_phase=Fraction(1, 10)),
+    PotentialSpec({1: 1}, coulomb_phase=Fraction(1, 10), coupling=2),
+    PotentialSpec({2: 1}, coulomb_phase=Fraction(1, 10)),
+])
+def test_residual_of_another_potential_is_refused(other):
+    V = PotentialSpec({1: 1, -1: Fraction(1, 5)}, coulomb_phase=Fraction(3, 10))  # folds to 1/10
+    sol = match_coefficients(V, QN)
+    assert residual_verify(V, sol, QN) == 0.0
+    assert residual_verify(PotentialSpec({1: 1}, coulomb_phase=Fraction(1, 10)), sol, QN) == 0.0
+    with pytest.raises(ValueError, match="matched for the potential"):
+        residual_verify(other, sol, QN)
+
+
+@pytest.mark.parametrize("qn", [QuantumNumbers(Fraction(1, 2), 1), QuantumNumbers(Fraction(3, 2))])
+def test_residual_for_other_quantum_numbers_is_refused(qn):
+    V = PotentialSpec({-2: Fraction(5, 2)}, coulomb_phase=I / 2)
+    sol = match_coefficients(V, QN)
+    with pytest.raises(ValueError, match="matched for QuantumNumbers"):
+        residual_verify(V, sol, qn)
 
 
 # --- infrared radius and flux-tube geometry ----------------------------------
