@@ -29,7 +29,8 @@ exact; there is no floating point anywhere in this module.  A multivector is
 stored in lowest terms as int numerators over one int denominator, so sums,
 products and matrix images run on ints alone.  The 4x4 matrix oracle checks
 the product tables independently: its blade images are monomial, built from
-the 2x2 quaternion images alone.
+the 2x2 quaternion images alone, and :func:`image_product` multiplies two
+images by composing those monomial images row by row.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "generate_group",
     "group_center",
     "matrix_rep",
+    "image_product",
     "matrices_equal",
     "dual_element_image",
     "gamma_pentad",
@@ -336,7 +338,7 @@ class Mat4(tuple):
     ``re`` and ``im`` are the 16 row-major integer numerators of the real and
     imaginary parts over the common denominator ``den > 0``, and
     gcd(den, re, im) = 1.  The form is canonical, so ``==`` is exact matrix
-    equality; ``@`` is the exact product.
+    equality.
     """
 
     __slots__ = ()
@@ -350,19 +352,6 @@ class Mat4(tuple):
             return cls((den, tuple(re), tuple(im)))
         return cls((den // g, tuple([x // g for x in re]), tuple([x // g for x in im])))
 
-    def __matmul__(self, other: "Mat4") -> "Mat4":
-        da, are, aim = self
-        db, bre, bim = other
-        cols = [(bre[c::4], bim[c::4]) for c in range(4)]
-        re, im = [], []
-        for r in range(0, 16, 4):
-            x0, x1, x2, x3 = are[r:r + 4]
-            u0, u1, u2, u3 = aim[r:r + 4]
-            for (y0, y1, y2, y3), (v0, v1, v2, v3) in cols:
-                re.append(x0*y0 + x1*y1 + x2*y2 + x3*y3 - u0*v0 - u1*v1 - u2*v2 - u3*v3)
-                im.append(x0*v0 + x1*v1 + x2*v2 + x3*v3 + u0*y0 + u1*y1 + u2*y2 + u3*y3)
-        return Mat4._reduced(da * db, re, im)
-
 
 # BLADE_IMAGES flattened for matrix_rep: per blade, one (row-major slot,
 # imaginary?, sign) per row
@@ -374,14 +363,36 @@ _IMAGE_SLOTS = tuple(
 def matrix_rep(x: Multivector) -> Mat4:
     """4x4 matrix image with exact complex-rational entries.
 
-    Ring homomorphism: matrix_rep(a*b) equals matrix_rep(a) @ matrix_rep(b)
-    entrywise, with exact equality.
+    Ring homomorphism: matrix_rep(a*b) equals :func:`image_product` (a, b),
+    the product of the two images, with exact equality.
     """
     re, im = [0] * 16, [0] * 16
     for idx, n in x._n.items():
         for slot, imaginary, sign in _IMAGE_SLOTS[idx]:
             (im if imaginary else re)[slot] += sign * n
     return Mat4._reduced(x._d, re, im)
+
+
+# i^p for p = 0..6 as (offset of its part in re + im, sign)
+_PHASE_PARTS = ((0, 1), (16, 1), (0, -1), (16, -1)) * 2
+
+
+def image_product(a: Multivector, b: Multivector) -> Mat4:
+    """matrix_rep(a) times matrix_rep(b), summed over the pairs of blade images.
+
+    Each blade image is monomial: row r of image j is i^p1 in column c1, and
+    row c1 of image k is i^p2 in column c2, so their product has i^(p1 + p2)
+    at row r, column c2.  No product table is read.
+    """
+    acc = [0] * 32  # the real parts, then the imaginary parts, row-major
+    images_b = [(BLADE_IMAGES[k], nk) for k, nk in b._n.items()]
+    for j, nj in a._n.items():
+        for row, (c1, p1) in zip((0, 4, 8, 12), BLADE_IMAGES[j]):
+            for image, nk in images_b:
+                c2, p2 = image[c1]
+                part, sign = _PHASE_PARTS[p1 + p2]
+                acc[part + row + c2] += sign * nj * nk
+    return Mat4._reduced(a._d * b._d, acc[:16], acc[16:])
 
 
 def matrices_equal(a: Mat4, b: Mat4) -> bool:
@@ -423,12 +434,11 @@ DUAL_STEPS = (
 )
 
 _DUAL_GENS = ("i1", "j1", "i2", "j2", "i3")
-# each generator squares to -1; these bit pairs, (i1, j1) and (j2, i3),
-# anticommute and all others commute.  The pairing is what makes the order-64
-# stage close onto the Dirac group: (i1, j1) span the charge quaternions, i2
-# is the central i, and (j2, i3) span the hidden second quaternion copy
-# behind the vector units.
-_ANTI = ((0, 1), (3, 4))
+# each generator squares to -1; the bit pairs (i1, j1) = (0, 1) and
+# (j2, i3) = (3, 4) anticommute and all others commute.  The pairing is what
+# makes the order-64 stage close onto the Dirac group: (i1, j1) span the
+# charge quaternions, i2 is the central i, and (j2, i3) span the hidden second
+# quaternion copy behind the vector units.
 
 
 def dual_mul(x: int, y: int) -> int:
@@ -438,7 +448,8 @@ def dual_mul(x: int, y: int) -> int:
     past the higher factors of x: every shared generator squares to -1 and
     every anticommuting pair passed flips the sign once more.
     """
-    flips = (x & y & 31).bit_count() + sum((y >> lo) & (x >> hi) & 1 for lo, hi in _ANTI)
+    # y's i1 passes x's j1, and y's j2 passes x's i3
+    flips = (x & y & 31).bit_count() + (y & (x >> 1) & 1) + ((y >> 3) & (x >> 4) & 1)
     return x ^ y ^ (NEG if flips & 1 else 0)
 
 

@@ -62,9 +62,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value such as -3/4, -3,0,4 or the signed blade -i.qk after a space
-        # is a value, not a flag
-        self._negative_number_matcher = re.compile(r"^-(\.?\d|(i|[qv][ijk])(\.|$))")
+        # a value such as -3/4, -3,0,4, the signed blade -i.qk or the baryon
+        # phase -RGB after a space is a value, not a flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|(i|[qv][ijk])(\.|$)|(BRG|GBR|RGB)$)")
 
     def error(self, message):
         raise UsageError(message)

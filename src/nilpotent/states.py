@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple
 
-from .algebra import MV, Multivector, _ratio, _reduced, gamma_pentad
+from .algebra import MV, Multivector, _ratio, _reduced, gamma_pentad, parse_blade
 
 __all__ = [
     "NilpotentVector",
@@ -46,7 +46,8 @@ __all__ = [
 
 PENTAD = gamma_pentad("mapping-2")
 _MASS_UNIT = MV("qj")
-_I, _QI, _QJ, _QK = MV("i"), MV("qi"), MV("qj"), MV("qk")
+_QI, _QJ, _QK = MV("qi"), MV("qj"), MV("qk")
+_I_BLADE = parse_blade("i")
 # (blade, sign) of the signed blades carrying E, px, py, pz and m, read from
 # the pentad so that a sign there reaches every realized state
 _STATE_UNITS = [(k, 1 if c > 0 else -1) for u in (*PENTAD[:4], _MASS_UNIT)
@@ -76,17 +77,19 @@ class NilpotentVector(_NilpotentFields):
             raise ValueError("sign_e and sign_p must be +/-1")
         return self
 
+    @cached_property
     def _cleared(self) -> tuple[int, list[int]]:
         """(d, numerators of E, px, py, pz, m over d): d > 0 is the lcm of the
         reduced denominators, so the numerators share no factor with it.
-        A field that is not an exact rational raises TypeError."""
+        Computed once per state; a field that is not an exact rational raises
+        TypeError."""
         ratios = [_ratio(v) for v in (self.E, *self.p, self.m)]
         d = math.lcm(*[b for _, b in ratios])
         return d, [a * (d // b) for a, b in ratios]
 
     @cached_property
     def realized(self) -> Multivector:
-        d, numerators = self._cleared()
+        d, numerators = self._cleared
         signs = (self.sign_e, self.sign_p, self.sign_p, self.sign_p, 1)
         return _reduced(d, {k: n if c == s else -n
                             for (k, c), n, s in zip(_STATE_UNITS, numerators, signs) if n})
@@ -101,7 +104,7 @@ class NilpotentVector(_NilpotentFields):
 
         Computed on the cleared numerators, with no multivector product, so
         it checks the product tables rather than repeating them."""
-        d, (e, px, py, pz, m) = self._cleared()
+        d, (e, px, py, pz, m) = self._cleared
         return Fraction(e * e - px * px - py * py - pz * pz - m * m, d * d)
 
     @property
@@ -346,7 +349,9 @@ def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Multivector]:
     """
     if n < 1:
         raise ValueError("need at least one reflection")
-    lam = _I * (-2 * x.sign_e * x.E)
+    d, numerators = x._cleared  # E = numerators[0] / d
+    e = -2 * x.sign_e * numerators[0]
+    lam = _reduced(d, {_I_BLADE: e} if e else {})
     xr = x.realized
     out = xr
     for _ in range(n):

@@ -28,6 +28,7 @@ from .algebra import (
     group_center,
     group_mul,
     group_name,
+    image_product,
     matrices_equal,
     matrix_rep,
     parse_blade,
@@ -59,25 +60,36 @@ ON_SHELL_QUADRUPLES = (
     (0, 0, 0, 5, 5),
 )
 
-# The sweeps draw every int through rng.choice over these ranges.  In CPython
-# choice(range(a, b + 1)) and randint(a, b) both return a + _randbelow(b - a + 1),
-# so the samples are those of randint, at a lower cost per call.
+# The sweeps draw every int as rng.choice over these ranges would: in CPython
+# 3.10-3.13 choice(seq) is seq[_randbelow(len(seq))], randint and shuffle
+# draw through _randbelow too, and Random._randbelow_with_getrandbits(n)
+# draws n.bit_length() bits until the draw is below n.  _pick makes those
+# getrandbits calls itself, so the samples and the generator state are those
+# of randint, with one Python call per int instead of three.
 _SCALES = range(1, 13)
 _BLADE_COUNTS = range(1, 7)
-_BLADES = range(32)
-_NUMERATORS = range(-9, 10)
-_DENOMINATORS = range(1, 10)
+
+
+def _pick(bits, seq):
+    """rng.choice(seq), drawn with ``bits = rng.getrandbits``."""
+    n = len(seq)
+    while (r := bits(n.bit_length())) >= n:
+        pass
+    return seq[r]
 
 
 def random_on_shell(rng: random.Random) -> states.NilpotentVector:
     """Random exact on-shell state: scaled, axis-permuted, sign-flipped quadruple."""
-    px, py, pz, m, e = rng.choice(ON_SHELL_QUADRUPLES)
-    a, b = rng.choice(_SCALES), rng.choice(_SCALES)  # the scale a/b
+    bits = rng.getrandbits
+    px, py, pz, m, e = _pick(bits, ON_SHELL_QUADRUPLES)
+    a, b = _pick(bits, _SCALES), _pick(bits, _SCALES)  # the scale a/b
     comps = [px * a, py * a, pz * a]
-    rng.shuffle(comps)
+    for n in (2, 1):  # rng.shuffle(comps)
+        k = _pick(bits, range(n + 1))
+        comps[n], comps[k] = comps[k], comps[n]
     comps = [Fraction(c if rng.random() < 0.5 else -c, b) for c in comps]
     return make_nilpotent(Fraction(e * a, b), tuple(comps), Fraction(m * a, b),
-                          rng.choice((1, -1)), rng.choice((1, -1)))
+                          _pick(bits, (1, -1)), _pick(bits, (1, -1)))
 
 
 class Check(NamedTuple):
@@ -142,14 +154,14 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
                     (gammas[ai] * gammas[bi] + gammas[bi] * gammas[ai]).is_zero,
                 )
         lhs = matrix_rep(gammas[0] * gammas[1])
-        rhs = matrix_rep(gammas[0]) @ matrix_rep(gammas[1])
+        rhs = image_product(gammas[0], gammas[1])
         check(f"{tag} oracle spot product", matrices_equal(lhs, rhs))
 
     witness = ""
     for n in range(oracle_pairs):
         a = _random_multivector(rng)
         b = _random_multivector(rng)
-        if not matrices_equal(matrix_rep(a * b), matrix_rep(a) @ matrix_rep(b)):
+        if not matrices_equal(matrix_rep(a * b), image_product(a, b)):
             witness = f"pair {n} under seed {seed}: a = {a!r}, b = {b!r}"
             break
     check(f"matrix oracle on {oracle_pairs} random pairs", not witness, witness)
@@ -175,17 +187,19 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
 
     # nilpotent machinery -------------------------------------------------
     sample_ok = {"square": True, "pauli": True, "vacuum": True}
+    two_i = i * 2
     for _ in range(state_samples):
         x = random_on_shell(rng)
-        square = x.realized * x.realized
+        xr = x.realized
+        square = xr * xr
         defect = square.scalar_part
         if defect != x.mass_shell_defect or defect != 0:
             sample_ok["square"] = False
         if not square.is_zero:
             sample_ok["pauli"] = False
         mv, lam = vacuum_chain(x, 1)
-        two_e = i * (2 * x.E)
-        if mv != lam * x.realized or lam not in (two_e, -two_e):
+        two_e = two_i * x.E  # no Fraction arithmetic: the multivector scales by E
+        if mv != lam * xr or lam not in (two_e, -two_e):
             sample_ok["vacuum"] = False
     check(f"on-shell square zero ({state_samples} samples)", sample_ok["square"])
     check("Pauli exclusion on samples", sample_ok["pauli"])
@@ -251,11 +265,18 @@ def _names(codes) -> str:
 def _random_multivector(rng: random.Random) -> Multivector:
     """1 to 6 blades with coefficients a/b, |a| <= 9, 1 <= b <= 9; a later
     draw of a blade replaces the earlier one."""
-    choice = rng.choice
+    bits = rng.getrandbits
     drawn = {}
-    for _ in range(choice(_BLADE_COUNTS)):
-        a = choice(_NUMERATORS)
-        b = choice(_DENOMINATORS)
-        drawn[choice(_BLADES)] = a, b  # the blade is drawn after its coefficient
+    for _ in range(_pick(bits, _BLADE_COUNTS)):
+        # _pick inlined, as this loop makes most of the draws: the numerator
+        # from range(-9, 10), the denominator from range(1, 10), then the
+        # blade from range(32)
+        while (a := bits(5)) >= 19:
+            pass
+        while (b := bits(4)) >= 9:
+            pass
+        while (k := bits(6)) >= 32:
+            pass
+        drawn[k] = a - 9, b + 1
     d = math.lcm(*[b for _, b in drawn.values()])
     return _reduced(d, {k: a * (d // b) for k, (a, b) in drawn.items() if a})

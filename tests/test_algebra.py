@@ -25,6 +25,7 @@ from nilpotent.algebra import (
     group_center,
     group_mul,
     group_name,
+    image_product,
     matrices_equal,
     matrix_rep,
     parse_blade,
@@ -271,18 +272,26 @@ def _naive_matmul(a, b) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-sixteen_ints = st.lists(st.integers(-9, 9), min_size=16, max_size=16)
+def _naive_image_product(a, b) -> list[tuple[Fraction, Fraction]]:
+    return _naive_matmul(_complex_entries(matrix_rep(a)), _complex_entries(matrix_rep(b)))
 
 
 @settings(max_examples=100)
-@given(st.integers(1, 12), sixteen_ints, sixteen_ints, st.integers(1, 12), sixteen_ints,
-       sixteen_ints)
-def test_mat4_product_equals_a_naive_complex_product(da, are, aim, db, bre, bim):
-    a, b = algebra.Mat4._reduced(da, are, aim), algebra.Mat4._reduced(db, bre, bim)
-    product = a @ b
-    assert _complex_entries(product) == _naive_matmul(_complex_entries(a), _complex_entries(b))
+@given(multivectors, multivectors)
+def test_mat4_product_equals_a_naive_complex_product(a, b):
+    """The product of two matrix images, summed over blade-image pairs, is the
+    term-by-term product of their complex entries, in lowest terms."""
+    product = image_product(a, b)
+    assert _complex_entries(product) == _naive_image_product(a, b)
     den, re, im = product
     assert den > 0 and math.gcd(den, *re, *im) == 1
+
+
+def test_image_product_equals_a_naive_complex_product_on_every_basis_pair():
+    blades = [Multivector({k: 1}) for k in range(32)]
+    for a in blades:
+        for b in blades:
+            assert _complex_entries(image_product(a, b)) == _naive_image_product(a, b), (a, b)
 
 
 def test_matrix_rep_identity():
@@ -295,7 +304,7 @@ def test_matrix_rep_identity():
 def test_matrix_rep_canonical_form():
     assert matrix_rep(MV("qi", Fraction(2, 4)) * 3) == matrix_rep(MV("qi", Fraction(3, 2)))
     # the product's denominator 2 cancels against the numerators
-    assert matrix_rep(MV("qi", Fraction(1, 2))) @ matrix_rep(MV("qi", 2)) == matrix_rep(-ONE)
+    assert image_product(MV("qi", Fraction(1, 2)), MV("qi", 2)) == matrix_rep(-ONE)
     images = [matrix_rep(Multivector({k: 1})) for k in range(32)]
     assert len(set(images)) == 32
 
@@ -303,14 +312,14 @@ def test_matrix_rep_canonical_form():
 @settings(max_examples=100)
 @given(multivectors, multivectors)
 def test_matrix_rep_products_stay_in_lowest_terms(a, b):
-    product = matrix_rep(a) @ matrix_rep(b)
+    product = image_product(a, b)
     assert product == matrix_rep(a * b)
     den, re, im = product
     assert den > 0 and math.gcd(den, *re, *im) == 1
 
 
 def test_matrix_rep_quaternion_image():
-    lhs = matrix_rep(MV("qi")) @ matrix_rep(MV("qj"))
+    lhs = image_product(MV("qi"), MV("qj"))
     assert matrices_equal(lhs, matrix_rep(MV("qk")))
 
 
@@ -358,9 +367,8 @@ def test_unknown_pentad_tag():
 def _basis_pairs_off_the_oracle() -> list[tuple[str, str]]:
     """Every basis pair (a, b) whose table product e_a e_b the matrix oracle refutes."""
     blades = [Multivector({k: 1}) for k in range(32)]
-    images = [matrix_rep(e) for e in blades]
     return [(blade_name(a), blade_name(b)) for a in range(32) for b in range(32)
-            if matrix_rep(blades[a] * blades[b]) != images[a] @ images[b]]
+            if matrix_rep(blades[a] * blades[b]) != image_product(blades[a], blades[b])]
 
 
 def test_oracle_proves_the_whole_product_table():
@@ -387,8 +395,8 @@ def test_exhaustive_oracle_refutes_every_sign_flip_and_index_swap(monkeypatch):
     and a seeded sample of MUL_IDX swaps within a row, is refuted by the
     basis-pair proof at every pair it touched."""
     blades = [Multivector({k: 1}) for k in range(32)]
-    images = [matrix_rep(e) for e in blades]  # from BLADE_IMAGES alone
-    products = [[images[a] @ images[b] for b in range(32)] for a in range(32)]
+    # from BLADE_IMAGES alone
+    products = [[image_product(blades[a], blades[b]) for b in range(32)] for a in range(32)]
     signs = [row[:] for row in algebra.MUL_SIGN]
     indices = [row[:] for row in algebra.MUL_IDX]
     monkeypatch.setattr(algebra, "MUL_SIGN", signs)
@@ -432,6 +440,50 @@ def test_oracle_sweep_catches_a_sign_the_spot_products_miss(monkeypatch):
     flipped = [row[:] for row in algebra.MUL_SIGN]
     flipped[a][b] = -flipped[a][b]
     monkeypatch.setattr(algebra, "MUL_SIGN", flipped)
+    checks = {c.name: c for c in run_identity_suite(oracle_pairs=1000, state_samples=0)}
+    assert checks["mapping-1 oracle spot product"].passed
+    assert checks["mapping-2 oracle spot product"].passed
+    sweep = checks["matrix oracle on 1000 random pairs"]
+    assert sweep.passed is False
+    assert re.fullmatch(r"pair \d+ under seed 0: a = .+, b = .+", sweep.detail), sweep.detail
+
+
+ORACLE_CHECKS = {"mapping-1 oracle spot product", "mapping-2 oracle spot product",
+                 "matrix oracle on 1000 random pairs"}
+
+
+def test_a_flipped_blade_image_sign_fails_the_oracle(monkeypatch):
+    """image_product reads BLADE_IMAGES at call time and matrix_rep keeps the
+    images it flattened at import, so a sign flipped in one row of one blade
+    image is a wrong right side: a spot product or the sweep refutes it."""
+    survivors, right = [], algebra.BLADE_IMAGES
+    for blade in range(32):
+        for row in range(4):
+            images = [list(image) for image in right]
+            column, phase = images[blade][row]
+            images[blade][row] = column, (phase + 2) % 4
+            monkeypatch.setattr(algebra, "BLADE_IMAGES", images)
+            failed = {c.name for c in run_identity_suite(1000, 0) if not c.passed}
+            if not failed & ORACLE_CHECKS:
+                survivors.append((blade_name(blade), row))
+    assert survivors == []
+
+
+def test_the_sweep_catches_a_product_that_overwrites_a_repeated_blade(monkeypatch):
+    """A product that keeps only the last term landing on each result blade
+    is right whenever a factor has one blade, as in every spot product; only
+    the multi-blade pairs of the sweep refute it."""
+    def overwriting(self, other):
+        if not isinstance(other, Multivector):
+            return summing(self, other)
+        acc = {}
+        for ka, va in self._n.items():
+            for kb, vb in other._n.items():
+                acc[algebra.MUL_IDX[ka][kb]] = algebra.MUL_SIGN[ka][kb] * va * vb
+        return algebra._reduced(self._d * other._d, {k: n for k, n in acc.items() if n})
+
+    summing = Multivector.__mul__
+    monkeypatch.setattr(Multivector, "__mul__", overwriting)
     checks = {c.name: c for c in run_identity_suite(oracle_pairs=1000, state_samples=0)}
     assert checks["mapping-1 oracle spot product"].passed
     assert checks["mapping-2 oracle spot product"].passed

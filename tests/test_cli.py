@@ -543,6 +543,17 @@ def test_negative_value_after_a_space_reads_as_a_value(argv, flag):
     assert result == run(joined)
 
 
+@pytest.mark.parametrize("phase", sorted(states.BARYON_PHASES))
+def test_every_baryon_phase_reads_the_same_spaced_and_joined(phase):
+    """-BRG, -GBR and -RGB after a space exited 1 with 'argument --phase:
+    expected one argument'."""
+    tail = ("--E", "5", "--p", "0,0,4", "--m", "3")
+    spaced = run_cli("--format", "json", "algebra", "baryon", "--phase", phase, *tail)
+    joined = run_cli("--format", "json", "algebra", "baryon", f"--phase={phase}", *tail)
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["phase"] == phase
+
+
 def _parsers(parser):
     yield parser
     for action in parser._actions:

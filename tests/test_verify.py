@@ -1,12 +1,13 @@
 """The identity suite's sample draws and the cleared-integer state forms.
 
-The sweeps draw their samples through ``rng.choice`` over ranges and build
+The sweeps draw their samples straight from ``rng.getrandbits`` and build
 them on ints. The reference generators below draw through ``randint`` and
 ``randrange`` and build on ``Fraction``; the suite must see exactly the same
 samples, and leave the generator in exactly the same state.
 """
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,26 @@ def test_interleaved_sweeps_leave_the_same_generator_state():
     assert rng.getstate() == ref.getstate()
 
 
+def test_the_suite_leaves_the_generator_where_the_reference_draws_do(monkeypatch):
+    """The suite draws its pairs, then its states, from one generator; an int
+    drawn too many or too few leaves that generator in another state."""
+    made = []
+
+    def generator(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=generator))
+    for seed in SEEDS:
+        assert all(c.passed for c in verify.run_identity_suite(200, 200, seed)), seed
+        ref = random.Random(seed)
+        for _ in range(200):
+            _reference_multivector(ref), _reference_multivector(ref)
+        for _ in range(200):
+            _reference_on_shell(ref)
+        assert len(made) == 1 and made.pop().getstate() == ref.getstate(), seed
+
+
 def _states(rng):
     """Off-shell states with Fraction and int fields, under all four sign pairs."""
     def rational():
@@ -108,11 +129,13 @@ def test_realized_and_defect_match_the_fraction_forms():
 
 
 def test_string_fields_read_as_their_fractions():
-    """A string field reads as its Fraction, as the Multivector constructor reads it."""
+    """A string field reads as its Fraction, as the Multivector constructor reads
+    it; vacuum_chain used to multiply the string E by -2 and fail on it."""
     for x in _states(random.Random(5)):
         text = NilpotentVector(str(x.E), tuple(map(str, x.p)), str(x.m), x.sign_e, x.sign_p)
         assert text.realized == x.realized, x
         assert text.mass_shell_defect == x.mass_shell_defect, x
+        assert states.vacuum_chain(text, 2) == states.vacuum_chain(x, 2), x
     # with no sign to apply, the Fraction form took string fields as they are
     text = NilpotentVector("5/2", ("-3/2", "0", "2"), "1/3")
     assert text.realized == _reference_realized(text)
