@@ -477,7 +477,8 @@ def _cmd_gut(args, config: RunConfig) -> int:
             "inv_alpha3": unification.run_alpha3(alpha_g, planck, mu),
             "inv_alpha_em": unification.run_alpha_em(alpha_g, planck, mu),
         },
-        "inv_alpha_at_14TeV": unification.run_alpha_em(alpha_g, planck, 14000.0),
+        "inv_alpha_at_14TeV": unification.run_alpha_em(alpha_g, planck,
+                                                       constants["collider_scale_gev"]),
         "mu_where_alpha3_is_1": unification.mu_for_alpha3(1.0, alpha_g, planck),
         "sin2_exact": {
             "phenomenological": str(unification.sin2_from_content(unification.phenomenological_content())),

@@ -43,14 +43,20 @@ gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
 No value is divided out of another, so a float potential coefficient leaks
 no rounding into gamma or a.
 
-Exact (Gaussian-rational / surd) arithmetic throughout via sympy; floats
-only when the caller passes floats.  Sympy loads on the first exact solve,
-not at import: the confinement geometry, the closed-form level series,
-rational coefficient parsing and a Fraction j never need it.
+The solver builds its relations and branch values as exact sympy
+expressions (Gaussian rationals and surds); floats only when the caller
+passes floats.  The residual gate reads those same expressions on a small
+exact kernel (``_Kernel``): int, Fraction or float coefficients over
+monomials in the symbols, with I and each surd a generator that reduces by
+its square, so it does its substitution and expansion without sympy
+arithmetic.  Sympy loads on the first exact solve, not at import: the
+confinement geometry, the closed-form level series, rational coefficient
+parsing and a Fraction j never need it.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -528,40 +534,213 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     return AnsatzSolution(name, Vn, qn, branches, tuple(relations), series)
 
 
-def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
-    """Per-(branch, power) residuals of the coefficient relations: one entry
-    per branch and relation, each power having one relation.
+class _NotPolynomial(Exception):
+    """A node the gate's kernel does not read: nan, zoo, oo, a zero or symbolic
+    denominator, or anything but a sum, product, power, symbol or number."""
 
-    Each branch's substitutions are plain symbol -> value maps whose values
-    hold none of the substituted symbols, so the structural ``xreplace`` does
-    the job of ``subs``; the result is expanded exactly once and never
-    simplified.  ``expand`` is an identity, so a value reads 0 only when it is
-    a true zero: a true zero left unreduced can only fail the gate, and a
-    nonzero value never passes it.
+
+# bits per variable in a packed monomial: an exponent of 2**16 would carry into
+# the next field, and a residual of that degree takes the kernel far too long
+_FIELD = 16
+_ROOT = (1 << _FIELD) - 2  # a generator field's bits above exponent 1
+_TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds to 0.0
+
+
+def _collect(terms) -> dict:
+    """The polynomial sum of (monomial, coefficient) pairs, zeros dropped."""
+    out = {}
+    for mono, c in terms:
+        if mono in out:
+            out[mono] += c
+        else:
+            out[mono] = c
+    return {mono: c for mono, c in out.items() if c}
+
+
+class _Kernel:
+    """Exact polynomial arithmetic for one run of the residual gate.
+
+    A polynomial is a dict from monomials to nonzero int, Fraction or float
+    coefficients.  A monomial packs one exponent per variable into _FIELD-bit
+    fields of an int, so multiplying monomials adds them.  The variables are
+    the symbols met and the generators: I, and sqrt(x) for each radicand x
+    met in x**(k/2).  A generator reduces by its square (I**2 = -1,
+    sqrt(x)**2 = x), so no generator exponent exceeds 1 in a result.  One
+    whose square holds a symbol (sqrt(m**2 - E**2), the Coulomb m) is one
+    more variable of the residual, as Poly would take it; the others (I,
+    sqrt(11)) are numbers, read as complex values only by ``magnitude``.
     """
+
+    def __init__(self):
+        self.symbols = {}  # Symbol -> the shift of its field
+        self.roots = {}  # radicand -> the shift of its generator's field
+        self.squares = {0: {0: -1}}  # generator shift -> its square, oldest first; I is 0
+        self.fields = 1
+        self.symbolic = 0  # the fields of symbols and of generators whose square holds one
+        self.high = _ROOT  # the generator fields' bits above exponent 1
+
+    def _field(self):
+        shift, self.fields = self.fields * _FIELD, self.fields + 1
+        return shift
+
+    def variable(self, symbol) -> int:
+        """The shift of ``symbol``'s field."""
+        shift = self.symbols.get(symbol)
+        if shift is None:
+            shift = self.symbols[symbol] = self._field()
+            self.symbolic |= (1 << _FIELD) - 1 << shift
+        return shift
+
+    def _root(self, radicand) -> int:
+        shift = self.roots.get(radicand)
+        if shift is None:
+            square = self._poly(radicand)  # registers the generators it holds first
+            shift = self.roots[radicand] = self._field()
+            self.squares[shift] = square
+            self.high |= _ROOT << shift
+            if any(mono & self.symbolic for mono in square):
+                self.symbolic |= (1 << _FIELD) - 1 << shift
+        return shift
+
+    def poly(self, expr) -> dict:
+        """``expr`` as a reduced polynomial; {0: nan} if the kernel cannot read it."""
+        try:
+            return self._poly(expr)
+        except _NotPolynomial:
+            return {0: math.nan}
+
+    def _poly(self, expr) -> dict:
+        if expr.is_Symbol:
+            return {1 << self.variable(expr): 1}
+        if expr.is_Rational:
+            return {0: expr.p if expr.q == 1 else Fraction(expr.p, expr.q)} if expr.p else {}
+        if expr.is_Mul:
+            factors = iter(expr.args)
+            out = self._poly(next(factors))
+            for factor in factors:
+                out = self.mul(out, self._poly(factor))
+            return out
+        if expr.is_Add:
+            return _collect(t for term in expr.args for t in self._poly(term).items())
+        if expr.is_Pow:
+            base, e = expr.args
+            if not e.is_Rational or e.q > 2:
+                raise _NotPolynomial(expr)
+            if e.q == 1:
+                if base.is_Symbol and e.p > 0:
+                    return {e.p << self.variable(base): 1}
+                p = self._poly(base)
+                return self.power(p if e.p > 0 else self._inverse(p), abs(e.p))
+            shift = self._root(base)
+            out = self.power({1 << shift: 1}, abs(e.p))
+            if e.p < 0:  # x**(-k/2) = x**(k/2) / x**k
+                out = self.mul(out, self.power(self._inverse(self.squares[shift]), -e.p))
+            return out
+        if expr.is_Float:
+            return {0: float(expr)} if expr else {}
+        if expr is sp.I:
+            return {1: 1}
+        raise _NotPolynomial(expr)
+
+    def mul(self, p, q) -> dict:
+        """The product, each generator squared replaced by its square until none is."""
+        todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
+        done = []
+        while todo:
+            mono, c = todo.pop()
+            if mono & self.high:
+                shift = next(s for s in self.squares if mono >> s & _ROOT)
+                rest = mono - (2 << shift)
+                todo.extend((rest + m, c * c2) for m, c2 in self.squares[shift].items())
+            else:
+                done.append((mono, c))
+        return _collect(done)
+
+    def power(self, p, k: int) -> dict:
+        out = p
+        for _ in range(k - 1):
+            out = self.mul(out, p)
+        return out
+
+    def _inverse(self, p) -> dict:
+        """1/p for a nonzero p free of symbols, by conjugates: p = P + Q g times
+        P - Q g is free of the generator g, newest generator first, since a
+        square holds only generators older than its own."""
+        if any(mono & self.symbolic for mono in p):
+            raise _NotPolynomial("a denominator that holds a symbol")
+        num = {0: 1}
+        for shift in reversed(self.squares):
+            bit = 1 << shift
+            if any(mono & bit for mono in p):
+                conj = {mono: -c if mono & bit else c for mono, c in p.items()}
+                num, p = self.mul(num, conj), self.mul(p, conj)
+        if p.keys() != {0}:  # zero, or float leftovers of a generator
+            raise _NotPolynomial("a denominator that reduces to no nonzero number")
+        d = p[0]
+        inv = 1 / d if isinstance(d, float) else Fraction(1) / d
+        return {mono: c * inv for mono, c in num.items()}
+
+    def substitute(self, poly, values: dict, powers: dict) -> dict:
+        """``poly`` with each symbol field in ``values`` (shift -> polynomial)
+        replaced by its value; ``powers`` keeps the value powers of one branch."""
+        terms = []
+        for mono, c in poly.items():
+            term = {mono: c}
+            for shift, value in values.items():
+                e = mono >> shift & (1 << _FIELD) - 1
+                if e:
+                    if (shift, e) not in powers:
+                        powers[shift, e] = self.power(value, e)
+                    term = self.mul({m - (e << shift): k for m, k in term.items()}, powers[shift, e])
+            terms.extend(term.items())
+        return _collect(terms)
+
+    def _value(self, atoms) -> complex:
+        """The complex value of a monomial in numeric generators."""
+        value = 1
+        for shift, square in self.squares.items():
+            if atoms >> shift & 1:
+                value *= cmath.sqrt(sum(complex(c) * self._value(m) for m, c in square.items()))
+        return value
+
+    def magnitude(self, poly) -> float:
+        """The largest abs(complex) over the coefficients of ``poly`` in its
+        symbolic variables; inf if one is not finite or too large for a float.
+        A coefficient with only exact terms is a true nonzero, so it reads at
+        least _TINY even where its float rounds to 0.0."""
+        groups = {}
+        try:
+            for mono, c in poly.items():
+                key = mono & self.symbolic
+                total, exact = groups.get(key, (0, True))
+                groups[key] = (total + complex(c) * self._value(mono ^ key),
+                               exact and not isinstance(c, float))
+            mags = [abs(total) or (_TINY if exact else 0.0) for total, exact in groups.values()]
+        except OverflowError:
+            return math.inf
+        return max(mags, default=0.0) if all(map(math.isfinite, mags)) else math.inf
+
+
+def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
+    """Per-(branch, power) residual magnitudes of the coefficient relations:
+    one entry per branch and relation, each power having one relation.
+
+    One ``_Kernel`` serves the call: each relation is converted once, each
+    branch's values once per branch, and every substitution and expansion is
+    exact polynomial arithmetic with no simplification.  An entry reads 0.0
+    only when its residual is the zero polynomial: a true zero left unreduced
+    can only fail the gate, and a nonzero value never passes it.
+    """
+    kernel = _Kernel()
+    relations = [(rel.power, kernel.poly(rel.expr))
+                 for rel in sol.relations if rel.matched or not matched_only]
     out = {}
     for bi, branch in enumerate(sol.branches):
-        for rel in sol.relations:
-            if matched_only and not rel.matched:
-                continue
-            out[(bi, rel.power)] = sp.expand(rel.expr.xreplace(branch.subs))
+        values = {kernel.variable(key): kernel.poly(value) for key, value in branch.subs.items()}
+        powers = {}
+        for power, poly in relations:
+            out[(bi, power)] = kernel.magnitude(kernel.substitute(poly, values, powers))
     return out
-
-
-def _residual_magnitude(value: sp.Expr) -> float:
-    """Largest coefficient magnitude of an expanded residual; inf if any is
-    not finite (nan, zoo).  A residual that is no polynomial in its free
-    symbols (a moved ``a`` leaves sqrt(m^2 - E^2) in it) is measured over
-    generators found from it, each such surd being one more variable."""
-    if value == 0:
-        return 0.0
-    free = sorted(value.free_symbols, key=str)
-    try:
-        coeffs = sp.Poly(value, *free).coeffs() if free else [value]
-    except sp.PolynomialError:
-        coeffs = sp.Poly(value).coeffs()
-    mags = [abs(complex(sp.N(c))) for c in coeffs]
-    return max(mags) if all(map(math.isfinite, mags)) else math.inf
 
 
 def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -> float:
@@ -569,19 +748,17 @@ def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -
 
     Exact zero for rational inputs; bounded by 1e-10 for float inputs.
     Unsolved symbols (the free E and m of families that leave them open)
-    are treated as polynomial variables, the residual being the largest
-    coefficient magnitude.  A ``sol`` matched for another potential or other
-    quantum numbers than ``V`` and ``qn`` raises ValueError.
+    and surds of them are treated as polynomial variables, the residual
+    being the largest coefficient magnitude (``_Kernel.magnitude``).  A
+    ``sol`` matched for another potential or other quantum numbers than
+    ``V`` and ``qn`` raises ValueError.
     """
     if sol.potential != _folded(V)[1]:
         raise ValueError(f"the solution was matched for the potential {sol.potential.to_dict()}, "
                          f"not {V.to_dict()}")
     if sol.quantum_numbers != qn:
         raise ValueError(f"the solution was matched for {sol.quantum_numbers}, not {qn}")
-    worst = 0.0
-    for value in residual_detail(sol, matched_only=True).values():
-        worst = max(worst, _residual_magnitude(value))
-    return worst
+    return max(residual_detail(sol, matched_only=True).values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -675,6 +675,7 @@ def doctor_constants(tmp_path, path, *value):
 
 @pytest.mark.parametrize("argv,path", [
     (("gut",), ("m_z_gev",)),
+    (("gut",), ("collider_scale_gev",)),
     (("mass", "--bosons"), ("m_z_gev",)),
     (("mass", "--ratios"), ("ratio_formula_inputs", "alpha3_mu")),
 ])
@@ -703,6 +704,16 @@ def test_invalid_dataset_value_exits_3(argv, path, value, tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"invalid data: {tmp_path / 'constants.json'}: "
                           f"{'.'.join(path)} is {json.dumps(value)}, expected "), err
+
+
+def test_gut_collider_scale_comes_from_the_dataset(tmp_path):
+    """inv_alpha_at_14TeV runs alpha_em to constants.json's collider scale: at
+    the Z mass it equals the default coupling table's inv_alpha_em."""
+    doctor_constants(tmp_path, ("collider_scale_gev",), 91.1867)
+    code, out = run_cli("--format", "json", "--data-dir", str(tmp_path), "gut")
+    report = json.loads(out)
+    assert code == 0
+    assert report["inv_alpha_at_14TeV"] == report["couplings_at_mu"]["inv_alpha_em"]
 
 
 def test_exit_code_verification_failure(monkeypatch):

@@ -19,7 +19,7 @@ from nilpotent.spectra import (
     QuantumNumbers,
     SupercriticalCouplingError,
     UnsupportedPotentialError,
-    _residual_magnitude,
+    _Kernel,
     coulomb_levels,
     infrared_radius,
     lennard_jones_solution,
@@ -292,9 +292,14 @@ def test_residuals_exact_zero_random_rational_parameters():
             assert residual_verify(V, sol, qn) == 0.0, (V, qn)
 
 
-def _potential_set(seed, count=40):
+_SET_FAMILIES = ("confining", "coulomb", "oscillator", "inverse", "lennard-jones", "from_dict")
+
+
+def _potential_set(seed, count=48):
     """(family, solution, qn, exact) for a seeded set of potentials: the four
-    families and lennard_jones_solution in turn, exact and float in turn."""
+    families, lennard_jones_solution and from_dict in turn, exact and float in
+    turn.  from_dict parses its 4-digit decimals exactly, so its inputs are
+    all exact."""
     rng = random.Random(seed)
 
     def frac(hi=9):
@@ -302,12 +307,19 @@ def _potential_set(seed, count=40):
 
     out = []
     for k in range(count):
-        family = ("confining", "coulomb", "oscillator", "inverse", "lennard-jones")[k % 5]
-        exact = k // 5 % 2 == 0
+        family = _SET_FAMILIES[k % len(_SET_FAMILIES)]
+        exact = k // len(_SET_FAMILIES) % 2 == 0
         num = (lambda x: x) if exact else (lambda x: round(float(x), 4))
         qn = QuantumNumbers(Fraction(2 * rng.randint(0, 2) + 1, 2), rng.randint(0, 3))
         if family == "lennard-jones":
             sol = lennard_jones_solution(I * num(frac()), num(frac()), num(frac()), qn)
+        elif family == "from_dict":
+            def text(x):
+                return str(x) if exact else f"{float(x):.4f}"
+            V = PotentialSpec.from_dict({
+                "terms": {rng.choice(("1", "2", "-2", "-4", "-6")): text(frac(30))},
+                "coulombPhase": text(frac()), "q": text(frac())})
+            sol, exact = match_coefficients(V, qn), True
         else:
             if family == "confining":
                 V = PotentialSpec({1: num(frac(30))}, num(frac()), num(frac()))
@@ -326,18 +338,50 @@ def _potential_set(seed, count=40):
     return out
 
 
-def _reference_residual(sol):
-    """The gate by subs, simplify and expand: what the xreplace gate must equal."""
+def _sympy_magnitude(value):
+    """The sympy gate's reading of an expanded residual: its largest Poly
+    coefficient magnitude over its free symbols, or over generators found
+    from it when a surd of them is left; inf if one is not finite."""
+    if value == 0:
+        return 0.0
+    free = sorted(value.free_symbols, key=str)
+    try:
+        coeffs = sp.Poly(value, *free).coeffs() if free else [value]
+    except sp.PolynomialError:
+        coeffs = sp.Poly(value).coeffs()
+    mags = [abs(complex(sp.N(c))) for c in coeffs]
+    return max(mags) if all(map(math.isfinite, mags)) else math.inf
+
+
+def _sympy_gate(sol):
+    """The gate as sympy ran it: each branch substituted by xreplace, each
+    matched relation expanded once and read by _sympy_magnitude."""
     return max(
-        _residual_magnitude(sp.expand(sp.simplify(rel.expr.subs(branch.subs))))
+        _sympy_magnitude(sp.expand(rel.expr.xreplace(branch.subs)))
         for branch in sol.branches
         for rel in sol.relations
         if rel.matched
     )
 
 
+def _reference_residual(sol):
+    """The gate by subs, simplify and expand: what the kernel gate must equal."""
+    return max(
+        _sympy_magnitude(sp.expand(sp.simplify(rel.expr.subs(branch.subs))))
+        for branch in sol.branches
+        for rel in sol.relations
+        if rel.matched
+    )
+
+
+def _kernel_magnitude(expr):
+    kernel = _Kernel()
+    return kernel.magnitude(kernel.poly(expr))
+
+
 def test_branch_values_hold_no_substituted_symbol():
-    """xreplace does the job of subs only when no value holds a key of its map."""
+    """The kernel substitutes each key once, as xreplace does: right only when
+    no value holds a key of its map."""
     for _, sol, _, _ in _potential_set(5):
         for branch in sol.branches:
             keys = set(branch.subs)
@@ -347,13 +391,31 @@ def test_branch_values_hold_no_substituted_symbol():
 
 def test_residual_gate_agrees_with_the_simplify_reference():
     cases = _potential_set(11)
-    assert len({(family, exact) for family, _, _, exact in cases}) == 10
+    assert len({(family, exact) for family, _, _, exact in cases}) == 11
     for family, sol, qn, exact in cases:
         got, want = residual_verify(sol.potential, sol, qn), _reference_residual(sol)
         if exact:
             assert got == want == 0.0, (family, sol.potential, qn)
         else:
             assert got <= 1e-10 and want <= 1e-10, (family, sol.potential, qn, got, want)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_kernel_gate_agrees_with_the_sympy_gate(seed):
+    """The kernel against the xreplace/expand/Poly gate it replaced, on every
+    family, exact and float; no relation or branch value of a solution
+    reaches the kernel's inf branch."""
+    for family, sol, qn, exact in _potential_set(seed):
+        got, want = residual_verify(sol.potential, sol, qn), _sympy_gate(sol)
+        if exact:
+            assert got == want == 0.0, (family, sol.potential, qn)
+        else:
+            assert got <= 1e-10 and want <= 1e-10, (family, sol.potential, qn, got, want)
+        kernel = _Kernel()
+        for expr in [*(rel.expr for rel in sol.relations),
+                     *(value for branch in sol.branches for value in branch.subs.values())]:
+            kernel._poly(expr)  # raises _NotPolynomial where the gate would read inf
+        assert all(map(math.isfinite, residual_detail(sol, matched_only=False).values()))
 
 
 def _inverse(*powers):
@@ -387,6 +449,8 @@ def test_perturbed_branch_fails_the_gate(make, exact):
     num, delta = (Fraction, Rational(1, 10**6)) if exact else (float, 1e-6)
     sol = match_coefficients(make(num), QN)
     assert residual_verify(sol.potential, sol, QN) <= (0.0 if exact else 1e-10)
+    if exact:  # residual_detail's values are float magnitudes, 0.0 before any move
+        assert not any(residual_detail(sol).values())
     gated = set().union(*(rel.expr.free_symbols for rel in sol.relations if rel.matched))
     moved_keys = set()
     for bi, branch in enumerate(sol.branches):
@@ -783,9 +847,45 @@ def test_coulomb_pole_is_rejected(A, q, j, n):
 
 
 @pytest.mark.parametrize("value", [sp.nan, sp.zoo, sp.zoo * sp.Symbol("E"),
-                                   sp.Symbol("E") + sp.nan * sp.Symbol("E") ** 2])
+                                   sp.Symbol("E") + sp.nan * sp.Symbol("E") ** 2,
+                                   # a symbolic denominator or a node with no kernel rule
+                                   1 / sp.Symbol("E"), sp.sqrt(2) / (sp.Symbol("m") + 1),
+                                   sp.oo, sp.sin(sp.Symbol("E")), sp.Symbol("E") ** Rational(1, 3)])
 def test_non_finite_residual_is_infinite(value):
-    assert _residual_magnitude(value) == math.inf
+    assert _kernel_magnitude(value) == math.inf
+
+
+def test_exact_nonzero_residual_never_reads_zero():
+    """1/10**400 rounds to 0.0 as a float; the sympy gate read it as 0.0."""
+    tiny = Rational(1, 10**400)
+    assert _kernel_magnitude(tiny) == math.ulp(0.0)
+    assert _kernel_magnitude(tiny * sp.sqrt(2) - tiny * sp.Symbol("E") * I) == math.ulp(0.0)
+    sol = match_coefficients(strong_potential(), QN)
+    key = sp.Symbol("b")
+    for delta in (tiny, -tiny * I):
+        broken = sol._replace(branches=tuple(
+            b._replace(subs={**b.subs, key: b.subs[key] + delta}) for b in sol.branches))
+        assert residual_verify(broken.potential, broken, QN) > 0.0
+
+
+def test_residual_too_large_for_a_float_is_infinite():
+    huge = Rational(10**400)
+    assert _kernel_magnitude(huge) == math.inf
+    assert _kernel_magnitude(huge * sp.Symbol("E") + I) == math.inf
+    sol = match_coefficients(strong_potential(), QN)
+    broken = sol._replace(branches=tuple(
+        b._replace(subs={**b.subs, sp.Symbol("gammat"): huge}) for b in sol.branches))
+    assert residual_verify(broken.potential, broken, QN) == math.inf
+
+
+@pytest.mark.parametrize("x", [2 + 3 * sp.sqrt(11) / 10, 1 + I, 3 + (1 + sp.sqrt(2)) * I,
+                               sp.sqrt(1 + sp.sqrt(3)), 0.5 + 0.25 * I])
+def test_kernel_inverts_a_constant_by_conjugates(x):
+    kernel = _Kernel()
+    product = kernel.mul(kernel.poly(x), kernel.poly(1 / x))
+    assert product.keys() == {0} and product[0] == pytest.approx(1, abs=1e-15)
+    if not x.has(sp.Float):
+        assert product == {0: 1}
 
 
 def test_nan_branch_fails_the_residual_gate():
