@@ -154,11 +154,11 @@ def _float_between(low: float, high: float):
     return parse
 
 
-def _parse_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_triple(text: str, what: str = "px,py,pz", parse=_parse_fraction) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected px,py,pz, got {text!r}")
-    return tuple(_parse_fraction(p) for p in parts)
+        raise UsageError(f"expected {what}, got {text!r}")
+    return tuple(parse(p) for p in parts)
 
 
 def _state_args(parser: _Parser):
@@ -174,41 +174,6 @@ def _make_state(args) -> states.NilpotentVector:
     )
 
 
-def _gcd_of_power(base: int, k: int, other: int) -> int:
-    """gcd(base**k, other) without forming base**k."""
-    g = 1
-    for _ in range(k):  # each pass divides other by at least 2, so it stops early
-        d = math.gcd(base, other)
-        if d == 1:
-            break
-        g, other = g * d, other // d
-    return g
-
-
-def _off_shell_chain_largest(x: states.NilpotentVector, n: int) -> int:
-    """The largest numerator or denominator, in lowest terms, of the chain X (kX)^n.
-
-    X k X = lam X - delta k, with delta the mass-shell defect, so the chain is
-    alpha X + beta k: alpha = 1 and beta = 0 at n = 0, and each step takes
-    them to lam alpha - beta and -delta alpha.  With lam = i l, the two run as
-    Gaussian integers (re, im) scaled by d^n, d the lcm of the denominators of
-    l and delta, so a step multiplies by the ints l d and delta d only.
-    """
-    ln, ld = (-2 * x.sign_e * x.E).as_integer_ratio()
-    dn, dd = x.mass_shell_defect.as_integer_ratio()
-    d = math.lcm(ld, dd)
-    l_d, delta_d = ln * (d // ld), dn * (d // dd)
-    ar, ai, br, bi = 1, 0, 0, 0
-    for _ in range(n):
-        ar, ai, br, bi = -l_d * ai - d * br, l_d * ar - d * bi, -delta_d * ar, -delta_d * ai
-    scale = d ** n
-    alpha = algebra.MV("1", Fraction(ar, scale)) + algebra.MV("i", Fraction(ai, scale))
-    beta = algebra.MV("1", Fraction(br, scale)) + algebra.MV("i", Fraction(bi, scale))
-    chain = alpha * x.realized + beta * algebra.MV("qk")
-    return max((max(abs(c.numerator), c.denominator) for c in chain.blades().values()),
-               default=0)
-
-
 def _digit_count(v: int) -> int:
     """Decimal digits of v > 0, without str(), which refuses a long int."""
     k = int(math.log10(v))  # off by at most one next to a power of ten
@@ -217,40 +182,29 @@ def _digit_count(v: int) -> int:
     return k + 1
 
 
-def _check_chain_prints(x: states.NilpotentVector, n: int) -> None:
-    """Refuse an ``--n`` whose vacuum chain holds an int too long to print.
+def _printable_chain(x: states.NilpotentVector, n: int):
+    """The vacuum chain of ``--n`` reflections and its factor, refused if it
+    holds an int of more digits than the interpreter's limit for printing one.
 
-    On shell the chain is lam^n X with |lam| = 2|E| = a/b in lowest terms, so
-    a coefficient u/v of X (E, a momentum component or m) becomes
-    a^n u / (b^n v), reduced by gcd(a^n, v) gcd(u, b^n).  Off shell the
-    chain's coefficients come exactly from two scalar recurrences, which cost
-    far less than the chain.  An int of 10^L or more does not print under the
-    interpreter's limit of L digits.
+    On shell with |2E| = a/b in lowest terms, the energy coefficient of the
+    chain lam^n X is at least max(a, b)^(n+1) / 2, which refuses an enormous
+    ``--n`` before the chain is built.
     """
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    if not x.on_shell:
-        largest = _off_shell_chain_largest(x, n)
-        if largest >= 10 ** limit:
-            raise UsageError(f"--n {n} gives chain coefficients of at least "
-                             f"{_digit_count(largest)} digits, over the {limit}-digit "
-                             f"limit for printing an int")
-        return
-    if not x.E:
-        return
-    a, b = abs(2 * x.E).as_integer_ratio()
-    coefficients = [abs(c).as_integer_ratio() for c in (x.E, *x.p, x.m) if c]
-    # past 4L steps beyond the bits of u and v, a or b >= 2 outgrows 10^L all the same
-    k = min(n, 4 * limit + max(max(uv).bit_length() for uv in coefficients))
-    digits = 0.0
-    for u, v in coefficients:
-        common = math.log10(_gcd_of_power(a, k, v) * _gcd_of_power(b, k, u))
-        digits = max(digits, k * math.log10(a) + math.log10(u) - common,
-                     k * math.log10(b) + math.log10(v) - common)
-    if digits >= limit:
-        raise UsageError(f"--n {n} gives chain coefficients of at least {int(digits) + 1} "
-                         f"digits, over the {limit}-digit limit for printing an int")
+    limit = sys.get_int_max_str_digits() or math.inf
+    digits = 0
+    if x.on_shell:
+        a, b = abs(2 * x.E).as_integer_ratio()
+        # an n past 2^53 counts as 2^53, which a float still holds
+        bound = (min(n, 2 ** 53) + 1) * math.log10(max(a, b)) - math.log10(2)
+        digits = int(bound - abs(bound) * 1e-15) + 1  # less the float rounding: a lower bound
+    if digits <= limit:
+        chain, lam = states.vacuum_chain(x, n)
+        digits = _digit_count(max((max(abs(c.numerator), c.denominator)
+                                   for c in chain.blades().values()), default=1))
+    if digits > limit:
+        raise UsageError(f"--n {n} gives chain coefficients of at least {digits} digits, "
+                         f"over the {limit}-digit limit for printing an int")
+    return chain, lam
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +289,7 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         image = states.vacuum_reflect(x, args.charge)
         report = {"charge": args.charge, "input": x.to_dict(), "image": image.to_dict()}
         if args.charge == "k":
-            _check_chain_prints(x, args.n)
-            mv, lam = states.vacuum_chain(x, args.n)
+            mv, lam = _printable_chain(x, args.n)
             report["chain_reflections"] = args.n
             report["per_step_factor"] = {"re": str(lam.scalar_part),
                                          "im": str(lam.coefficient("i"))}
@@ -419,7 +372,7 @@ def _cmd_solve(args, config: RunConfig) -> int:
         return EXIT_OK
 
     if args.lmin:
-        a, b, c = (_parse_float(x) for x in args.lmin.split(","))
+        a, b, c = _parse_triple(args.lmin, "three sides a,b,c for --lmin", _parse_float)
         emit({"sides": [a, b, c], "L_min": spectra.lmin(a, b, c)}, config)
         return EXIT_OK
 

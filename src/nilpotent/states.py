@@ -99,13 +99,18 @@ class NilpotentVector(_NilpotentFields):
         return sum((c * c for c in self.p), Fraction(0))
 
     @property
+    def _defect_numerator(self) -> int:
+        """E^2 - p^2 - m^2 times d^2, d from ``_cleared``."""
+        _, (e, px, py, pz, m) = self._cleared
+        return e * e - px * px - py * py - pz * pz - m * m
+
+    @property
     def mass_shell_defect(self) -> Fraction:
         """E^2 - p^2 - m^2; zero exactly when the state is nilpotent.
 
         Computed on the cleared numerators, with no multivector product, so
         it checks the product tables rather than repeating them."""
-        d, (e, px, py, pz, m) = self._cleared
-        return Fraction(e * e - px * px - py * py - pz * pz - m * m, d * d)
+        return Fraction(self._defect_numerator, self._cleared[0] ** 2)
 
     @property
     def on_shell(self) -> bool:
@@ -340,23 +345,36 @@ def vacuum_reflect(x: NilpotentVector, charge: str) -> NilpotentVector:
     return conjugate(x, "TCP"["kji".index(charge)])
 
 
-def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Multivector]:
-    """The alternating chain X (kX)(kX)... with n reflections.
+def _gaussian(re: int, im: int, d: int) -> Multivector:
+    """(re + im i) / d on the scalar and i blades."""
+    return _reduced(d, {k: v for k, v in ((0, re), (_I_BLADE, im)) if v})
 
-    Returns the final multivector and the per-step factor lam with
-    X k X = lam X on shell: lam = -2iE*signE, a multivector on the i blade
-    alone with |lam| = 2E, so the chain is lam^n X.
+
+def vacuum_chain(x: NilpotentVector, n: int) -> tuple[Multivector, Multivector]:
+    """The alternating chain X (kX)(kX)... with n reflections, and the factor lam.
+
+    X k X = lam X - delta k, with lam = -2iE*signE on the i blade alone and
+    delta the mass-shell defect, and k k = -1, so the chain is alpha X + beta k:
+    alpha = 1 and beta = 0 before the first reflection, and each one takes
+    them to lam alpha - beta and -delta alpha.  With lam = i l, the two run as
+    Gaussian integers scaled by D^n, D the lcm of the reduced denominators of
+    l and delta, so a step multiplies by the ints l D, D and delta D only.  On
+    shell beta stays 0 and the chain is lam^n X, with |lam| = 2E.
     """
     if n < 1:
         raise ValueError("need at least one reflection")
-    d, numerators = x._cleared  # E = numerators[0] / d
-    e = -2 * x.sign_e * numerators[0]
-    lam = _reduced(d, {_I_BLADE: e} if e else {})
-    xr = x.realized
-    out = xr
+    d, numerators = x._cleared  # E = numerators[0] / d, delta = defect / d^2
+    e2, defect = 2 * x.sign_e * numerators[0], x._defect_numerator
+    D = math.lcm(d // math.gcd(e2, d), d * d // math.gcd(defect, d * d))
+    l, delta = -e2 * D // d, defect * D // (d * d)
+    ar, ai, br, bi = 1, 0, 0, 0
     for _ in range(n):
-        out = out * _QK * xr
-    return out, lam
+        ar, ai, br, bi = -l * ai - D * br, l * ar - D * bi, -delta * ar, -delta * ai
+    scale = D ** n
+    chain = _gaussian(ar, ai, scale) * x.realized
+    if br or bi:  # zero on shell, where verify reads the chain once per sample
+        chain = chain + _gaussian(br, bi, scale) * _QK
+    return chain, _gaussian(0, l, D)
 
 
 # ---------------------------------------------------------------------------

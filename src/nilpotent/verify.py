@@ -192,14 +192,15 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
         x = random_on_shell(rng)
         xr = x.realized
         square = xr * xr
-        defect = square.scalar_part
-        if defect != x.mass_shell_defect or defect != 0:
+        # the scalar part of the square and the defect, two computations, must both be 0
+        if square.scalar_part or x.mass_shell_defect:
             sample_ok["square"] = False
         if not square.is_zero:
             sample_ok["pauli"] = False
+        # the chain comes from a recurrence, so it is checked against the literal product
         mv, lam = vacuum_chain(x, 1)
         two_e = two_i * x.E  # no Fraction arithmetic: the multivector scales by E
-        if mv != lam * xr or lam not in (two_e, -two_e):
+        if mv != xr * qk * xr or mv != lam * xr or lam not in (two_e, -two_e):
             sample_ok["vacuum"] = False
     check(f"on-shell square zero ({state_samples} samples)", sample_ok["square"])
     check("Pauli exclusion on samples", sample_ok["pauli"])

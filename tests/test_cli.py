@@ -185,6 +185,17 @@ def test_off_shell_vacuum_chain_past_the_print_limit_is_refused(capsys):
                                  "5251 digits, over the 4300-digit limit for printing an int\n")
 
 
+def test_enormous_on_shell_vacuum_n_is_refused_before_the_chain_is_built(capsys):
+    """(-10i)^n 5 = 5 10^n has n + 1 digits; the bound max(a, b)^(n+1) / 2 with
+    |2E| = 10/1 finds all of them, where a capped horizon found 17204."""
+    argv = ["algebra", "vacuum", "--E", "5", "--p", "0,0,4", "--m", "3", "--n", "1000000000"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("usage error: --n 1000000000 gives chain coefficients of at "
+                                 "least 1000000001 digits, over the 4300-digit limit for "
+                                 "printing an int\n")
+
+
 def test_digit_count_is_exact_next_to_a_power_of_ten():
     """log10 rounds 10^k - 1 up to k (k >= 15) and 10^512 down below 512."""
     for k in (1, 15, 512, 1024, 4300):
@@ -235,6 +246,14 @@ def test_solve_lennard_jones():
     report = json.loads(out)
     assert report["family"] == "inverse-multipole"
     assert report["level_family"] == "oscillator"
+
+
+@pytest.mark.parametrize("sides", ["1,2", "1,2,3,4"])
+def test_lmin_without_three_sides_names_the_flag(sides, capsys):
+    """Two sides exited 1 with 'not enough values to unpack (expected 3, got 2)'."""
+    assert cli.main(["solve", "--lmin", sides]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: expected three sides a,b,c for --lmin, got {sides!r}\n"
 
 
 def test_solve_potential_json():
@@ -847,6 +866,13 @@ def test_json_determinism():
     ("gut_defaults.csv", ("--format", "csv", "gut")),
     ("algebra_dual_8.json", ("--format", "json", "algebra", "dual", "--order", "8")),
     ("algebra_dual_64.json", ("--format", "json", "algebra", "dual", "--order", "64")),
+    ("algebra_vacuum_on_shell.json", ("--format", "json", "algebra", "vacuum", "--n", "3",
+                                      "--E", "5", "--p", "0,0,4", "--m", "3")),
+    ("algebra_vacuum_off_shell.json", ("--format", "json", "algebra", "vacuum", "--n", "3",
+                                       "--E", "5/3", "--p", "1,0,0", "--m", "1/7")),
+    # |2E| = 1: no bound refuses it, so all 20000 steps run, and (-i)^20000 X = X
+    ("algebra_vacuum_unit_factor.txt", ("algebra", "vacuum", "--E", "1/2", "--p", "0,0,1/2",
+                                        "--m", "0", "--n", "20000")),
 ])
 def test_golden_reports(golden, argv):
     code, out = run_cli(*argv)

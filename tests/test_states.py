@@ -293,6 +293,38 @@ def test_vacuum_chain_degenerate():
     assert mv.is_zero and lam.is_zero
 
 
+def _literal_chain(x: NilpotentVector, n: int) -> Multivector:
+    """X (kX)^n as 2n literal products: the reference for the recurrence."""
+    out = x.realized
+    for _ in range(n):
+        out = out * MV("qk") * x.realized
+    return out
+
+
+# E = 0 and |2E| = 1, on and off shell
+EDGE_STATES = (
+    make_nilpotent(0, (0, 0, 0), 0),
+    make_nilpotent(0, (Fraction(3, 2), 0, 0), 0),
+    make_nilpotent(Fraction(1, 2), (0, 0, Fraction(1, 2)), 0),
+    make_nilpotent(Fraction(-1, 2), (Fraction(3, 10), Fraction(2, 5), 0), 0),
+    make_nilpotent(Fraction(1, 2), (1, 0, 0), Fraction(1, 3)),
+)
+ANY_STATE = st.one_of(
+    on_shell_states(),
+    st.builds(make_nilpotent, rationals, st.tuples(rationals, rationals, rationals), rationals),
+    st.sampled_from(EDGE_STATES),
+)
+
+
+@settings(max_examples=300)
+@given(ANY_STATE, st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.integers(1, 5))
+def test_vacuum_chain_is_the_literal_product(x, sign_e, sign_p, n):
+    x = x.with_signs(sign_e, sign_p)
+    mv, lam = vacuum_chain(x, n)
+    assert mv == _literal_chain(x, n)
+    assert lam == MV("i", -2 * sign_e * x.E)
+
+
 @settings(max_examples=150)
 @given(on_shell_states())
 def test_vacuum_factor_pure_imaginary_2E(x):

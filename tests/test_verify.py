@@ -186,3 +186,23 @@ def test_a_wrong_mass_shell_defect_fails_named_checks(monkeypatch):
         "on-shell square zero (20 samples)": "",
         BARYON_CHECK: "BGR: baryon_product requires an on-shell state (E^2 = p^2 + m^2)",
     }
+
+
+def test_a_wrong_defect_numerator_fails_the_vacuum_check(monkeypatch):
+    """The chain's delta and the mass-shell defect share one numerator: off by
+    one, the chain grows a k term that the literal X k X does not have."""
+    right = NilpotentVector._defect_numerator
+    monkeypatch.setattr(NilpotentVector, "_defect_numerator",
+                        property(lambda x: right.fget(x) + 1))
+    failed = {c.name: c.detail for c in verify.run_identity_suite(0, 20) if not c.passed}
+    assert failed == {
+        "on-shell square zero (20 samples)": "",
+        "vacuum factor |lam| = 2E on samples": "",
+        BARYON_CHECK: "BGR: baryon_product requires an on-shell state (E^2 = p^2 + m^2)",
+    }
+
+
+def test_a_chain_of_the_wrong_length_fails_the_vacuum_check(monkeypatch):
+    monkeypatch.setattr(verify, "vacuum_chain", lambda x, n: states.vacuum_chain(x, n + 1))
+    failed = {c.name for c in verify.run_identity_suite(0, 20) if not c.passed}
+    assert failed == {"vacuum factor |lam| = 2E on samples"}
