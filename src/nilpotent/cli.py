@@ -287,6 +287,8 @@ def _cmd_algebra(args, config: RunConfig) -> int:
     if action == "vacuum":
         x = _make_state(args)
         image = states.vacuum_reflect(x, args.charge)
+        if args.n < 1:
+            raise ValueError("need at least one reflection")
         report = {"charge": args.charge, "input": x.to_dict(), "image": image.to_dict()}
         if args.charge == "k":
             mv, lam = _printable_chain(x, args.n)
@@ -303,27 +305,25 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         ), config)
         return EXIT_OK
 
-    if action == "dual":
-        elements = algebra.dual_generate(args.order)
-        census = algebra.element_order_census(elements, algebra.dual_mul)
-        report = {
-            "order": args.order,
-            "element_count": len(elements),
-            "history": [{"order": o, "step": s} for o, s, _ in algebra.DUAL_STEPS
-                        if o <= args.order],
-            "order_census": {str(k): v for k, v in sorted(census.items())},
-        }
-        if args.order == 64:
-            group = algebra.generate_group()
-            image = {algebra.dual_element_image(e) for e in elements}
-            report["isomorphic_to_dirac_group"] = (
-                image == group
-                and census == algebra.element_order_census(group, algebra.group_mul)
-            )
-        emit(report, config)
-        return EXIT_OK
-
-    raise UsageError(f"unknown algebra action {action!r}")
+    # dual, the last action argparse admits
+    elements = algebra.dual_generate(args.order)
+    census = algebra.element_order_census(elements, algebra.dual_mul)
+    report = {
+        "order": args.order,
+        "element_count": len(elements),
+        "history": [{"order": o, "step": s} for o, s, _ in algebra.DUAL_STEPS
+                    if o <= args.order],
+        "order_census": {str(k): v for k, v in sorted(census.items())},
+    }
+    if args.order == 64:
+        group = algebra.generate_group()
+        image = {algebra.dual_element_image(e) for e in elements}
+        report["isomorphic_to_dirac_group"] = (
+            image == group
+            and census == algebra.element_order_census(group, algebra.group_mul)
+        )
+    emit(report, config)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +353,8 @@ def _build_potential(args) -> spectra.PotentialSpec:
         if not (B or C):
             raise UsageError("the lennard-jones family needs a nonzero --B or --C")
         spec = {"terms": {-6: B, -12: -C}, "coulombPhase": args.A or "1/2i"}
-    else:
-        raise UsageError(f"unknown family {family!r}")
+    else:  # argparse admits no other family
+        raise UsageError("solve needs --family or --potential")
     return spectra.PotentialSpec.from_dict(spec)
 
 
@@ -454,49 +454,46 @@ def _cmd_gut(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+_MASS_SECTIONS = ("decuplet", "octet", "mesons", "bosons", "generations", "ckm", "ratios",
+                  "regge", "zeros")
+
+
 def _cmd_mass(args, config: RunConfig) -> int:
     constants = masses.load_constants(config.data_dir)
     unit = masses.MassUnit.from_constants(constants)
     report: dict = {"unit_gev": unit.unit_gev}
-    want_all = args.all or not any(
-        (args.decuplet, args.octet, args.mesons, args.bosons, args.generations,
-         args.ckm, args.ratios, args.regge, args.zeros)
-    )
+    asked = {s for s in _MASS_SECTIONS if args.all or getattr(args, s)} or set(_MASS_SECTIONS)
+    if asked & {"decuplet", "octet", "mesons", "zeros"}:
+        multiplets = masses.load_multiplets(config.data_dir)
 
-    if args.decuplet or want_all:
-        report["decuplet"] = masses.decuplet_table(unit, config.data_dir)
-    if args.octet or want_all:
-        rows = masses.octet_table(unit, config.data_dir)
-        report["octet"] = rows
+    if "decuplet" in asked:
+        report["decuplet"] = masses.family_table(multiplets, "decuplet", unit)
+    if "octet" in asked:
+        rows = report["octet"] = masses.family_table(multiplets, "octet", unit)
         vals = {r["name"]: r["measured_units"] for r in rows}
         m_n = next(r["predicted_units"] for r in rows if r["name"] == "N")
         report["gmo_octet_residual_units"] = masses.gmo_octet_residual(
             m_n, vals["Lambda"], vals["Sigma"], vals["Xi"]
         )
-    if args.mesons or want_all:
-        rows = masses.meson_table(unit, config.data_dir)
-        report["mesons"] = rows
+    if "mesons" in asked:
+        rows = report["mesons"] = masses.family_table(multiplets, "meson", unit)
         vals = {r["name"]: r["measured_units"] for r in rows}
         m_pi = next(r["predicted_units"] for r in rows if r["name"] == "pi")
         report["gmo_meson_K_units"] = masses.gmo_meson_k(m_pi, vals["eta"])
-    if args.bosons or want_all:
-        block = masses.electroweak_bosons(
-            constants["m_z_gev"],
-            constants["sin2_theta_w_ideal"],
-            constants["m_w_measured_gev"],
-            constants["higgs_vev_empirical_gev"],
-            unit,
-        )
+    if "bosons" in asked:
+        sin2 = constants["sin2_theta_w_ideal"]
+        block = masses.electroweak_bosons(constants["m_z_gev"], sin2, constants["m_w_measured_gev"],
+                                          constants["higgs_vev_empirical_gev"], unit)
         report["bosons"] = block.to_dict()
         report["bosons"]["higgs_zero_count"] = masses.higgs_zero_count()
         report["bosons"]["z_zero_count"] = masses.z_zero_count()
-        report["bosons"]["coupling_sum_over_g"] = masses.fermion_coupling_sum(1.0)
-    if args.generations or want_all:
+        report["bosons"]["coupling_sum_over_g"] = masses.fermion_coupling_sum(1.0, sin2)
+    if "generations" in asked:
         g1, g2, g3 = masses.generation_partition(
             constants["fermion_mass_total_gev"], 1.0 / constants["inv_alpha_low_energy"]
         )
         report["generations_gev"] = [g1, g2, g3]
-    if args.ckm or want_all:
+    if "ckm" in asked:
         rotated = masses.ckm_apply(
             (constants["m_e_lepton_gev"], constants["m_mu_gev"], constants["m_tau_gev"]),
             constants["cabibbo_lambda"],
@@ -507,7 +504,7 @@ def _cmd_mass(args, config: RunConfig) -> int:
             "mu_over_e": rotated["mu_over_e"],
             "tau_over_mu": rotated["tau_over_mu"],
         }
-    if args.ratios or want_all:
+    if "ratios" in asked:
         rfi = constants["ratio_formula_inputs"]
         rb = masses.mb_over_mtau(
             rfi["alpha3_mu"], rfi["alpha3_mt"], rfi["alpha3_mx"], rfi["alpha_ratio_term"]
@@ -521,22 +518,14 @@ def _cmd_mass(args, config: RunConfig) -> int:
             "ms_over_mmu": rs,
             "m_s_gev": rs * constants["m_mu_gev"],
         }
-    if args.regge or want_all:
+    if "regge" in asked:
         slope = constants["regge_two_pi_kappa_gev2"]
         report["regge"] = {
             "two_pi_kappa_gev2": slope,
             "mass_at_J1_gev": masses.regge_mass_squared(1.0, slope) ** 0.5,
         }
-    if args.zeros or want_all:
-        tables = charges.build_tables()
-        first = {}  # content -> the first baryon row holding it
-        for m in masses.load_multiplets(config.data_dir):
-            if m.family in ("decuplet", "octet"):
-                first.setdefault(m.contents, m.name)
-        report["zero_counts"] = {
-            name: list(charges.multiplet_zero_candidates(contents, "A", tables))
-            for contents, name in first.items()
-        }
+    if "zeros" in asked:
+        report["zero_counts"] = masses.zero_counts(multiplets)
     emit(report, config)
     return EXIT_OK
 
@@ -627,8 +616,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", default=None, help="comma-separated mu grid")
 
     p = sub.add_parser("mass", help="multiplet, boson and fermion mass reports", parents=[common])
-    for flag in ("decuplet", "octet", "mesons", "bosons", "generations",
-                 "ckm", "ratios", "regge", "zeros", "all"):
+    for flag in (*_MASS_SECTIONS, "all"):
         p.add_argument(f"--{flag}", action="store_true")
 
     return parser

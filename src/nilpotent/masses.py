@@ -3,10 +3,11 @@
 The fundamental mass quantum is the unit-coupling value m_e/alpha (about
 70 MeV); a multiplet with n_0 zero charges at multiplicity M inside a family
 whose highest multiplicity is M_0 weighs n_0 M_0 / M units.  The multiplet
-dataset (quark contents, candidate n_0 lists, multiplicities, measured
-values) ships as CSV; the zero counts are cross-checked against the charge
-tables but the dataset is the source of truth, the counting recipe being
-underdetermined for mesons.
+dataset (quark contents, multiplicities, measured values) ships as CSV.  The
+candidate n_0 lists of the decuplet and octet are counted from the charge
+tables as the dataset is read; a meson or illustrative row carries its own
+list, the counting recipe being underdetermined there.  Every physical
+constant is the caller's, read from constants.json: no default repeats one.
 
 On top of that sit the electroweak boson block (Higgs 2592 zeros, Z half of
 that, M_W = M_Z cos(theta_W), vacuum value f = 3 M_W alongside the empirical
@@ -24,6 +25,7 @@ import math
 import sys
 from typing import NamedTuple
 
+from . import charges
 from .datafiles import DatasetRecord, InvalidDataError
 from .datafiles import data_path as _data_path
 
@@ -34,9 +36,8 @@ __all__ = [
     "load_constants",
     "load_multiplets",
     "multiplet_mass",
-    "decuplet_table",
-    "octet_table",
-    "meson_table",
+    "family_table",
+    "zero_counts",
     "gmo_octet_residual",
     "gmo_meson_k",
     "higgs_zero_count",
@@ -81,8 +82,8 @@ def _check_values(path: str, prefix: str, record: dict) -> None:
 class MassUnit(NamedTuple):
     """The m_e/alpha quantum: one unit per zeroed charge."""
 
-    electron_mass_gev: float = 0.000510998902
-    alpha: float = 1.0 / 137.036
+    electron_mass_gev: float
+    alpha: float
 
     @property
     def unit_gev(self) -> float:
@@ -118,23 +119,30 @@ class Multiplet(NamedTuple):
         return max(self.n0_candidates) * self.max_multiplicity / self.multiplicity
 
 
+_BARYON_FAMILIES = ("decuplet", "octet")
+
+
 def load_multiplets(data_dir=None) -> list[Multiplet]:
+    """The dataset's rows; a baryon row's n_0 candidates are counted from the
+    charge tables, and one whose n0_candidates cell is filled is invalid data."""
+    path = _data_path("multiplets.csv", data_dir)
+    tables = charges.build_tables()
     rows = []
-    with open(_data_path("multiplets.csv", data_dir)) as fh:
+    with open(path) as fh:
         for rec in csv.DictReader(fh):
-            rows.append(
-                Multiplet(
-                    rec["family"],
-                    rec["name"],
-                    tuple(rec["content"].split("|")),
-                    tuple(int(x) for x in rec["n0_candidates"].split("|")),
-                    int(rec["M"]),
-                    int(rec["M0"]),
-                    float(rec["measured_units_lo"]) if rec["measured_units_lo"] else None,
-                    float(rec["measured_units_hi"]) if rec["measured_units_hi"] else None,
-                    rec["note"],
-                )
-            )
+            family, name, cell = rec["family"], rec["name"], rec["n0_candidates"]
+            contents = tuple(rec["content"].split("|"))
+            if family not in _BARYON_FAMILIES:
+                n0 = tuple(int(x) for x in cell.split("|"))
+            elif cell:
+                raise InvalidDataError(f"{path}: the {family} row {name} fills n0_candidates "
+                                       f"with {cell!r}, which the charge tables give")
+            else:
+                n0 = charges.multiplet_zero_candidates(contents, "A", tables)
+            lo, hi = (float(rec[k]) if rec[k] else None
+                      for k in ("measured_units_lo", "measured_units_hi"))
+            rows.append(Multiplet(family, name, contents, n0, int(rec["M"]), int(rec["M0"]),
+                                  lo, hi, rec["note"]))
     return rows
 
 
@@ -146,9 +154,15 @@ def multiplet_mass(n0: int, multiplicity: int, max_multiplicity: int, unit: Mass
     return units, units * unit.unit_gev
 
 
-def _family_table(family: str, unit: MassUnit, data_dir=None) -> list[dict]:
+def family_table(multiplets: list[Multiplet], family: str, unit: MassUnit) -> list[dict]:
+    """The report rows of one family of the loaded multiplets.
+
+    The spin-3/2 decuplet predicts (20, 20, 22, 24) units from ground n_0; the
+    spin-1/2 octet's non-N rows are ranges, pinned by the GMO constraint; the
+    pseudoscalar mesons' K and eta ranges are pinned by the quadratic GMO form.
+    """
     rows = []
-    for m in load_multiplets(data_dir):
+    for m in multiplets:
         if m.family != family:
             continue
         lo, hi = m.predicted_units, m.predicted_units_hi
@@ -172,19 +186,13 @@ def _family_table(family: str, unit: MassUnit, data_dir=None) -> list[dict]:
     return rows
 
 
-def decuplet_table(unit: MassUnit, data_dir=None) -> list[dict]:
-    """Spin-3/2 decuplet: predicted (20, 20, 22, 24) units from ground n_0."""
-    return _family_table("decuplet", unit, data_dir)
-
-
-def octet_table(unit: MassUnit, data_dir=None) -> list[dict]:
-    """Spin-1/2 octet; non-N rows are ranges, pinned by the GMO constraint."""
-    return _family_table("octet", unit, data_dir)
-
-
-def meson_table(unit: MassUnit, data_dir=None) -> list[dict]:
-    """Pseudoscalar octet; K and eta ranges pinned by the quadratic GMO form."""
-    return _family_table("meson", unit, data_dir)
+def zero_counts(multiplets: list[Multiplet]) -> dict[str, list[int]]:
+    """The n_0 candidates of each baryon content, under the first row holding it."""
+    first = {}
+    for m in multiplets:
+        if m.family in _BARYON_FAMILIES:
+            first.setdefault(m.contents, m)
+    return {m.name: list(m.n0_candidates) for m in first.values()}
 
 
 def gmo_octet_residual(m_n: float, m_lambda: float, m_sigma: float, m_xi: float) -> float:
@@ -247,8 +255,8 @@ class BosonBlock(NamedTuple):
         }
 
 
-def electroweak_bosons(m_z: float, sin2: float, m_w_measured: float = 80.45,
-                       f_empirical: float = 246.0, unit: "MassUnit | None" = None) -> BosonBlock:
+def electroweak_bosons(m_z: float, sin2: float, m_w_measured: float, f_empirical: float,
+                       unit: MassUnit) -> BosonBlock:
     """M_W = M_Z cos(theta_W), the vacuum value f and the top mass f/sqrt(2).
 
     The three-phase vacuum reading uses the measured W mass (3 x 80.45 =
@@ -257,7 +265,6 @@ def electroweak_bosons(m_z: float, sin2: float, m_w_measured: float = 80.45,
     """
     if not 0 < sin2 < 1:
         raise ValueError("sin^2(theta_W) must lie in (0, 1)")
-    unit = unit or MassUnit()
     return BosonBlock(
         m_z=m_z,
         sin2_theta_w=sin2,
@@ -271,7 +278,7 @@ def electroweak_bosons(m_z: float, sin2: float, m_w_measured: float = 80.45,
     )
 
 
-def fermion_coupling_sum(g: float, sin2: float = 0.25) -> float:
+def fermion_coupling_sum(g: float, sin2: float) -> float:
     """Total coupling over the fermion states: (g/sqrt(2)) (2/cos(theta_W));
     sqrt(8/3) g at the ideal sin^2 = 1/4."""
     return g / math.sqrt(2.0) * 2.0 / math.sqrt(1.0 - sin2)
@@ -300,14 +307,14 @@ def generation_partition(total: float, alpha: float) -> tuple[float, float, floa
 # ---------------------------------------------------------------------------
 
 
-def ckm_ideal(lam: float = 0.25) -> list[list[float]]:
+def ckm_ideal(lam: float) -> list[list[float]]:
     """Idealized mixing matrix: unit diagonal, +-lambda and +-lambda^2
     cross terms, zero corners (A = 1, rho = eta = 0)."""
     l2 = lam * lam
     return [[1.0, lam, 0.0], [-lam, 1.0, l2], [0.0, -l2, 1.0]]
 
 
-def ckm_apply(leptons: tuple[float, float, float], lam: float = 0.25) -> dict:
+def ckm_apply(leptons: tuple[float, float, float], lam: float) -> dict:
     """Rotate the (e, mu, tau) mass eigenstates into weak eigenstates.
 
     Returns the rotated triple and the successive ratios; with the standard
@@ -357,7 +364,7 @@ def ms_over_mmu(alpha3_mu: float, alpha3_mc: float, alpha3_mx: float,
 # ---------------------------------------------------------------------------
 
 
-def regge_mass_squared(spin: float, two_pi_kappa: float = 0.9) -> float:
+def regge_mass_squared(spin: float, two_pi_kappa: float) -> float:
     """m^2 = J * 2 pi kappa with the slope near 0.9 GeV^2."""
     if spin < 0:
         raise ValueError("spin must be nonnegative")
@@ -366,7 +373,7 @@ def regge_mass_squared(spin: float, two_pi_kappa: float = 0.9) -> float:
     return spin * two_pi_kappa
 
 
-def regge_spin(mass_squared: float, two_pi_kappa: float = 0.9) -> float:
+def regge_spin(mass_squared: float, two_pi_kappa: float) -> float:
     """Inverse relation J = m^2 / (2 pi kappa)."""
     if two_pi_kappa <= 0:
         raise ValueError("slope must be positive")

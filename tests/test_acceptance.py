@@ -59,8 +59,8 @@ def test_criterion_04_vacuum_polarization_exact():
 
 
 def test_criterion_05_decuplet_and_pion():
-    unit = masses.MassUnit()
-    rows = masses.decuplet_table(unit)
+    unit = masses.MassUnit.from_constants()
+    rows = masses.family_table(masses.load_multiplets(), "decuplet", unit)
     assert [r["predicted_units"] for r in rows] == [20.0, 20.0, 22.0, 24.0]
     pi_gev = 2 * unit.unit_gev
     assert abs(pi_gev - 0.140) / 0.140 <= 0.005
@@ -79,17 +79,19 @@ def test_criterion_06_gmo_checks():
 
 
 def test_criterion_07_boson_block():
-    unit = masses.MassUnit()
+    constants = masses.load_constants()
+    unit = masses.MassUnit.from_constants(constants)
     assert masses.higgs_zero_count() == 2592
     m_h = masses.higgs_mass(unit)
     assert abs(m_h - 181.5) <= 1.0
     assert masses.z_zero_count() == 1296
     m_z0 = masses.z_zero_count() * unit.unit_gev
     assert abs(m_z0 - 90.8) <= 1.0
-    block = masses.electroweak_bosons(M_Z, 0.25)
+    block = masses.electroweak_bosons(M_Z, 0.25, constants["m_w_measured_gev"],
+                                      constants["higgs_vev_empirical_gev"], unit)
     assert block.f_from_mw == pytest.approx(241.35, abs=1e-9)
     assert abs(block.m_top - 173.9) <= 0.5
-    assert masses.fermion_coupling_sum(1.0) == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
+    assert masses.fermion_coupling_sum(1.0, 0.25) == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
     _report(7, f"2592 zeros -> {m_h:.1f} GeV; 1296 -> {m_z0:.1f} GeV; "
                f"f = {block.f_from_mw:.2f}; m_t = {block.m_top:.1f}; sum g_f/g = sqrt(8/3)")
 

@@ -196,6 +196,16 @@ def test_enormous_on_shell_vacuum_n_is_refused_before_the_chain_is_built(capsys)
                                  "printing an int\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("charge", ["k", "j", "i"])
+def test_vacuum_needs_at_least_one_reflection_for_every_charge(charge, n, capsys):
+    argv = ["algebra", "vacuum", "--charge", charge, "--n", n, "--E", "5", "--p", "0,0,4",
+            "--m", "3"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need at least one reflection\n"
+
+
 def test_digit_count_is_exact_next_to_a_power_of_ten():
     """log10 rounds 10^k - 1 up to k (k >= 15) and 10^512 down below 512."""
     for k in (1, 15, 512, 1024, 4300):
@@ -214,6 +224,12 @@ def test_dual_subcommand():
     report = json.loads(out)
     assert report["element_count"] == 64
     assert report["isomorphic_to_dirac_group"] is True
+
+
+def test_solve_without_a_family_or_potential_names_both_flags(capsys):
+    assert cli.main(["solve", "--j", "3/2"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: solve needs --family or --potential\n"
 
 
 def test_solve_report_schema():
@@ -429,12 +445,13 @@ def one_record_of_each_type():
     tables = charges.build_tables()
     sol = spectra.match_coefficients(spectra.PotentialSpec({}, Fraction(1, 10)),
                                      spectra.QuantumNumbers(Fraction(1, 2)))
-    unit = masses.MassUnit()
+    unit = masses.MassUnit.from_constants()
     records = [
         charges.fermion_spec("u")[0], tables["A"].entry("u", "e", "B"), tables["A"].rows[("u", "e")],
         tables["A"], charges.composite_weak_charge("uud"), charges.su5_grid(),
         sol.potential, sol.quantum_numbers, sol.relations[0], sol.branches[0], sol.level_series,
-        sol, unit, masses.load_multiplets()[0], masses.electroweak_bosons(91.1876, 0.2312, unit=unit),
+        sol, unit, masses.load_multiplets()[0],
+        masses.electroweak_bosons(91.1876, 0.2312, 80.45, 246.0, unit),
         states.make_nilpotent(5, (0, 0, 4), 3), states.make_spinor(5, (0, 0, 4), 3),
         unification.phenomenological_content(), unification.solve_legacy_su5(128.0, 8.5, 91.1876),
         verify.Check("x", True), cli.RunConfig(),
@@ -639,7 +656,7 @@ def test_gmo_inputs_come_from_the_dataset(tmp_path):
         shutil.copy(data_path(name), tmp_path / name)
     rows = (tmp_path / "multiplets.csv").read_text()
     # N ground 9 -> 11 (predicted 33/2 units); pi ground 2 -> 4
-    rows = rows.replace("octet,N,udd|uud,9|11|13", "octet,N,udd|uud,11|13")
+    rows = rows.replace("octet,N,udd|uud,,", "octet,N,udd|ddd,,")
     rows = rows.replace("meson,pi,u dbar|d ubar,2|6|8", "meson,pi,u dbar|d ubar,4|6|8")
     (tmp_path / "multiplets.csv").write_text(rows)
     shipped = json.loads(run_cli("--format", "json", "mass", "--octet", "--mesons")[1])
@@ -657,8 +674,8 @@ def test_zero_counts_come_from_the_dataset(tmp_path):
     for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
         shutil.copy(data_path(name), tmp_path / name)
     rows = (tmp_path / "multiplets.csv").read_text()
-    rows = rows.replace("decuplet,Omega,sss,", "decuplet,Omega,uss|sss,")
-    rows += "octet,Extra,uuu,1,1,3,1,1,\n"
+    rows = rows.replace("decuplet,Omega,sss,,", "decuplet,Omega,uss|sss,,")
+    rows += "octet,Extra,uuu,,1,3,1,1,\n"
     (tmp_path / "multiplets.csv").write_text(rows)
     shipped = json.loads(run_cli("--format", "json", "mass", "--zeros")[1])["zero_counts"]
     code, out = run_cli("--format", "json", "--data-dir", str(tmp_path), "mass", "--zeros")
@@ -670,6 +687,34 @@ def test_zero_counts_come_from_the_dataset(tmp_path):
     assert doctored["Extra"] == list(charges.multiplet_zero_candidates(["uuu"]))
     assert doctored["Omega"] == list(charges.multiplet_zero_candidates(["uss", "sss"]))
     assert doctored["Omega"] != shipped["Omega"]
+
+
+def test_a_filled_baryon_zero_count_is_invalid_data(tmp_path, capsys):
+    """The charge tables are the only source of a baryon's n0 candidates."""
+    for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    rows = (tmp_path / "multiplets.csv").read_text()
+    rows = rows.replace("octet,N,udd|uud,,", "octet,N,udd|uud,9|11|13,")
+    (tmp_path / "multiplets.csv").write_text(rows)
+    assert cli.main(["--data-dir", str(tmp_path), "mass", "--octet"]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"invalid data: {tmp_path / 'multiplets.csv'}: the octet row N "
+                                 "fills n0_candidates with '9|11|13', which the charge tables "
+                                 "give\n")
+    # a request with no multiplet section never reads the file
+    assert cli.main(["--data-dir", str(tmp_path), "mass", "--bosons"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("flags,loads", [
+    (("--all",), 1), ((), 1), (("--decuplet", "--octet", "--mesons", "--zeros"), 1),
+    (("--bosons",), 0), (("--ckm", "--regge"), 0),
+])
+def test_mass_reads_the_multiplets_once_and_only_when_asked(flags, loads, monkeypatch):
+    calls = []
+    load = masses.load_multiplets
+    monkeypatch.setattr(masses, "load_multiplets", lambda *a: calls.append(a) or load(*a))
+    assert run_cli("mass", *flags)[0] == cli.EXIT_OK
+    assert len(calls) == loads
 
 
 def test_exit_code_missing_data():
@@ -723,6 +768,18 @@ def test_invalid_dataset_value_exits_3(argv, path, value, tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"invalid data: {tmp_path / 'constants.json'}: "
                           f"{'.'.join(path)} is {json.dumps(value)}, expected "), err
+
+
+def test_coupling_sum_reads_the_dataset_mixing_angle(tmp_path):
+    """sqrt(8/3) g holds at the ideal sin^2 = 1/4 only; another angle moves it with M_W."""
+    doctor_constants(tmp_path, ("sin2_theta_w_ideal",), 0.2312)
+    shipped = json.loads(run_cli("--format", "json", "mass", "--bosons")[1])["bosons"]
+    code, out = run_cli("--format", "json", "--data-dir", str(tmp_path), "mass", "--bosons")
+    assert code == cli.EXIT_OK
+    doctored = json.loads(out)["bosons"]
+    assert doctored["M_W_predicted"] != shipped["M_W_predicted"]
+    assert shipped["coupling_sum_over_g"] == pytest.approx((8 / 3) ** 0.5, rel=1e-14)
+    assert doctored["coupling_sum_over_g"] == pytest.approx((2 / (1 - 0.2312)) ** 0.5, rel=1e-14)
 
 
 def test_gut_collider_scale_comes_from_the_dataset(tmp_path):

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from nilpotent.charges import build_tables, multiplet_zero_candidates
 from nilpotent.masses import (
     MassUnit,
     ckm_apply,
     ckm_ideal,
-    decuplet_table,
     electroweak_bosons,
+    family_table,
     fermion_coupling_sum,
     generation_partition,
     gmo_meson_k,
@@ -21,16 +20,15 @@ from nilpotent.masses import (
     load_multiplets,
     mass_fraction,
     mb_over_mtau,
-    meson_table,
     ms_over_mmu,
     multiplet_mass,
-    octet_table,
     regge_mass_squared,
     regge_spin,
     z_zero_count,
 )
 
-UNIT = MassUnit()
+CONSTANTS = load_constants()
+UNIT = MassUnit.from_constants(CONSTANTS)
 
 
 def test_unit_value():
@@ -59,14 +57,14 @@ def test_zero_multiplicity_rejected():
 
 
 def test_decuplet_predictions():
-    rows = decuplet_table(UNIT)
+    rows = family_table(load_multiplets(), "decuplet", UNIT)
     assert [r["predicted_units"] for r in rows] == [20.0, 20.0, 22.0, 24.0]
     delta = rows[0]
     assert delta["measured_units"] == 17.6 and delta["measured_units_hi"] == 19.6
 
 
 def test_decuplet_equal_spacing():
-    rows = {r["name"]: r for r in decuplet_table(UNIT)}
+    rows = {r["name"]: r for r in family_table(load_multiplets(), "decuplet", UNIT)}
     assert rows["Xi*"]["predicted_units"] - rows["Sigma*"]["predicted_units"] == 2.0
     assert rows["Omega"]["predicted_units"] - rows["Xi*"]["predicted_units"] == 2.0
     # measured steps from the Delta rest value stay near 2 units
@@ -76,7 +74,7 @@ def test_decuplet_equal_spacing():
 
 
 def test_octet_table():
-    rows = {r["name"]: r for r in octet_table(UNIT)}
+    rows = {r["name"]: r for r in family_table(load_multiplets(), "octet", UNIT)}
     assert rows["N"]["predicted_units"] == 13.5
     assert rows["N"]["measured_units"] == 13.4
     assert (rows["Lambda"]["predicted_units"], rows["Lambda"]["predicted_units_hi"]) == (15.0, 21.0)
@@ -85,14 +83,14 @@ def test_octet_table():
 
 
 def test_octet_gmo_selections_inside_ranges():
-    rows = {r["name"]: r for r in octet_table(UNIT)}
+    rows = {r["name"]: r for r in family_table(load_multiplets(), "octet", UNIT)}
     for name in ("Lambda", "Sigma", "Xi"):
         row = rows[name]
         assert row["predicted_units"] <= row["measured_units"] <= row["predicted_units_hi"]
 
 
 def test_meson_table():
-    rows = {r["name"]: r for r in meson_table(UNIT)}
+    rows = {r["name"]: r for r in family_table(load_multiplets(), "meson", UNIT)}
     assert rows["pi"]["predicted_units"] == 2.0
     assert rows["pi"]["predicted_gev"] == pytest.approx(0.140, rel=0.005)
     assert (rows["K"]["predicted_units"], rows["K"]["predicted_units_hi"]) == (3.0, 11.0)
@@ -103,13 +101,14 @@ def test_meson_table():
 
 
 def test_dataset_n0_matches_charge_table_counting():
-    """The shipped baryon candidate lists agree with the colour-slot count."""
-    tables = build_tables()
-    for m in load_multiplets():
-        if m.family not in ("decuplet", "octet"):
-            continue
-        combos = [c for c in m.contents]
-        assert multiplet_zero_candidates(combos, "A", tables) == m.n0_candidates
+    """The baryon candidate lists counted from the charge tables are the ones
+    the dataset's n0_candidates cells held before they were derived."""
+    baryons = {m.name: m.n0_candidates for m in load_multiplets()
+               if m.family in ("decuplet", "octet")}
+    assert baryons == {
+        "Delta": (20, 22, 24), "Sigma*": (15, 17, 19), "Xi*": (11, 13), "Omega": (6,),
+        "N": (9, 11, 13), "Lambda": (5, 7), "Sigma": (15, 17, 19), "Xi": (11, 13),
+    }
 
 
 def test_gmo_octet_residual_quoted_values():
@@ -154,7 +153,8 @@ def test_higgs_and_z_masses():
 
 
 def test_electroweak_bosons():
-    block = electroweak_bosons(91.1867, 0.25)
+    block = electroweak_bosons(91.1867, 0.25, CONSTANTS["m_w_measured_gev"],
+                               CONSTANTS["higgs_vev_empirical_gev"], UNIT)
     assert block.m_w_predicted == pytest.approx(91.1867 * math.sqrt(0.75), rel=1e-12)
     assert block.m_w_predicted == pytest.approx(78.97, abs=0.01)
     assert block.f_from_mw == pytest.approx(241.35, abs=1e-9)
@@ -164,18 +164,19 @@ def test_electroweak_bosons():
 
 def test_electroweak_invalid_sin2():
     with pytest.raises(ValueError):
-        electroweak_bosons(91.1867, 1.5)
+        electroweak_bosons(91.1867, 1.5, CONSTANTS["m_w_measured_gev"],
+                           CONSTANTS["higgs_vev_empirical_gev"], UNIT)
 
 
 def test_fermion_coupling_sum():
-    assert fermion_coupling_sum(1.0) == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
-    assert fermion_coupling_sum(2.0) == pytest.approx(2.0 * math.sqrt(8.0 / 3.0), rel=1e-14)
+    assert fermion_coupling_sum(1.0, 0.25) == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
+    assert fermion_coupling_sum(2.0, 0.25) == pytest.approx(2.0 * math.sqrt(8.0 / 3.0), rel=1e-14)
 
 
 def test_mass_fraction():
     assert mass_fraction(1.0, 1.0) == pytest.approx(math.sqrt(3.0 / 8.0), rel=1e-14)
     # the full coupling sum maps back to the whole Higgs mass
-    assert mass_fraction(fermion_coupling_sum(1.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert mass_fraction(fermion_coupling_sum(1.0, 0.25), 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_generation_partition():
@@ -269,7 +270,8 @@ def test_regge_invalid_slope():
 
 def test_unit_consistency_everywhere():
     """Every GeV figure equals its unit figure times the quantum, to 1e-12."""
-    for table in (decuplet_table(UNIT), octet_table(UNIT), meson_table(UNIT)):
+    for table in (family_table(load_multiplets(), family, UNIT)
+                  for family in ("decuplet", "octet", "meson")):
         for row in table:
             assert row["predicted_gev"] == pytest.approx(
                 row["predicted_units"] * UNIT.unit_gev, rel=1e-12
