@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations, product as _iproduct
 from typing import NamedTuple
 
-from .algebra import MV, Multivector
+from . import algebra
 from .datafiles import data_path
 
 __all__ = [
@@ -453,9 +453,9 @@ def charge_dirac(w, s, e) -> list[Fraction]:
     -w^2 + s^2, independent of e; nonscalar or isospin residue raises.
     """
     w, s, e = Fraction(w), Fraction(s), Fraction(e)
-    kw = MV("qk") * w
-    iis = MV("i.qi") * s
-    ije = MV("i.qj") * e
+    kw = algebra.MV("qk") * w
+    iis = algebra.MV("i.qi") * s
+    ije = algebra.MV("i.qj") * e
     rows = [
         [[(kw, None)], [], [(-ije, _ISO_UP)], [(-iis, None)]],
         [[], [(kw, None)], [(-iis, None)], [(ije, _ISO_DOWN)]],
@@ -470,7 +470,7 @@ def charge_dirac(w, s, e) -> list[Fraction]:
     ]
     scalars = []
     for row in rows:
-        plain = Multivector()
+        plain = algebra.Multivector()
         iso_residue: dict = {}
         for entry_terms, col_terms in zip(row, column):
             for t1 in entry_terms:
@@ -479,7 +479,7 @@ def charge_dirac(w, s, e) -> list[Fraction]:
                     if tag is None:
                         plain = plain + mv
                     else:
-                        iso_residue[tag] = iso_residue.get(tag, Multivector()) + mv
+                        iso_residue[tag] = iso_residue.get(tag, algebra.Multivector()) + mv
         if any(not v.is_zero for v in iso_residue.values()):
             raise AssertionError("isospin-tagged terms failed to cancel")
         if not plain.is_scalar:

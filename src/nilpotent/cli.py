@@ -385,12 +385,11 @@ def _cmd_solve(args, config: RunConfig) -> int:
         report["levels"] = sol.level_series.table(
             [qn.j], list(range(args.nprime, args.nprime + 3))
         )
+        level = sol.level_series.levels(qn.j, args.nprime)
         if sol.level_series.family == "coulomb":
-            report["E_over_m"] = spectra.coulomb_levels(
-                float(V.coupling * V.coulomb_phase), qn.j, args.nprime
-            )
+            report["E_over_m"] = level
         else:
-            report["E"] = float(spectra.oscillator_levels(m, qn.j, args.nprime))
+            report["E"] = float(m * level)
     emit(report, config)
     return EXIT_OK
 
@@ -400,8 +399,23 @@ def _cmd_solve(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+_GUT_OVERRIDES = ("mu", "inv_alpha", "alpha3", "sin2", "planck", "grid")
+
+
 def _cmd_gut(args, config: RunConfig) -> int:
     constants = masses.load_constants(config.data_dir)
+    try:
+        report = _gut_report(args, constants)
+    except ValueError as exc:
+        if any(getattr(args, flag) is not None for flag in _GUT_OVERRIDES):
+            raise
+        # every input is the dataset's, so it is the dataset the solve refuses
+        raise datafiles.InvalidDataError(f"{constants.source}: {exc}") from None
+    emit(report, config)
+    return EXIT_OK
+
+
+def _gut_report(args, constants) -> dict:
     mu = args.mu if args.mu is not None else constants["m_z_gev"]
     inv_alpha = args.inv_alpha if args.inv_alpha is not None else constants["inv_alpha_mz"]
     alpha3 = args.alpha3 if args.alpha3 is not None else constants["alpha3_mz"]
@@ -409,9 +423,7 @@ def _cmd_gut(args, config: RunConfig) -> int:
     planck = args.planck if args.planck is not None else constants["planck_mass_gev"]
 
     if args.legacy_su5:
-        rep = unification.solve_legacy_su5(inv_alpha, 1.0 / alpha3, mu)
-        emit({"legacy_su5": rep.to_dict()}, config)
-        return EXIT_OK
+        return {"legacy_su5": unification.solve_legacy_su5(inv_alpha, 1.0 / alpha3, mu).to_dict()}
 
     m_z = constants["m_z_gev"]
     alpha_g = unification.alphaG_at(alpha3, planck, m_z)
@@ -445,8 +457,7 @@ def _cmd_gut(args, config: RunConfig) -> int:
     if args.grid:
         mus = [_parse_float(x) for x in args.grid.split(",")]
         report["coupling_table"] = unification.coupling_table(alpha_g, planck, mus)
-    emit(report, config)
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +480,12 @@ def _cmd_mass(args, config: RunConfig) -> int:
     if "decuplet" in asked:
         report["decuplet"] = masses.family_table(multiplets, "decuplet", unit)
     if "octet" in asked:
-        rows = report["octet"] = masses.family_table(multiplets, "octet", unit)
-        vals = {r["name"]: r["measured_units"] for r in rows}
-        m_n = next(r["predicted_units"] for r in rows if r["name"] == "N")
+        report["octet"] = masses.family_table(multiplets, "octet", unit)
         report["gmo_octet_residual_units"] = masses.gmo_octet_residual(
-            m_n, vals["Lambda"], vals["Sigma"], vals["Xi"]
-        )
+            *multiplets.gmo_inputs("octet", "N", "Lambda", "Sigma", "Xi"))
     if "mesons" in asked:
-        rows = report["mesons"] = masses.family_table(multiplets, "meson", unit)
-        vals = {r["name"]: r["measured_units"] for r in rows}
-        m_pi = next(r["predicted_units"] for r in rows if r["name"] == "pi")
-        report["gmo_meson_K_units"] = masses.gmo_meson_k(m_pi, vals["eta"])
+        report["mesons"] = masses.family_table(multiplets, "meson", unit)
+        report["gmo_meson_K_units"] = masses.gmo_meson_k(*multiplets.gmo_inputs("meson", "pi", "eta"))
     if "bosons" in asked:
         sin2 = constants["sin2_theta_w_ideal"]
         block = masses.electroweak_bosons(constants["m_z_gev"], sin2, constants["m_w_measured_gev"],

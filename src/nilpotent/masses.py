@@ -3,11 +3,13 @@
 The fundamental mass quantum is the unit-coupling value m_e/alpha (about
 70 MeV); a multiplet with n_0 zero charges at multiplicity M inside a family
 whose highest multiplicity is M_0 weighs n_0 M_0 / M units.  The multiplet
-dataset (quark contents, multiplicities, measured values) ships as CSV.  The
-candidate n_0 lists of the decuplet and octet are counted from the charge
-tables as the dataset is read; a meson or illustrative row carries its own
-list, the counting recipe being underdetermined there.  Every physical
-constant is the caller's, read from constants.json: no default repeats one.
+dataset (quark contents, multiplicities, measured values) ships as CSV and
+has one reader, load_multiplets, which checks every cell once; the formula
+is written once, in Multiplet.predicted_units.  The candidate n_0 lists of
+the decuplet and octet are counted from the charge tables as the dataset is
+read; a meson or illustrative row carries its own list, the counting recipe
+being underdetermined there.  Every physical constant is the caller's, read
+from constants.json: no default repeats one.
 
 On top of that sit the electroweak boson block (Higgs 2592 zeros, Z half of
 that, M_W = M_Z cos(theta_W), vacuum value f = 3 M_W alongside the empirical
@@ -26,16 +28,16 @@ import sys
 from typing import NamedTuple
 
 from . import charges
-from .datafiles import DatasetRecord, InvalidDataError
+from .datafiles import DatasetRecord, InvalidDataError, MissingDataError
 from .datafiles import data_path as _data_path
 
 __all__ = [
     "MassUnit",
     "Multiplet",
+    "Multiplets",
     "BosonBlock",
     "load_constants",
     "load_multiplets",
-    "multiplet_mass",
     "family_table",
     "zero_counts",
     "gmo_octet_residual",
@@ -55,9 +57,14 @@ __all__ = [
     "regge_spin",
 ]
 
+_OBJECTS = ("ratio_formula_inputs",)
+_BELOW_ONE = ("sin2_theta_w_ideal", "cabibbo_lambda")
+
+
 def load_constants(data_dir=None) -> dict:
-    """The constants file; every value, nested ones included, must be a finite
-    number above 0 (the mixing angle also below 1), else InvalidDataError."""
+    """The constants file; ratio_formula_inputs must be an object, and every
+    other value, nested ones included, a finite number above 0 (the mixing
+    angle and the Cabibbo parameter also below 1), else InvalidDataError."""
     path = _data_path("constants.json", data_dir)
     with open(path) as fh:
         constants = json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
@@ -68,14 +75,15 @@ def load_constants(data_dir=None) -> dict:
 def _check_values(path: str, prefix: str, record: dict) -> None:
     for key, value in record.items():
         name = prefix + key
-        if isinstance(value, dict):
+        if name in _OBJECTS and isinstance(value, dict):
             _check_values(path, name + ".", value)
             continue
-        angle = name == "sin2_theta_w_ideal"
+        below_one = name in _BELOW_ONE
         # bool is an int; NaN fails every comparison, so it is rejected here too
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < (1 if angle else sys.float_info.max)):
-            expected = "a number between 0 and 1" if angle else "a finite number above 0"
+        if (name in _OBJECTS or isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < (1 if below_one else sys.float_info.max)):
+            expected = ("an object" if name in _OBJECTS else "a number between 0 and 1"
+                        if below_one else "a finite number above 0")
             raise InvalidDataError(f"{path}: {name} is {json.dumps(value)}, expected {expected}")
 
 
@@ -90,9 +98,8 @@ class MassUnit(NamedTuple):
         return self.electron_mass_gev / self.alpha
 
     @classmethod
-    def from_constants(cls, constants=None, data_dir=None) -> "MassUnit":
-        c = constants or load_constants(data_dir)
-        return cls(c["electron_mass_gev"], 1.0 / c["inv_alpha_low_energy"])
+    def from_constants(cls, constants: dict) -> "MassUnit":
+        return cls(constants["electron_mass_gev"], 1.0 / constants["inv_alpha_low_energy"])
 
 
 class Multiplet(NamedTuple):
@@ -107,65 +114,124 @@ class Multiplet(NamedTuple):
     note: str
 
     @property
-    def n0_ground(self) -> int:
-        return min(self.n0_candidates)
-
-    @property
-    def predicted_units(self) -> float:
-        return self.n0_ground * self.max_multiplicity / self.multiplicity
-
-    @property
-    def predicted_units_hi(self) -> float:
-        return max(self.n0_candidates) * self.max_multiplicity / self.multiplicity
+    def predicted_units(self) -> tuple[float, float]:
+        """n_0 M_0 / M units at the least and at the greatest candidate n_0."""
+        return tuple(n0 * self.max_multiplicity / self.multiplicity
+                     for n0 in (min(self.n0_candidates), max(self.n0_candidates)))
 
 
-_BARYON_FAMILIES = ("decuplet", "octet")
+class Multiplets(list):
+    """The rows of one multiplets file; a lookup that finds none names the file."""
+
+    def __init__(self, source: str):
+        super().__init__()
+        self.source = source
+
+    def find(self, family: str, name: "str | None" = None) -> list[Multiplet]:
+        """The rows of ``family``, or its row ``name``; none is MissingDataError."""
+        rows = [m for m in self if m.family == family and name in (None, m.name)]
+        if not rows:
+            raise MissingDataError(f"{self.source} has no {family} "
+                                   + (f"row {name}" if name else "rows"))
+        return rows
+
+    def gmo_inputs(self, family: str, ground: str, *measured: str) -> list[float]:
+        """The predicted ground value of row ``ground`` and the measured values
+        of the ``measured`` rows of ``family``: a GMO relation's arguments."""
+        inputs = [self.find(family, ground)[0].predicted_units[0]]
+        for name in measured:
+            value = self.find(family, name)[0].measured_units_lo
+            if value is None:
+                raise InvalidDataError(f"{self.source}: the {family} row {name} has no "
+                                       "measured_units_lo, which the GMO relation reads")
+            inputs.append(value)
+        return inputs
 
 
-def load_multiplets(data_dir=None) -> list[Multiplet]:
-    """The dataset's rows; a baryon row's n_0 candidates are counted from the
-    charge tables, and one whose n0_candidates cell is filled is invalid data."""
+_FAMILIES = ("decuplet", "octet", "meson", "illustrative")
+_BARYON_FAMILIES = _FAMILIES[:2]
+_COLUMNS = ("family", "name", "content", "n0_candidates", "M", "M0",
+            "measured_units_lo", "measured_units_hi", "note")
+
+
+def load_multiplets(data_dir=None) -> Multiplets:
+    """The dataset's rows, every cell checked as it is read.
+
+    A missing column is MissingDataError, and a cell outside its domain is
+    InvalidDataError naming the file, the row, the column and the value.  The
+    domain: ``family`` one of decuplet, octet, meson, illustrative; ``M`` and
+    ``M0`` integers of at least 1; each measured value empty or a finite
+    number of at least 0.  A baryon row's n_0 candidates are counted from the
+    charge tables, so its ``content`` must be states they count and its
+    ``n0_candidates`` cell empty; any other row's cell is a |-separated list
+    of integers of at least 0.
+    """
     path = _data_path("multiplets.csv", data_dir)
     tables = charges.build_tables()
-    rows = []
+    rows = Multiplets(path)
     with open(path) as fh:
-        for rec in csv.DictReader(fh):
-            family, name, cell = rec["family"], rec["name"], rec["n0_candidates"]
-            contents = tuple(rec["content"].split("|"))
-            if family not in _BARYON_FAMILIES:
-                n0 = tuple(int(x) for x in cell.split("|"))
-            elif cell:
-                raise InvalidDataError(f"{path}: the {family} row {name} fills n0_candidates "
-                                       f"with {cell!r}, which the charge tables give")
-            else:
-                n0 = charges.multiplet_zero_candidates(contents, "A", tables)
-            lo, hi = (float(rec[k]) if rec[k] else None
-                      for k in ("measured_units_lo", "measured_units_hi"))
-            rows.append(Multiplet(family, name, contents, n0, int(rec["M"]), int(rec["M0"]),
-                                  lo, hi, rec["note"]))
+        reader = csv.DictReader(fh, restval="")
+        for column in _COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise MissingDataError(f"{path} has no column {column!r}")
+        for rec in reader:
+            rows.append(_multiplet(path, rec, tables))
     return rows
 
 
-def multiplet_mass(n0: int, multiplicity: int, max_multiplicity: int, unit: MassUnit) -> tuple[float, float]:
-    """(units of m_e/alpha, GeV) for mass = n_0 M_0 m_e / (M alpha)."""
-    if multiplicity < 1 or max_multiplicity < 1:
-        raise ValueError("multiplicities must be at least 1")
-    units = n0 * max_multiplicity / multiplicity
-    return units, units * unit.unit_gev
+def _multiplet(path: str, rec: dict, tables) -> Multiplet:
+    family, name, cell = rec["family"], rec["name"], rec["n0_candidates"]
+    contents = tuple(rec["content"].split("|"))
+
+    def refuse(column, expected):
+        return InvalidDataError(f"{path}: the row {name} has {column} {rec[column]!r}, "
+                                f"expected {expected}")
+
+    def integers(column, least, many=False):
+        cells = rec[column].split("|") if many else [rec[column]]
+        if all(c.isascii() and c.isdigit() and int(c) >= least for c in cells):
+            return tuple(int(c) for c in cells)
+        raise refuse(column, f"{'|-separated integers' if many else 'an integer'} of at least {least}")
+
+    def measured(column):
+        if not rec[column]:
+            return None
+        try:
+            value = float(rec[column])
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:  # NaN fails every comparison
+            raise refuse(column, "empty or a finite number of at least 0")
+        return value
+
+    if family not in _FAMILIES:
+        raise refuse("family", "one of " + ", ".join(_FAMILIES))
+    if family not in _BARYON_FAMILIES:
+        n0 = integers("n0_candidates", 0, many=True)
+    elif cell:
+        raise InvalidDataError(f"{path}: the {family} row {name} fills n0_candidates "
+                               f"with {cell!r}, which the charge tables give")
+    else:
+        try:
+            n0 = charges.multiplet_zero_candidates(contents, "A", tables)
+        except ValueError as exc:
+            raise refuse("content", f"states the charge tables count ({exc})") from None
+    (m,), (m0,) = integers("M", 1), integers("M0", 1)
+    return Multiplet(family, name, contents, n0, m, m0, measured("measured_units_lo"),
+                     measured("measured_units_hi"), rec["note"])
 
 
-def family_table(multiplets: list[Multiplet], family: str, unit: MassUnit) -> list[dict]:
+def family_table(multiplets: Multiplets, family: str, unit: MassUnit) -> list[dict]:
     """The report rows of one family of the loaded multiplets.
 
     The spin-3/2 decuplet predicts (20, 20, 22, 24) units from ground n_0; the
     spin-1/2 octet's non-N rows are ranges, pinned by the GMO constraint; the
     pseudoscalar mesons' K and eta ranges are pinned by the quadratic GMO form.
+    A family without rows is MissingDataError naming the file.
     """
     rows = []
-    for m in multiplets:
-        if m.family != family:
-            continue
-        lo, hi = m.predicted_units, m.predicted_units_hi
+    for m in multiplets.find(family):
+        lo, hi = m.predicted_units
         rows.append(
             {
                 "name": m.name,
@@ -181,8 +247,6 @@ def family_table(multiplets: list[Multiplet], family: str, unit: MassUnit) -> li
                 "note": m.note,
             }
         )
-    if not rows:
-        raise FileNotFoundError(f"no dataset rows for family {family!r}")
     return rows
 
 
@@ -226,8 +290,8 @@ def z_zero_count() -> int:
     return higgs_zero_count(representations=2)
 
 
-def higgs_mass(unit: MassUnit, count: "int | None" = None) -> float:
-    return (higgs_zero_count() if count is None else count) * unit.unit_gev
+def higgs_mass(unit: MassUnit) -> float:
+    return higgs_zero_count() * unit.unit_gev
 
 
 class BosonBlock(NamedTuple):
@@ -273,7 +337,7 @@ def electroweak_bosons(m_z: float, sin2: float, m_w_measured: float, f_empirical
         f_from_mw=3.0 * m_w_measured,
         f_empirical=f_empirical,
         m_top=f_empirical / math.sqrt(2.0),
-        m_higgs=higgs_zero_count() * unit.unit_gev,
+        m_higgs=higgs_mass(unit),
         m_z_from_zeros=z_zero_count() * unit.unit_gev,
     )
 

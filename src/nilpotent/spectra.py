@@ -506,11 +506,11 @@ def _folded(V: PotentialSpec) -> tuple[str, PotentialSpec]:
     c_{-1} folded into the phase as ``match_coefficients`` says."""
     Vn = V.normalized()
     c_m1 = Vn.terms.pop(-1, sp.Integer(0))
-    family = _detect_family(Vn)
     if c_m1 != 0:
-        phase = Vn.coulomb_phase + (-c_m1 if family == "confining" else c_m1)
-        Vn = PotentialSpec(Vn.terms, phase, Vn.coupling)
-    return family, Vn
+        # the terms alone fix the family, so a pure c_{-1}/r is Coulomb
+        confining = set(Vn.terms) == {1}
+        Vn = PotentialSpec(Vn.terms, Vn.coulomb_phase + (-c_m1 if confining else c_m1), Vn.coupling)
+    return _detect_family(Vn), Vn
 
 
 def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> AnsatzSolution:

@@ -59,7 +59,7 @@ def test_criterion_04_vacuum_polarization_exact():
 
 
 def test_criterion_05_decuplet_and_pion():
-    unit = masses.MassUnit.from_constants()
+    unit = masses.MassUnit.from_constants(masses.load_constants())
     rows = masses.family_table(masses.load_multiplets(), "decuplet", unit)
     assert [r["predicted_units"] for r in rows] == [20.0, 20.0, 22.0, 24.0]
     pi_gev = 2 * unit.unit_gev

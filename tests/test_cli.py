@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -280,6 +281,34 @@ def test_solve_potential_json():
     assert report["residual"] == 0.0
 
 
+@pytest.mark.parametrize("argv,key,scale", [
+    (("--potential", '{"terms": {"-1": "1/3"}, "coulombPhase": "1/6"}'), "E_over_m", 1),
+    (("--family", "coulomb", "--qA", "1/2", "--nprime", "1"), "E_over_m", 1),
+    (("--family", "oscillator", "--c", "1", "--m", "2"), "E", 2),
+])
+def test_solve_headline_level_is_the_first_of_its_level_table(argv, key, scale):
+    """Both read the solved level series, so a c_{-1} term folded into the
+    Coulomb phase moves the headline as it moves the table."""
+    code, out = run_cli("--format", "json", "solve", *argv)
+    report = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert report[key] == scale * report["levels"][0]["E_over_m"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_pure_inverse_r_term_solves_as_a_coulomb_phase(fmt):
+    folded = run_cli("--format", fmt, "solve", "--potential", '{"terms": {"-1": "1/3"}}')
+    assert folded[0] == cli.EXIT_OK
+    assert folded == run_cli("--format", fmt, "solve", "--potential", '{"coulombPhase": "1/3"}')
+
+
+def test_an_inverse_r_term_that_cancels_the_phase_is_refused(capsys):
+    potential = '{"terms": {"-1": "1/3"}, "coulombPhase": "-1/3"}'
+    assert cli.main(["solve", "--potential", potential]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: potential has no terms and no Coulomb phase\n"
+
+
 def test_gut_report_schema():
     code, out = run_cli("--format", "json", "gut")
     report = json.loads(out)
@@ -445,7 +474,7 @@ def one_record_of_each_type():
     tables = charges.build_tables()
     sol = spectra.match_coefficients(spectra.PotentialSpec({}, Fraction(1, 10)),
                                      spectra.QuantumNumbers(Fraction(1, 2)))
-    unit = masses.MassUnit.from_constants()
+    unit = masses.MassUnit.from_constants(masses.load_constants())
     records = [
         charges.fermion_spec("u")[0], tables["A"].entry("u", "e", "B"), tables["A"].rows[("u", "e")],
         tables["A"], charges.composite_weak_charge("uud"), charges.su5_grid(),
@@ -760,6 +789,9 @@ def test_missing_dataset_key_exits_3(argv, path, tmp_path, capsys):
     (("m_z_gev",), -1),
     (("ratio_formula_inputs", "alpha3_mx"), 0),
     (("sin2_theta_w_ideal",), 1.5),
+    (("cabibbo_lambda",), 2.5),
+    (("ratio_formula_inputs",), 2.5),
+    (("m_z_gev",), {"value": 91.1867}),
 ])
 def test_invalid_dataset_value_exits_3(argv, path, value, tmp_path, capsys):
     doctor_constants(tmp_path, path, value)
@@ -768,6 +800,136 @@ def test_invalid_dataset_value_exits_3(argv, path, value, tmp_path, capsys):
     assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"invalid data: {tmp_path / 'constants.json'}: "
                           f"{'.'.join(path)} is {json.dumps(value)}, expected "), err
+
+
+def doctor_multiplets(tmp_path, row=None, column=None, value=None):
+    """Write a copy of multiplets.csv into tmp_path with the cell (row, column)
+    set to value, or with the row or the column named alone dropped."""
+    with open(data_path("multiplets.csv"), newline="") as fh:
+        reader = csv.DictReader(fh)
+        columns, rows = reader.fieldnames, list(reader)
+    if value is not None:
+        next(r for r in rows if r["name"] == row)[column] = value
+    elif row is not None:
+        rows = [r for r in rows if r["name"] != row]
+    else:
+        columns = [c for c in columns if c != column]
+    with open(tmp_path / "multiplets.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def dataset_contract_breach(argv, path, capsys):
+    """None when ``argv`` exits 0 with strict, finite JSON, or exits 3 with one
+    line on stderr naming ``path``; else what it did instead."""
+    code = cli.main(["--format", "json", "--data-dir", str(path.parent), *argv])
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        try:
+            json.loads(out, parse_constant=lambda c: 1 / 0)
+            return None if err == "" else f"exit 0 with stderr {err!r}"
+        except (ValueError, ZeroDivisionError):
+            return f"exit 0 with JSON that is not strict and finite: {out[:80]!r}"
+    if code == cli.EXIT_DATA and out == "" and err.count("\n") == 1 and str(path) in err:
+        return None
+    return f"exit {code}: {err!r}"
+
+
+FUZZ_CELLS = ("", "x", "nan", "inf", "0", "-1", "1e400", "2.5")
+MULTIPLET_COLUMNS = Path(data_path("multiplets.csv")).read_text().splitlines()[0].split(",")
+MULTIPLET_SECTIONS = ("--decuplet", "--octet", "--mesons", "--zeros")
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """cli.main with its parser built once: the fuzz varies only the dataset."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+
+@pytest.mark.parametrize("row", ["Delta", "N", "Lambda", "pi", "eta", "ccc", None])
+def test_every_doctored_multiplet_row_exits_0_or_3(row, one_parser, tmp_path, capsys):
+    """Each cell of the row but name and note set to each value of the pool, or
+    (for no row) each column and each GMO input row dropped, under every
+    multiplet section of mass."""
+    shutil.copy(data_path("constants.json"), tmp_path / "constants.json")
+    if row is None:
+        cases = [(None, column, None) for column in MULTIPLET_COLUMNS]
+        cases += [(name, None, None) for name in ("N", "Lambda", "Sigma", "Xi", "pi", "eta")]
+    else:
+        cases = [(row, column, value) for column in MULTIPLET_COLUMNS
+                 if column not in ("name", "note") for value in FUZZ_CELLS]
+    breaches = []
+    for case in cases:
+        doctor_multiplets(tmp_path, *case)
+        for section in MULTIPLET_SECTIONS:
+            breach = dataset_contract_breach(["mass", section], tmp_path / "multiplets.csv", capsys)
+            if breach:
+                breaches.append(f"{case} mass {section}: {breach}")
+    assert not breaches, "\n".join(breaches)
+
+
+FUZZ_JSON = ('""', '"x"', "NaN", "Infinity", "0", "-1", "1e400", "2.5", None)
+SHIPPED_CONSTANTS = json.loads(Path(data_path("constants.json")).read_text())
+CONSTANTS_KEYS = [(key,) for key in SHIPPED_CONSTANTS] + [
+    ("ratio_formula_inputs", key) for key in SHIPPED_CONSTANTS["ratio_formula_inputs"]]
+
+
+@pytest.mark.parametrize("path", CONSTANTS_KEYS, ids=".".join)
+def test_every_doctored_constant_exits_0_or_3(path, one_parser, tmp_path, capsys):
+    """The key set to each value of the pool, written as JSON text, or dropped
+    (None), under each section of mass and gut."""
+    breaches = []
+    for value in FUZZ_JSON:
+        if value is None:
+            doctor_constants(tmp_path, path)
+        else:
+            doctor_constants(tmp_path, path, "@")
+            text = (tmp_path / "constants.json").read_text()
+            (tmp_path / "constants.json").write_text(text.replace('"@"', value))
+        for argv in [["gut"], *(["mass", f"--{s}"] for s in cli._MASS_SECTIONS)]:
+            breach = dataset_contract_breach(argv, tmp_path / "constants.json", capsys)
+            if breach:
+                breaches.append(f"{value} {' '.join(argv)}: {breach}")
+    assert not breaches, "\n".join(breaches)
+
+
+@pytest.mark.parametrize("row,column,value,section,message", [
+    ("Delta", "M", "-1", "--decuplet", "the row Delta has M '-1', expected an integer of at least 1"),
+    ("Delta", "M", "0", "--decuplet", "the row Delta has M '0', expected an integer of at least 1"),
+    ("pi", "n0_candidates", "-7", "--mesons",
+     "the row pi has n0_candidates '-7', expected |-separated integers of at least 0"),
+    ("N", "measured_units_hi", "nan", "--octet",
+     "the row N has measured_units_hi 'nan', expected empty or a finite number of at least 0"),
+    ("Lambda", "measured_units_lo", "", "--octet",
+     "the octet row Lambda has no measured_units_lo, which the GMO relation reads"),
+    (None, "M", None, "--decuplet", "has no column 'M'"),
+    ("Lambda", None, None, "--octet", "has no octet row Lambda"),
+    ("pi", None, None, "--mesons", "has no meson row pi"),
+], ids=["Delta M -1", "Delta M 0", "pi n0 -7", "N hi nan", "Lambda lo empty", "no M column",
+        "no Lambda row", "no pi row"])
+def test_a_bad_multiplet_row_exits_3_naming_the_file(row, column, value, section, message,
+                                                      tmp_path, capsys):
+    shutil.copy(data_path("constants.json"), tmp_path / "constants.json")
+    doctor_multiplets(tmp_path, row, column, value)
+    assert cli.main(["--data-dir", str(tmp_path), "mass", section]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"{'invalid' if value is not None else 'missing'} data: "
+                          f"{tmp_path / 'multiplets.csv'}"), err
+    assert message in err, err
+
+
+def test_a_gut_solve_that_refuses_the_dataset_values_exits_3(tmp_path, capsys):
+    """With no override flag every input of gut is the dataset's, so the
+    dataset is at fault; with one, the refusal stays a usage error."""
+    doctor_constants(tmp_path, ("planck_mass_gev",), 2.5)
+    refusal = "need 0 < mu <= M_X, got mu=91.1867, M_X=2.5\n"
+    assert cli.main(["--data-dir", str(tmp_path), "gut"]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"invalid data: {tmp_path / 'constants.json'}: {refusal}"
+    assert cli.main(["--data-dir", str(tmp_path), "gut", "--mu", "91.1867"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {refusal}"
 
 
 def test_coupling_sum_reads_the_dataset_mixing_angle(tmp_path):
@@ -871,7 +1033,7 @@ json.dump([code, sorted(os.path.basename(f)[:-3] for f in ran
     ("algebra verify --pairs 0 --samples 0", "algebra cli states verify"),
     ("algebra baryon --phase BGR --E 5 --p 0,0,4 --m 3", "algebra cli states"),
     ("mass --bosons", "cli datafiles masses"),
-    ("mass --zeros", "algebra charges cli datafiles masses"),
+    ("mass --zeros", "charges cli datafiles masses"),
 ])
 def test_each_request_runs_only_the_modules_its_verb_uses(argv, modules):
     """A cold process compiles (when its bytecode is not current) and runs

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from nilpotent.datafiles import InvalidDataError, data_path
 from nilpotent.masses import (
     MassUnit,
     ckm_apply,
@@ -21,7 +22,6 @@ from nilpotent.masses import (
     mass_fraction,
     mb_over_mtau,
     ms_over_mmu,
-    multiplet_mass,
     regge_mass_squared,
     regge_spin,
     z_zero_count,
@@ -36,24 +36,32 @@ def test_unit_value():
 
 
 def test_sigma_decuplet_mass():
-    units, gev = multiplet_mass(15, 3, 4, UNIT)
+    sigma = load_multiplets().find("decuplet", "Sigma*")[0]
+    assert (min(sigma.n0_candidates), sigma.multiplicity, sigma.max_multiplicity) == (15, 3, 4)
+    units = sigma.predicted_units[0]
+    gev = units * UNIT.unit_gev
     assert units == 20.0
     assert gev == pytest.approx(1.4005, abs=0.0005)
     assert abs(gev - 1.385) / 1.385 < 0.015
 
 
 def test_omega_mass():
-    units, _ = multiplet_mass(6, 1, 4, UNIT)
-    assert units == 24.0
+    omega = load_multiplets().find("decuplet", "Omega")[0]
+    assert (omega.n0_candidates, omega.multiplicity, omega.max_multiplicity) == ((6,), 1, 4)
+    assert omega.predicted_units == (24.0, 24.0)
 
 
 def test_zero_n0():
-    assert multiplet_mass(0, 2, 3, UNIT) == (0.0, 0.0)
+    row = load_multiplets()[0]._replace(n0_candidates=(0,), multiplicity=2, max_multiplicity=3)
+    assert row.predicted_units == (0.0, 0.0)
 
 
-def test_zero_multiplicity_rejected():
-    with pytest.raises(ValueError):
-        multiplet_mass(6, 0, 4, UNIT)
+def test_zero_multiplicity_rejected(tmp_path):
+    """The loader refuses M = 0, so the formula never divides by it."""
+    shipped = open(data_path("multiplets.csv")).read()
+    (tmp_path / "multiplets.csv").write_text(shipped.replace("Omega,sss,,1,4,", "Omega,sss,,0,4,"))
+    with pytest.raises(InvalidDataError, match="the row Omega has M '0', expected an integer"):
+        load_multiplets(str(tmp_path))
 
 
 def test_decuplet_predictions():
@@ -290,7 +298,7 @@ def test_data_dir_env_var_override(tmp_path, monkeypatch):
     import json
     import shutil
 
-    from nilpotent.datafiles import DATA_ENV_VAR, data_path
+    from nilpotent.datafiles import DATA_ENV_VAR
 
     for name in ("constants.json", "multiplets.csv"):
         shutil.copy(data_path(name), tmp_path / name)
