@@ -21,6 +21,7 @@ and the Regge relation J = m^2 / (2 pi kappa).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -66,10 +67,19 @@ def load_constants(data_dir=None) -> dict:
     other value, nested ones included, a finite number above 0 (the mixing
     angle and the Cabibbo parameter also below 1), else InvalidDataError."""
     path = _data_path("constants.json", data_dir)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, _utf8(path):
         constants = json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
     _check_values(path, "", constants)
     return constants
+
+
+@contextlib.contextmanager
+def _utf8(path: str):
+    """A dataset file that is not UTF-8 text is invalid data naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_values(path: str, prefix: str, record: dict) -> None:
@@ -169,13 +179,16 @@ def load_multiplets(data_dir=None) -> Multiplets:
     path = _data_path("multiplets.csv", data_dir)
     tables = charges.build_tables()
     rows = Multiplets(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8", newline="") as fh, _utf8(path):
         reader = csv.DictReader(fh, restval="")
         for column in _COLUMNS:
             if column not in (reader.fieldnames or ()):
                 raise MissingDataError(f"{path} has no column {column!r}")
         for rec in reader:
-            rows.append(_multiplet(path, rec, tables))
+            row = _multiplet(path, rec, tables)
+            if any(m.family == row.family and m.name == row.name for m in rows):
+                raise InvalidDataError(f"{path}: the {row.family} row {row.name} appears twice")
+            rows.append(row)
     return rows
 
 
@@ -188,10 +201,17 @@ def _multiplet(path: str, rec: dict, tables) -> Multiplet:
                                 f"expected {expected}")
 
     def integers(column, least, many=False):
+        # the length test comes first: int() of a long enough cell raises
         cells = rec[column].split("|") if many else [rec[column]]
-        if all(c.isascii() and c.isdigit() and int(c) >= least for c in cells):
+        if all(c.isascii() and c.isdigit() and len(c) <= 16 and least <= int(c) <= 2**53
+               for c in cells):
             return tuple(int(c) for c in cells)
-        raise refuse(column, f"{'|-separated integers' if many else 'an integer'} of at least {least}")
+        raise refuse(column, f"{'|-separated integers' if many else 'an integer'} of at least "
+                             f"{least} and at most 2^53")
+
+    if None in rec:  # csv.DictReader files the cells past the header under None
+        raise InvalidDataError(f"{path}: the row {name} has more cells than the header "
+                               f"({len(rec[None])} more)")
 
     def measured(column):
         if not rec[column]:

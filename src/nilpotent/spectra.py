@@ -43,15 +43,18 @@ gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
 No value is divided out of another, so a float potential coefficient leaks
 no rounding into gamma or a.
 
-The solver builds its relations and branch values as exact sympy
-expressions (Gaussian rationals and surds); floats only when the caller
-passes floats.  The residual gate reads those same expressions on a small
-exact kernel (``_Kernel``): int, Fraction or float coefficients over
-monomials in the symbols, with I and each surd a generator that reduces by
-its square, so it does its substitution and expansion without sympy
-arithmetic.  Sympy loads on the first exact solve, not at import: the
-confinement geometry, the closed-form level series, rational coefficient
-parsing and a Fraction j never need it.
+The solver builds its relations and branch values on a small exact kernel
+(``_Kernel``), with no computer-algebra library: each is an ``Expr``, a
+polynomial with int, Fraction or float coefficients over packed monomials in
+the symbols, I and each surd a generator that reduces by its square; floats
+only when the caller passes floats.  A Coulomb branch lives in Q(sqrt(d)):
+a = E (alpha + beta sqrt(d)) and m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)).  The
+residual gate substitutes and expands those same polynomials.  ``str`` of an
+Expr prints it as sympy's ``str`` prints the expression sympy would build
+(terms in sympy's order, Floats to 15 digits), which is the report text; only
+a Coulomb a and m at n' >= 1 with an irrational root print rationalized where
+sympy kept the surd in a denominator.  A caller's sympy number is read exactly
+by its parts (``as_real_imag``, ``p``/``q``) without importing sympy.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 __all__ = [
+    "Expr",
     "PotentialSpec",
     "QuantumNumbers",
     "Relation",
@@ -98,42 +102,553 @@ class SupercriticalCouplingError(ValueError):
     """q^2 A^2 >= (j + 1/2)^2: no real Coulomb-type level."""
 
 
-class _DeferredSympy:
-    """Stands in for the sympy module until exact work first reads from it.
+class _NotPolynomial(ValueError):
+    """A value the kernel does not build: a denominator that holds a symbol or
+    reduces to no nonzero number."""
 
-    That first attribute read imports sympy and rebinds this module's ``sp``
-    to it, so every later ``sp.<name>`` is a plain module attribute with no
-    check in front of it.
+
+# bits per variable in a packed monomial: an exponent of 2**16 would carry into
+# the next field, and a residual of that degree takes the kernel far too long
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_ROOT = _MASK - 1  # a generator field's bits above exponent 1
+_TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds to 0.0
+# (sort key, text) of I, field 0: sympy sorts the factors of a product as
+# numbers (sqrt(11)), then I, then symbols by name, then sums (and roots of
+# sums) by their terms, then powers
+_I_ATOM = ((2, 0, "I"), "I")
+
+
+def _collect(terms) -> dict:
+    """The polynomial sum of (monomial, coefficient) pairs, zeros dropped."""
+    out = {}
+    for mono, c in terms:
+        if mono in out:
+            out[mono] += c
+        else:
+            out[mono] = c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _pow(x, k: int):
+    """x**k, a float rounded once from the exact power."""
+    return float(Fraction(x) ** k) if isinstance(x, float) else x**k
+
+
+def _square_part(n: int) -> tuple[int, int]:
+    """(r, f) with n = r**2 f, as sympy's sqrt of an integer finds them: trial
+    division by the primes below 2**15 (and below the cube root of what is
+    left, past which the rest has at most two prime factors), then the rest
+    taken whole if it is a square.  So f is squarefree unless a prime above
+    2**15 divides n twice and another prime above 2**15 divides it too."""
+    r, f, p = 1, 1, 2
+    while p * p * p <= n and p < 1 << 15:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            r, f = r * p ** (k // 2), f * p ** (k % 2)
+        p += 1 if p == 2 else 2
+    s = math.isqrt(n)
+    return (r * s, f) if s * s == n else (r, f * n)
+
+
+class _Kernel:
+    """Exact polynomial arithmetic for one solve and its residual gate.
+
+    A polynomial is a dict from monomials to nonzero int, Fraction or float
+    coefficients.  A monomial packs one exponent per variable into _FIELD-bit
+    fields of an int, so multiplying monomials adds them.  The variables are
+    the symbols, the generators and the sums kept whole.  The generators are
+    I (field 0 in every kernel, so a Gaussian constant reads alike in all)
+    and sqrt(x) for each radicand x met; each reduces by its square
+    (I**2 = -1, sqrt(x)**2 = x), so no generator exponent exceeds 1 in a
+    result.  A generator whose square holds a symbol (sqrt(m**2 - E**2),
+    sqrt(E**2)) is one more variable of a residual; the others (I, sqrt(11))
+    are numbers, read as complex values only by ``magnitude`` and the
+    printer.  A sum kept whole is a product's factor that sympy leaves
+    unexpanded, I*(2/7 + I/5) or m*(1 + I/3); ``expanded`` replaces it by its
+    terms, so the gate reads only symbols and generators.
     """
 
-    def __getattr__(self, name):
-        global sp
-        import sympy as sp
+    def __init__(self):
+        self.symbols = {}  # name -> the shift of its field
+        self.keys = {}  # ("sqrt" | "sum", frozen terms) -> shift
+        self.squares = {0: {0: -1}}  # generator shift -> its square, oldest first; I is 0
+        self.sums = {}  # shift of a sum kept whole -> its terms
+        self.atoms = {0: _I_ATOM}  # shift -> (sort key, text)
+        self.fields = 1
+        self.symbolic = 0  # the fields of symbols and of the variables whose value holds one
+        self.high = _ROOT  # the generator fields' bits above exponent 1
 
-        return getattr(sp, name)
+    def _field(self, key, text, symbolic) -> int:
+        shift, self.fields = self.fields * _FIELD, self.fields + 1
+        self.atoms[shift] = (key, text)
+        if symbolic:
+            self.symbolic |= _MASK << shift
+        return shift
+
+    def variable(self, name: str) -> int:
+        """The shift of the field of the symbol ``name``."""
+        shift = self.symbols.get(name)
+        if shift is None:
+            shift = self.symbols[name] = self._field((2, 1, name), name, True)
+        return shift
+
+    def symbol(self, name: str) -> "Expr":
+        return Expr(self, {1 << self.variable(name): 1})
+
+    def adopt(self, x):
+        """``x`` with this kernel, if it is a constant of none."""
+        return Expr(self, x.terms) if isinstance(x, Expr) and x.kernel is None else x
+
+    def _holds_symbol(self, terms) -> bool:
+        return any(mono & self.symbolic for mono in terms)
+
+    def _root(self, square: dict) -> int:
+        """The shift of the generator whose square is ``square``."""
+        key = ("sqrt", frozenset(square.items()))
+        shift = self.keys.get(key)
+        if shift is None:
+            text = f"sqrt({_print(self, square)})"
+            # a squarefree integer sorts among the numbers, a sum before a power
+            sort = ((1, 0, str(square[0])) if square.keys() == {0} else
+                    (3, 1, (0, text)) if len(square) > 1 else (3, 2, text))
+            shift = self.keys[key] = self._field(sort, text, self._holds_symbol(square))
+            self.squares[shift] = square
+            self.high |= _ROOT << shift
+        return shift
+
+    def _sum(self, terms: dict) -> int:
+        """The shift of the variable that keeps the sum ``terms`` whole."""
+        key = ("sum", frozenset(terms.items()))
+        shift = self.keys.get(key)
+        if shift is None:
+            text = f"({_print(self, terms)})"
+            sort = (3, 1, (len(terms), tuple(map(functools.partial(_term_key, self),
+                                                 _ordered(self, list(terms.items()))))))
+            shift = self.keys[key] = self._field(
+                sort, text, self._holds_symbol(self.expanded(terms)))
+            self.sums[shift] = terms
+        return shift
+
+    def sqrt(self, x):
+        """The principal square root of ``x``, as sympy's sqrt evaluates it for
+        a number: r*sqrt(f) with f squarefree for a rational, a float for a
+        float, times I for a negative one; any other value is a generator."""
+        if isinstance(x, Expr):
+            return Expr(self, {1 << self._root(self.expanded(x.terms)): 1})
+        if x < 0:
+            return _I * self.sqrt(-x)
+        if isinstance(x, float):
+            return math.sqrt(x)
+        x = Fraction(x)
+        (rp, fp), (rq, fq) = _square_part(x.numerator), _square_part(x.denominator)
+        c = Fraction(rp * rq, x.denominator)  # sqrt(p/q) = sqrt(p q)/q
+        return c if fp * fq == 1 else Expr(self, {1 << self._root({0: fp * fq}): c})
+
+    def mul(self, p, q) -> dict:
+        """The product, each generator squared replaced by its square until none is."""
+        todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
+        done = []
+        while todo:
+            mono, c = todo.pop()
+            if mono & self.high:
+                shift = next(s for s in self.squares if mono >> s & _ROOT)
+                rest = mono - (2 << shift)
+                todo.extend((rest + m, c * c2) for m, c2 in self.squares[shift].items())
+            else:
+                done.append((mono, c))
+        return _collect(done)
+
+    def power(self, p, k: int) -> dict:
+        out = p
+        for _ in range(k - 1):
+            out = self.mul(out, p)
+        return out
+
+    def inverse(self, p) -> dict:
+        """1/p for a nonzero p free of symbols, by conjugates: p = P + Q g times
+        P - Q g is free of the generator g, newest generator first, since a
+        square holds only generators older than its own."""
+        if self._holds_symbol(p):
+            raise _NotPolynomial("a denominator that holds a symbol")
+        num = {0: 1}
+        for shift in reversed(self.squares):
+            bit = 1 << shift
+            if any(mono & bit for mono in p):
+                conj = {mono: -c if mono & bit else c for mono, c in p.items()}
+                num, p = self.mul(num, conj), self.mul(p, conj)
+        if p.keys() != {0}:  # zero, or float leftovers of a generator
+            raise _NotPolynomial("a denominator that reduces to no nonzero number")
+        d = p[0]
+        inv = 1 / d if isinstance(d, float) else Fraction(1) / d
+        return {mono: c * inv for mono, c in num.items()}
+
+    def substitute(self, poly, values: dict, powers: dict) -> dict:
+        """``poly`` with each variable field in ``values`` (shift -> polynomial)
+        replaced by its value; ``powers`` keeps the value powers of one branch."""
+        terms = []
+        for mono, c in poly.items():
+            term = {mono: c}
+            for shift, value in values.items():
+                e = mono >> shift & _MASK
+                if e:
+                    if (shift, e) not in powers:
+                        powers[shift, e] = self.power(value, e)
+                    term = self.mul({m - (e << shift): k for m, k in term.items()}, powers[shift, e])
+            terms.extend(term.items())
+        return _collect(terms)
+
+    def expanded(self, terms: dict) -> dict:
+        """``terms`` with every sum kept whole replaced by its own terms."""
+        values = {shift: self.expanded(value) for shift, value in self.sums.items()
+                  if any(mono >> shift & _MASK for mono in terms)}
+        return self.substitute(terms, values, {}) if values else terms
+
+    def reading(self, x) -> dict:
+        """The gate's polynomial of a relation or branch value: a number, or an
+        Expr of this kernel or of none; {0: nan} for anything else."""
+        if isinstance(x, (int, Fraction, float)):
+            return {0: x} if x else {}
+        if isinstance(x, Expr) and (x.kernel in (self, None) or _constant(x.terms)):
+            return self.expanded(x.terms)
+        return {0: math.nan}
+
+    def value(self, atoms) -> complex:
+        """The complex value of a monomial in numeric variables."""
+        value = 1
+        for shift, square in self.squares.items():
+            if atoms >> shift & 1:
+                value *= cmath.sqrt(sum(complex(c) * self.value(m) for m, c in square.items()))
+        for shift, terms in self.sums.items():
+            e = atoms >> shift & _MASK
+            if e:
+                value *= sum(complex(c) * self.value(m) for m, c in terms.items()) ** e
+        return value
+
+    def magnitude(self, poly) -> float:
+        """The largest abs(complex) over the coefficients of ``poly`` in its
+        symbolic variables; inf if one is not finite or too large for a float.
+        A coefficient with only exact terms is a true nonzero, so it reads at
+        least _TINY even where its float rounds to 0.0."""
+        groups = {}
+        try:
+            for mono, c in poly.items():
+                key = mono & self.symbolic
+                total, exact = groups.get(key, (0, True))
+                groups[key] = (total + complex(c) * self.value(mono ^ key),
+                               exact and not isinstance(c, float))
+            mags = [abs(total) or (_TINY if exact else 0.0) for total, exact in groups.values()]
+        except OverflowError:
+            return math.inf
+        return max(mags, default=0.0) if all(map(math.isfinite, mags)) else math.inf
 
 
-sp = _DeferredSympy()
+def _constant(terms) -> bool:
+    """True if ``terms`` hold no variable but I, so they read alike in every kernel."""
+    return all(mono <= 1 for mono in terms)
 
 
-@functools.cache
-def _symbols():
-    """The solver unknowns a, b, gamma0 (= gamma + 1) and gammat (= gamma +
-    nu + 1), then the free E and m."""
-    return sp.symbols("a b gamma0 gammat E m")
+class Expr:
+    """An exact value of the solver: a polynomial of one ``_Kernel``, or of
+    none for a Gaussian constant (terms in 1 and I only).
+
+    Arithmetic follows sympy's automatic evaluation for the solver's values:
+    a number times a sum multiplies each term, while a product of a sum with
+    anything else keeps the sum whole as one factor, I*(2/7 + I/5).  Float
+    coefficients round as sympy's Floats do: each product and quotient once,
+    x/n as x*(1/n).  A result free of every variable is returned as a plain
+    int, Fraction or float, so an Expr is never a real constant.  ``str``
+    prints as sympy's ``str`` prints the same expression.
+    """
+
+    __slots__ = ("kernel", "terms")
+
+    def __init__(self, kernel, terms: dict):
+        self.kernel, self.terms = kernel, terms
+
+    def __str__(self):
+        return _print(self.kernel, self.terms)
+
+    __repr__ = __str__
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        try:
+            kernel = _common_kernel(self, other) or _CONSTANTS
+        except ValueError:
+            return False
+        return kernel.reading(self) == kernel.reading(other)
+
+    def __neg__(self):
+        return Expr(self.kernel, {mono: -c for mono, c in self.terms.items()})
+
+    def __add__(self, other):
+        return _sum((self, other)) if isinstance(other, _VALUES) else NotImplemented
+
+    def __radd__(self, other):
+        return _sum((other, self)) if isinstance(other, _VALUES) else NotImplemented
+
+    def __sub__(self, other):
+        return _sum((self, -other)) if isinstance(other, _VALUES) else NotImplemented
+
+    def __mul__(self, other):
+        return _mul(self, other) if isinstance(other, _VALUES) else NotImplemented
+
+    def __rmul__(self, other):
+        return _mul(other, self) if isinstance(other, _VALUES) else NotImplemented
+
+    def __truediv__(self, other):
+        return _mul(self, _reciprocal(other)) if isinstance(other, _VALUES) else NotImplemented
+
+    def __rtruediv__(self, other):
+        return _mul(other, _reciprocal(self)) if isinstance(other, _VALUES) else NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 1:
+            return NotImplemented
+        if k == 1:
+            return self
+        kernel = self.kernel or _Kernel()
+        if len(self.terms) > 1:  # sympy leaves a power of a sum unexpanded
+            return Expr(kernel, {k << kernel._sum(self.terms): 1})
+        (mono, c), = self.terms.items()
+        return _value(kernel, {m: v * _pow(c, k) for m, v in kernel.power({mono: 1}, k).items()})
+
+
+def _value(kernel, terms: dict):
+    """The Expr of ``terms``, or the plain number when no variable is left."""
+    if not terms:
+        return 0
+    if terms.keys() == {0}:
+        return terms[0]
+    return Expr(kernel, terms)
+
+
+_VALUES = (int, Fraction, float, Expr)  # the operands of Expr arithmetic
+
+
+def _coerce(x):
+    """``x`` as a solver value for a comparison, or NotImplemented."""
+    try:
+        return _num(x)
+    except (TypeError, ValueError):
+        return NotImplemented
+
+
+def _common_kernel(*values):
+    """The kernel whose variables ``values`` hold, or None if they are numbers
+    and Gaussian constants only, which read alike in every kernel.  Values
+    with variables of two different kernels raise ValueError."""
+    found, fixed = None, False
+    for x in values:
+        if not isinstance(x, Expr) or x.kernel is None or x.kernel is found:
+            continue
+        if _constant(x.terms):
+            found = found or x.kernel
+        elif fixed:
+            raise ValueError("the values belong to two different solves")
+        else:
+            found, fixed = x.kernel, True
+    return found
+
+
+def _sum(values):
+    """The sum of numbers and Exprs, like terms combined in order."""
+    terms = []
+    for x in values:
+        if isinstance(x, Expr):
+            terms.extend(x.terms.items())
+        elif x:
+            terms.append((0, x))
+    return _value(_common_kernel(*values), _collect(terms))
+
+
+def _mul(x, y):
+    """x*y as sympy's Mul evaluates it for the solver's values."""
+    if not isinstance(y, Expr):
+        x, y = y, x
+    if not isinstance(y, Expr):
+        return x * y
+    if not isinstance(x, Expr):  # a number times each term
+        return _value(y.kernel, _collect((mono, c * x) for mono, c in y.terms.items()))
+    kernel = _common_kernel(x, y) or _Kernel()
+    whole = [t if len(t) == 1 else {1 << kernel._sum(t): 1} for t in (x.terms, y.terms)]
+    terms = kernel.mul(*whole)
+    if len(terms) == 1:
+        (mono, c), = terms.items()
+        shift = next((s for s in kernel.sums if mono == 1 << s), None)
+        if shift is not None:  # a number times one sum: sympy multiplies each of its terms
+            terms = _collect((m, c * v) for m, v in kernel.sums[shift].items())
+    return _value(kernel, terms)
+
+
+def _reciprocal(x):
+    """1/x: exact for a rational, 1.0/x for a float, by conjugates for a constant Expr."""
+    if isinstance(x, Expr):
+        kernel = x.kernel or _Kernel()
+        return _value(kernel, kernel.inverse(kernel.expanded(x.terms)))
+    return 1.0 / x if isinstance(x, float) else Fraction(1) / x
+
+
+_I = Expr(None, {1: 1})
+_CONSTANTS = _Kernel()  # reads Gaussian constants, which hold no variable but I
 
 
 def _num(x):
-    """Coerce to an exact sympy number when possible, else keep the float."""
-    if isinstance(x, Fraction):
-        return sp.Rational(x.numerator, x.denominator)
-    if isinstance(x, (int, sp.Rational)):
-        return sp.Integer(x) if isinstance(x, int) else x
-    if isinstance(x, sp.Expr):
+    """``x`` as a solver value: an int, Fraction or float, or a constant Expr
+    when it is not real.  A number of another library (sympy's I*Rational(3, 4),
+    say) is read exactly by its real and imaginary parts, each with integer
+    ``p`` and ``q`` or a float value, without importing that library."""
+    if isinstance(x, _VALUES):
         return x
+    if isinstance(x, complex):
+        re, im = x.real, x.imag
+    else:
+        try:
+            re, im = map(_real, x.as_real_imag())
+        except AttributeError:
+            raise TypeError(f"not a number: {x!r}") from None
+    return re + _I * im if im else re
+
+
+def _real(x):
+    """A real number of another library: a rational with ``p``/``q``, or a float."""
+    if hasattr(x, "p") and hasattr(x, "q"):
+        return Fraction(int(x.p), int(x.q))
+    if getattr(x, "is_Float", False):
+        return float(x)
+    raise ValueError(f"not a rational or float number: {x}")
+
+
+# ---------------------------------------------------------------------------
+# the printer: sympy's str of the solver's values
+# ---------------------------------------------------------------------------
+
+
+def _float_text(x: float, strip: bool) -> str:
+    """``x`` as sympy prints a Float of 53 bits: 15 significant digits, the
+    16th of the exact expansion rounding half up; fixed point for a leading
+    digit at 10**-4 to 10**14, else an exponent.  ``strip`` drops trailing
+    zeros, as sympy does for a Float inside a larger expression."""
+    if not math.isfinite(x) or x == 0:
+        return {math.inf: "inf", -math.inf: "-inf"}.get(x, "0.0" if x == 0 else "nan")
+    n, d = abs(x).as_integer_ratio()
+    e = len(str(n)) - len(str(d))  # the exponent of the leading digit, or one more
+    if (n * 10**-e if e < 0 else n) < (d if e < 0 else d * 10**e):
+        e -= 1
+    digits, last = divmod(n * 10 ** (15 - e) // d if e <= 15 else n // (d * 10 ** (e - 15)), 10)
+    if last >= 5:
+        digits += 1
+        if digits == 10**15:
+            digits, e = 10**14, e + 1
+    text = str(digits)
+    fixed = -5 < e < 15
+    if fixed and e < 0:
+        text = "0" * -e + text
+    split = e + 1 if fixed and e >= 0 else 1
+    text = text[:split] + "." + text[split:]
+    if strip:
+        text = text.rstrip("0")
+        text += "0" if text.endswith(".") else ""
+    sign = "-" if x < 0 else ""
+    return sign + text if fixed else f"{sign}{text}e{'+' if e >= 0 else ''}{e}"
+
+
+def _format(x) -> str:
+    """A solver value as sympy's ``str`` prints it.  Sympy's float arithmetic
+    returns an exact 0 where the result is zero, so a computed 0.0 prints 0."""
     if isinstance(x, float):
-        return sp.Float(x)
-    return sp.sympify(x)
+        return _float_text(x, strip=False) if x else "0"
+    return str(x)
+
+
+def _literal(x) -> str:
+    """A coefficient the caller gave, printed as sympy prints its Float (0.0 too)."""
+    return _float_text(x, strip=False) if isinstance(x, float) else str(x)
+
+
+def _term_key(kernel, term) -> tuple:
+    """sympy's sort key of one term of a sum, as far as it orders sums: a
+    number by its value before a product, products by their factors, then by
+    coefficient."""
+    mono, c = term
+    factors = _factors(kernel, mono)
+    if not factors:
+        return (1,), c
+    if len(factors) == 1 and factors[0][1] == 1:
+        return factors[0][0], c
+    return (3, 0, tuple(key[:2] for key in factors)), c
+
+
+def _factors(kernel, mono) -> list:
+    """(sort key, exponent, text) of each variable of ``mono``, in sympy's Mul order."""
+    atoms = kernel.atoms if kernel else {0: _I_ATOM}
+    return sorted((key, mono >> s & _MASK, text) for s, (key, text) in atoms.items()
+                  if mono >> s & _MASK)
+
+
+def _ordered(kernel, items) -> list:
+    """The terms of a sum in the order sympy's str prints them: by exponents
+    of the symbolic factors, highest first (lex), then by the complex value
+    of the numeric rest, real before imaginary."""
+    if len(items) == 2:
+        # sympy keeps a positive number before a negative number times one factor
+        number, other = sorted(items, key=lambda item: item[0] != 0)
+        if (number[0] == 0 and number[1] > 0 and other[1] < 0
+                and len(_factors(kernel, other[0])) == 1):
+            return [number, other]
+    symbolic = kernel.symbolic if kernel else 0
+    gens = sorted((kernel.atoms[s][0], s) for s in kernel.atoms
+                  if any((mono & symbolic) >> s & _MASK for mono, _ in items)) if symbolic else []
+
+    def key(item):
+        mono, c = item
+        value = complex(c) * (kernel.value(mono & ~symbolic) if kernel else 1j ** mono)
+        return (tuple(-(mono >> s & _MASK) for _, s in gens),
+                ((value.imag != 0, value.imag), (value.real, value.imag)))
+
+    return sorted(items, key=key)
+
+
+def _print_term(kernel, mono, c) -> str:
+    """One product as sympy's str prints a Mul: sign, coefficient numerator and
+    factors joined by *, then /denominator."""
+    if mono == 0:
+        return _float_text(c, strip=True) if isinstance(c, float) else str(c)
+    sign = "-" if c < 0 else ""
+    c = -c if c < 0 else c
+    num, den = [], ""
+    if isinstance(c, float):
+        num.append(_float_text(c, strip=True))
+    else:
+        c = Fraction(c)
+        if c.numerator != 1:
+            num.append(str(c.numerator))
+        if c.denominator != 1:
+            den = f"/{c.denominator}"
+    num += [text if e == 1 else f"{text}**{e}" for _, e, text in _factors(kernel, mono)]
+    return sign + "*".join(num) + den
+
+
+def _print(kernel, terms) -> str:
+    """``terms`` as sympy's str prints the same sum of products."""
+    out = ""
+    for mono, c in _ordered(kernel, list(terms.items())) if len(terms) > 1 else terms.items():
+        text = _print_term(kernel, mono, c)
+        if out:
+            text = f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+        out += text
+    return out or "0"
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
 
 
 class PotentialSpec(NamedTuple):
@@ -155,9 +670,9 @@ class PotentialSpec(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "terms": {str(n): str(c) for n, c in self.terms.items()},
-            "coulombPhase": str(self.coulomb_phase),
-            "q": str(self.coupling),
+            "terms": {str(n): _literal(c) for n, c in self.terms.items()},
+            "coulombPhase": _literal(self.coulomb_phase),
+            "q": _literal(self.coupling),
         }
 
     @classmethod
@@ -173,7 +688,7 @@ class PotentialSpec(NamedTuple):
                 value = Fraction(body)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"expected a rational number, got {s!r}") from None
-            return sp.I * _num(value) if imaginary else value
+            return _I * value if imaginary else value
 
         def power(k):
             try:
@@ -202,8 +717,7 @@ class QuantumNumbers(_QuantumFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # a Fraction or int j is checked without sympy
-        j = self.j if isinstance(self.j, (int, Fraction)) else _num(self.j)
+        j = _num(self.j)
         if j < Fraction(1, 2):
             raise ValueError("j must be at least 1/2")
         if float((2 * j) % 2) != 1:
@@ -214,17 +728,18 @@ class QuantumNumbers(_QuantumFields):
 
     @property
     def j_plus_half(self):
-        return _num(self.j) + sp.Rational(1, 2)
+        return _num(self.j) + Fraction(1, 2)
 
 
 class Relation(NamedTuple):
     """The Laurent coefficient of the pointwise condition at one power of r,
     as the relation expr == 0; each power has one relation, so ``power`` is a
     key.  ``matched`` holds when every group of the derivation at that power
-    is one the family solves, and ``note`` names the groups."""
+    is one the family solves, and ``note`` names the groups.  ``expr`` is an
+    Expr (or a plain number), printed by ``str`` as sympy prints it."""
 
     power: int
-    expr: sp.Expr
+    expr: object
     matched: bool
     note: str = ""
 
@@ -234,12 +749,14 @@ class AnsatzBranch(NamedTuple):
 
     ``exp_coefficients`` are the literal exponent-polynomial coefficients
     (exponent = -a r + sum_s b_s r^s); ``solver_vars`` carries the family's
-    own variable names (b, c, ...) as they appear in the derivations.
+    own variable names (b, c, ...) as they appear in the derivations, and
+    ``subs`` maps the name of each unknown of the relations to its value.
+    Every value is an Expr or a plain int, Fraction or float.
     """
 
-    a: sp.Expr
+    a: object
     exp_coefficients: dict
-    gamma: sp.Expr
+    gamma: object
     n_prime: int
     solver_vars: dict
     subs: dict
@@ -247,11 +764,11 @@ class AnsatzBranch(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "a": str(self.a),
-            "expCoefficients": {str(k): str(v) for k, v in self.exp_coefficients.items()},
-            "gamma": str(self.gamma),
+            "a": _format(self.a),
+            "expCoefficients": {str(k): _format(v) for k, v in self.exp_coefficients.items()},
+            "gamma": _format(self.gamma),
             "nPrime": self.n_prime,
-            "solverVars": {k: str(v) for k, v in self.solver_vars.items()},
+            "solverVars": {k: _format(v) for k, v in self.solver_vars.items()},
             "decaying": self.decaying,
         }
 
@@ -284,7 +801,7 @@ class AnsatzSolution(NamedTuple):
             "nPrime": self.quantum_numbers.n_prime,
             "branches": [b.to_dict() for b in self.branches],
             "relations": [
-                {"power": r.power, "expr": str(r.expr), "matched": r.matched, "note": r.note}
+                {"power": r.power, "expr": _format(r.expr), "matched": r.matched, "note": r.note}
                 for r in self.relations
             ],
         }
@@ -322,21 +839,20 @@ def _product(factors):
     counts = {}
     for f in factors:
         counts[id(f)] = (f, counts.get(id(f), (f, 0))[1] + 1)
-    powers = [f if k == 1 else f**k for f, k in counts.values()]
-    return functools.reduce(operator.mul, sorted(
-        powers, key=lambda f: not isinstance(f, (int, sp.Number))))
+    powers = [f if k == 1 else _pow(f, k) for f, k in counts.values()]
+    return functools.reduce(operator.mul, sorted(powers, key=lambda f: isinstance(f, Expr)))
 
 
-def _laurent_relations(W, u, head, J, m, groups):
+def _laurent_relations(kernel, W, u, head, J, m, groups):
     """The Laurent coefficients of W(r)^2 + u(r)^2 - m^2 - J^2/r^2 as relations.
 
     ``W`` and ``u`` list (power, factors) terms; the factor None is the g of
     u's g/r, gamma0 at the ``head`` powers and gammat elsewhere.  Each pair of
-    terms is multiplied once and each power summed into one Add.  ``groups``
-    lists (power, matched, note) in print order; a power listed twice is
-    matched only if both groups are, and joins their notes with " + ".
+    terms is multiplied once and each power summed into one polynomial.
+    ``groups`` lists (power, matched, note) in print order; a power listed
+    twice is matched only if both groups are, and joins their notes with " + ".
     """
-    _, _, g0, gt, _, _ = _symbols()
+    g0, gt = kernel.symbol("gamma0"), kernel.symbol("gammat")
     sums = {}
     for terms in (W, u):
         for i, (p, f) in enumerate(terms):
@@ -344,14 +860,14 @@ def _laurent_relations(W, u, head, J, m, groups):
                 g = g0 if p + p2 in head else gt
                 factors = (*f, *f2) if k == 0 else (2, *f, *f2)
                 sums.setdefault(p + p2, []).append(_product(g if x is None else x for x in factors))
-    sums[0].append(-m**2)
-    sums[-2].append(-J**2)
+    sums[0].append(-_pow(m, 2))
+    sums[-2].append(-_pow(J, 2))
     merged = {}
     for power, matched, note in groups:
         was_matched, was_note = merged.get(power, (True, ""))
         merged[power] = (was_matched and matched, " + ".join(filter(None, (was_note, note))))
     assert merged.keys() == sums.keys(), "every power of the expansion is printed once"
-    return tuple(Relation(p, sp.Add(*sums[p]), ok, note) for p, (ok, note) in merged.items())
+    return tuple(Relation(p, _sum(sums[p]), ok, note) for p, (ok, note) in merged.items())
 
 
 _HEAD = "series head, nu = 0"
@@ -361,52 +877,54 @@ _CROSS = "cross term left open by the printed derivation"
 _OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_levels(1, j, n_prime))
 
 
-def _solve_confining(V, qn, E, m):
+def _solve_confining(kernel, V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     sigma = V.terms[1]
-    _a, _b, _, _gt, _, _ = _symbols()
+    _a, _b = kernel.symbol("a"), kernel.symbol("b")
     n = qn.n_prime
     # exponent b2 r^2 with b2 = -b, so u holds 2 b2 r = -2 b r
     open_note = "left open by the three-equation solution"
     relations = _laurent_relations(
-        [(1, (-1, q, sigma)), (-1, (q, A)), (0, (E,))],
+        kernel, [(1, (-1, q, sigma)), (-1, (q, A)), (0, (E,))],
         [(1, (-2, _b)), (-1, (None,)), (0, (-1, _a))], (), qn.j_plus_half, m,
         [(2, True, ""), (1, True, ""), (-1, True, ""), (0, False, open_note),
          (-2, False, open_note)])
     branches = []
     for s in (1, -1):
         # the r^2, r and 1/r relations in closed form
-        b = s * sp.I * (q * sigma / 2)
-        a = -s * sp.I * E
-        gt = s * sp.I * (q * A)
+        b = s * _I * (q * sigma / 2)
+        a = -s * _I * E
+        gt = s * _I * (q * A)
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={2: -b}, gamma=sp.Add(gt, -1 - n), n_prime=n,
+            a=a, exp_coefficients={2: -b}, gamma=gt + (-1 - n), n_prime=n,
             solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
-            subs={_a: a, _b: b, _gt: gt}))
+            subs={"a": a, "b": b, "gammat": gt}))
     return "confining", tuple(branches), relations, None
 
 
-def _coulomb_gamma_t(qA, J):
-    if qA.is_real is False:
+def _coulomb_root(kernel, qA, J):
+    """sqrt((j + 1/2)^2 - (q A)^2): a rational, a float or r*sqrt(f)."""
+    if isinstance(qA, Expr):
         raise UnsupportedPotentialError(f"a pure Coulomb potential needs a real q A, got {qA}")
-    disc = J**2 - qA**2
-    if disc.is_number and not disc.is_positive:
+    disc = _pow(J, 2) - _pow(qA, 2)
+    if not disc > 0:
         raise SupercriticalCouplingError(
-            f"q^2 A^2 = {qA**2} reaches (j+1/2)^2 = {J**2}: no subcritical solution"
+            f"q^2 A^2 = {_format(_pow(qA, 2))} reaches (j+1/2)^2 = {_format(_pow(J, 2))}: "
+            "no subcritical solution"
         )
-    return sp.sqrt(disc)
+    return kernel.sqrt(disc)
 
 
-def _solve_coulomb(V, qn, E, m):
+def _solve_coulomb(kernel, V, qn, E, m):
     qA = V.coupling * V.coulomb_phase
-    _a, _, _g0, _gt, _, m_sym = _symbols()
+    _a, m_sym = kernel.symbol("a"), kernel.symbol("m")
     J = qn.j_plus_half
     n = qn.n_prime
     relations = _laurent_relations(
-        [(-1, (qA,)), (0, (E,))], [(-1, (None,)), (0, (-1, _a))], (-2,), J, m_sym,
+        kernel, [(-1, (qA,)), (0, (E,))], [(-1, (None,)), (0, (-1, _a))], (-2,), J, m_sym,
         [(-2, True, _HEAD + ": the indicial condition fixing gamma"),
          (-1, True, "series tail, nu = n'"), (0, True, "fixes the level through m")])
-    g0_root = _coulomb_gamma_t(qA, J)
+    g0_root = _coulomb_root(kernel, qA, J)
     branches = []
     for s in (1, -1):
         g0 = s * g0_root          # gamma + 1
@@ -416,46 +934,49 @@ def _solve_coulomb(V, qn, E, m):
                 f"n' = {n} equals sqrt((j+1/2)^2 - (qA)^2), the pole of the second branch "
                 "(a = qA E / (gamma + n' + 1))"
             )
-        a = qA * E / gt
-        m_expr = sp.sqrt(E**2 + a**2)
+        # a = c E with c = qA / gt in Q(sqrt(f)), and m = sqrt(E^2) sqrt(1 + c^2)
+        c = qA * _reciprocal(gt)
+        a = c * E
+        c2 = _value(kernel, kernel.mul(c.terms, c.terms)) if isinstance(c, Expr) else c * c
+        m_expr = kernel.sqrt(_pow(E, 2)) * kernel.sqrt(1 + c2)
         branches.append(AnsatzBranch(
             a=a, exp_coefficients={}, gamma=g0 - 1, n_prime=n,
             solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
-            subs={_a: a, _g0: g0, _gt: gt, m_sym: m_expr}, decaying=(s == 1)))
+            subs={"a": a, "gamma0": g0, "gammat": gt, "m": m_expr}, decaying=(s == 1)))
     series = LevelSeries("coulomb", functools.partial(coulomb_levels, float(qA)))
     return "coulomb", tuple(branches), relations, series
 
 
-def _solve_oscillator(V, qn, E, m):
+def _solve_oscillator(kernel, V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     if A == 0:
         raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
     w2 = q * V.terms[2]
-    _a, _b, _g0, _gt, _, _ = _symbols()
+    _a, _b = kernel.symbol("a"), kernel.symbol("b")
     qA = q * A
     J = qn.j_plus_half
     n = qn.n_prime
     # exponent b r^3, so u holds 3 b r^2
     relations = _laurent_relations(
-        [(2, (w2,)), (-1, (qA,)), (0, (E,))], [(2, (3, _b)), (-1, (None,)), (0, (-1, _a))],
+        kernel, [(2, (w2,)), (-1, (qA,)), (0, (E,))], [(2, (3, _b)), (-1, (None,)), (0, (-1, _a))],
         (1,), J, m,
         [(4, True, ""), (1, True, _HEAD), (0, True, ""), *_TAILS, (2, False, _CROSS)])
     branches = []
     for s in (1, -1):
-        b = s * sp.I * (w2 / 3)
-        g0 = s * sp.I * qA  # 1 + gamma = +- i q A
+        b = s * _I * (w2 / 3)
+        g0 = s * _I * qA  # 1 + gamma = +- i q A
         gt = g0 + n
-        a = sp.sqrt(m**2 - E**2)
+        a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
         branches.append(AnsatzBranch(
             a=a, exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
             solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
                          "E_level": -m * gt / J},
-            subs={_a: a, _b: b, _g0: g0, _gt: gt}))
+            subs={"a": a, "b": b, "gamma0": g0, "gammat": gt}))
     return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
-def _solve_inverse(V, qn, E, m):
+def _solve_inverse(kernel, V, qn, E, m):
     q, A = V.coupling, V.coulomb_phase
     if A == 0:
         raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
@@ -466,11 +987,12 @@ def _solve_inverse(V, qn, E, m):
     if len(powers) > 2:
         raise UnsupportedPotentialError("at most two inverse-power terms are supported")
     coeffs = {p: q * V.terms[p] for p in powers}
-    _a, _, _g0, _gt, _, _ = _symbols()
-    u_syms = {p: sp.Symbol(f"u{abs(p)}") for p in powers}
+    _a = kernel.symbol("a")
+    u_names = {p: f"u{abs(p)}" for p in powers}
+    u_syms = {p: kernel.symbol(name) for p, name in u_names.items()}
     # exponent u_p r^(p+1) / (p+1), so u holds u_p r^p
     relations = _laurent_relations(
-        [*((p, (coeffs[p],)) for p in powers), (-1, (qA,)), (0, (E,))],
+        kernel, [*((p, (coeffs[p],)) for p in powers), (-1, (qA,)), (0, (E,))],
         [*((p, (u_syms[p],)) for p in powers), (-1, (None,)), (0, (-1, _a))],
         {p - 1 for p in powers}, J, m,
         [(2 * powers[-1], True, ""), *((hi + lo, True, "") for hi, lo in zip(powers, powers[1:])),
@@ -479,17 +1001,17 @@ def _solve_inverse(V, qn, E, m):
     branches = []
     for s in (1, -1):
         # the extreme, cross and head relations in closed form
-        u_vals = {p: s * sp.I * coeffs[p] for p in powers}
-        g0 = s * sp.I * qA
+        u_vals = {p: s * _I * coeffs[p] for p in powers}
+        g0 = s * _I * qA
         gt = g0 + n
-        a = sp.sqrt(m**2 - E**2)
+        a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
         named = {chr(ord("b") + k): u_vals[p] for k, p in enumerate(powers)}
         branches.append(AnsatzBranch(
             a=a, exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
             n_prime=n,
             solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
                          "E_level": -m * gt / J},
-            subs={_a: a, _g0: g0, _gt: gt, **{u_syms[p]: u_vals[p] for p in powers}}))
+            subs={"a": a, "gamma0": g0, "gammat": gt, **{u_names[p]: u_vals[p] for p in powers}}))
     return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
@@ -505,7 +1027,7 @@ def _folded(V: PotentialSpec) -> tuple[str, PotentialSpec]:
     """The family of ``V`` and ``V`` as its solver reads it: normalized, with
     c_{-1} folded into the phase as ``match_coefficients`` says."""
     Vn = V.normalized()
-    c_m1 = Vn.terms.pop(-1, sp.Integer(0))
+    c_m1 = Vn.terms.pop(-1, 0)
     if c_m1 != 0:
         # the terms alone fix the family, so a pure c_{-1}/r is Coulomb
         confining = set(Vn.terms) == {1}
@@ -520,223 +1042,41 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     series pins m through E, the oscillator-type families pin E through m)
     return the pinned expression inside each branch.  An explicit c_{-1}
     term folds into the phase with the family's bracket sign (negatively
-    for the confining family, where potential terms enter as -qV).
+    for the confining family, where potential terms enter as -qV).  Every
+    relation and branch value is an Expr of one new ``_Kernel``.
     """
     family, Vn = _folded(V)
     if Vn.terms and Vn.coupling == 0:
         raise UnsupportedPotentialError(
             f"zero coupling q: the {family} relations divide by q times the potential terms"
         )
-    *_, E_sym, m_sym = _symbols()
-    E = E_sym if E is None else _num(E)
-    m = m_sym if m is None else _num(m)
-    name, branches, relations, series = _FAMILY_SOLVERS[family](Vn, qn, E, m)
+    kernel = _Kernel()
+    E = kernel.symbol("E") if E is None else _num(E)
+    m = kernel.symbol("m") if m is None else _num(m)
+    Vk = PotentialSpec({p: kernel.adopt(c) for p, c in Vn.terms.items()},
+                       kernel.adopt(Vn.coulomb_phase), kernel.adopt(Vn.coupling))
+    name, branches, relations, series = _FAMILY_SOLVERS[family](kernel, Vk, qn, E, m)
     return AnsatzSolution(name, Vn, qn, branches, tuple(relations), series)
-
-
-class _NotPolynomial(Exception):
-    """A node the gate's kernel does not read: nan, zoo, oo, a zero or symbolic
-    denominator, or anything but a sum, product, power, symbol or number."""
-
-
-# bits per variable in a packed monomial: an exponent of 2**16 would carry into
-# the next field, and a residual of that degree takes the kernel far too long
-_FIELD = 16
-_ROOT = (1 << _FIELD) - 2  # a generator field's bits above exponent 1
-_TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds to 0.0
-
-
-def _collect(terms) -> dict:
-    """The polynomial sum of (monomial, coefficient) pairs, zeros dropped."""
-    out = {}
-    for mono, c in terms:
-        if mono in out:
-            out[mono] += c
-        else:
-            out[mono] = c
-    return {mono: c for mono, c in out.items() if c}
-
-
-class _Kernel:
-    """Exact polynomial arithmetic for one run of the residual gate.
-
-    A polynomial is a dict from monomials to nonzero int, Fraction or float
-    coefficients.  A monomial packs one exponent per variable into _FIELD-bit
-    fields of an int, so multiplying monomials adds them.  The variables are
-    the symbols met and the generators: I, and sqrt(x) for each radicand x
-    met in x**(k/2).  A generator reduces by its square (I**2 = -1,
-    sqrt(x)**2 = x), so no generator exponent exceeds 1 in a result.  One
-    whose square holds a symbol (sqrt(m**2 - E**2), the Coulomb m) is one
-    more variable of the residual, as Poly would take it; the others (I,
-    sqrt(11)) are numbers, read as complex values only by ``magnitude``.
-    """
-
-    def __init__(self):
-        self.symbols = {}  # Symbol -> the shift of its field
-        self.roots = {}  # radicand -> the shift of its generator's field
-        self.squares = {0: {0: -1}}  # generator shift -> its square, oldest first; I is 0
-        self.fields = 1
-        self.symbolic = 0  # the fields of symbols and of generators whose square holds one
-        self.high = _ROOT  # the generator fields' bits above exponent 1
-
-    def _field(self):
-        shift, self.fields = self.fields * _FIELD, self.fields + 1
-        return shift
-
-    def variable(self, symbol) -> int:
-        """The shift of ``symbol``'s field."""
-        shift = self.symbols.get(symbol)
-        if shift is None:
-            shift = self.symbols[symbol] = self._field()
-            self.symbolic |= (1 << _FIELD) - 1 << shift
-        return shift
-
-    def _root(self, radicand) -> int:
-        shift = self.roots.get(radicand)
-        if shift is None:
-            square = self._poly(radicand)  # registers the generators it holds first
-            shift = self.roots[radicand] = self._field()
-            self.squares[shift] = square
-            self.high |= _ROOT << shift
-            if any(mono & self.symbolic for mono in square):
-                self.symbolic |= (1 << _FIELD) - 1 << shift
-        return shift
-
-    def poly(self, expr) -> dict:
-        """``expr`` as a reduced polynomial; {0: nan} if the kernel cannot read it."""
-        try:
-            return self._poly(expr)
-        except _NotPolynomial:
-            return {0: math.nan}
-
-    def _poly(self, expr) -> dict:
-        if expr.is_Symbol:
-            return {1 << self.variable(expr): 1}
-        if expr.is_Rational:
-            return {0: expr.p if expr.q == 1 else Fraction(expr.p, expr.q)} if expr.p else {}
-        if expr.is_Mul:
-            factors = iter(expr.args)
-            out = self._poly(next(factors))
-            for factor in factors:
-                out = self.mul(out, self._poly(factor))
-            return out
-        if expr.is_Add:
-            return _collect(t for term in expr.args for t in self._poly(term).items())
-        if expr.is_Pow:
-            base, e = expr.args
-            if not e.is_Rational or e.q > 2:
-                raise _NotPolynomial(expr)
-            if e.q == 1:
-                if base.is_Symbol and e.p > 0:
-                    return {e.p << self.variable(base): 1}
-                p = self._poly(base)
-                return self.power(p if e.p > 0 else self._inverse(p), abs(e.p))
-            shift = self._root(base)
-            out = self.power({1 << shift: 1}, abs(e.p))
-            if e.p < 0:  # x**(-k/2) = x**(k/2) / x**k
-                out = self.mul(out, self.power(self._inverse(self.squares[shift]), -e.p))
-            return out
-        if expr.is_Float:
-            return {0: float(expr)} if expr else {}
-        if expr is sp.I:
-            return {1: 1}
-        raise _NotPolynomial(expr)
-
-    def mul(self, p, q) -> dict:
-        """The product, each generator squared replaced by its square until none is."""
-        todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
-        done = []
-        while todo:
-            mono, c = todo.pop()
-            if mono & self.high:
-                shift = next(s for s in self.squares if mono >> s & _ROOT)
-                rest = mono - (2 << shift)
-                todo.extend((rest + m, c * c2) for m, c2 in self.squares[shift].items())
-            else:
-                done.append((mono, c))
-        return _collect(done)
-
-    def power(self, p, k: int) -> dict:
-        out = p
-        for _ in range(k - 1):
-            out = self.mul(out, p)
-        return out
-
-    def _inverse(self, p) -> dict:
-        """1/p for a nonzero p free of symbols, by conjugates: p = P + Q g times
-        P - Q g is free of the generator g, newest generator first, since a
-        square holds only generators older than its own."""
-        if any(mono & self.symbolic for mono in p):
-            raise _NotPolynomial("a denominator that holds a symbol")
-        num = {0: 1}
-        for shift in reversed(self.squares):
-            bit = 1 << shift
-            if any(mono & bit for mono in p):
-                conj = {mono: -c if mono & bit else c for mono, c in p.items()}
-                num, p = self.mul(num, conj), self.mul(p, conj)
-        if p.keys() != {0}:  # zero, or float leftovers of a generator
-            raise _NotPolynomial("a denominator that reduces to no nonzero number")
-        d = p[0]
-        inv = 1 / d if isinstance(d, float) else Fraction(1) / d
-        return {mono: c * inv for mono, c in num.items()}
-
-    def substitute(self, poly, values: dict, powers: dict) -> dict:
-        """``poly`` with each symbol field in ``values`` (shift -> polynomial)
-        replaced by its value; ``powers`` keeps the value powers of one branch."""
-        terms = []
-        for mono, c in poly.items():
-            term = {mono: c}
-            for shift, value in values.items():
-                e = mono >> shift & (1 << _FIELD) - 1
-                if e:
-                    if (shift, e) not in powers:
-                        powers[shift, e] = self.power(value, e)
-                    term = self.mul({m - (e << shift): k for m, k in term.items()}, powers[shift, e])
-            terms.extend(term.items())
-        return _collect(terms)
-
-    def _value(self, atoms) -> complex:
-        """The complex value of a monomial in numeric generators."""
-        value = 1
-        for shift, square in self.squares.items():
-            if atoms >> shift & 1:
-                value *= cmath.sqrt(sum(complex(c) * self._value(m) for m, c in square.items()))
-        return value
-
-    def magnitude(self, poly) -> float:
-        """The largest abs(complex) over the coefficients of ``poly`` in its
-        symbolic variables; inf if one is not finite or too large for a float.
-        A coefficient with only exact terms is a true nonzero, so it reads at
-        least _TINY even where its float rounds to 0.0."""
-        groups = {}
-        try:
-            for mono, c in poly.items():
-                key = mono & self.symbolic
-                total, exact = groups.get(key, (0, True))
-                groups[key] = (total + complex(c) * self._value(mono ^ key),
-                               exact and not isinstance(c, float))
-            mags = [abs(total) or (_TINY if exact else 0.0) for total, exact in groups.values()]
-        except OverflowError:
-            return math.inf
-        return max(mags, default=0.0) if all(map(math.isfinite, mags)) else math.inf
 
 
 def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
     """Per-(branch, power) residual magnitudes of the coefficient relations:
     one entry per branch and relation, each power having one relation.
 
-    One ``_Kernel`` serves the call: each relation is converted once, each
-    branch's values once per branch, and every substitution and expansion is
-    exact polynomial arithmetic with no simplification.  An entry reads 0.0
-    only when its residual is the zero polynomial: a true zero left unreduced
-    can only fail the gate, and a nonzero value never passes it.
+    The relations and branch values are polynomials of the solution's own
+    ``_Kernel``; each branch's values are substituted into each relation and
+    expanded by exact polynomial arithmetic with no simplification.  An
+    entry reads 0.0 only when its residual is the zero polynomial: a true
+    zero left unreduced can only fail the gate, and a nonzero value never
+    passes it.  A value the kernel does not read (a nan, or an object that
+    is no number or Expr of the solution) reads inf.
     """
-    kernel = _Kernel()
-    relations = [(rel.power, kernel.poly(rel.expr))
+    kernel = _common_kernel(*(rel.expr for rel in sol.relations)) or _Kernel()
+    relations = [(rel.power, kernel.reading(rel.expr))
                  for rel in sol.relations if rel.matched or not matched_only]
     out = {}
     for bi, branch in enumerate(sol.branches):
-        values = {kernel.variable(key): kernel.poly(value) for key, value in branch.subs.items()}
+        values = {kernel.variable(name): kernel.reading(value) for name, value in branch.subs.items()}
         powers = {}
         for power, poly in relations:
             out[(bi, power)] = kernel.magnitude(kernel.substitute(poly, values, powers))

@@ -205,7 +205,7 @@ def test_criterion_13_solver_suite():
         qn = spectra.QuantumNumbers(j, n)
         V = spectra.PotentialSpec({}, coulomb_phase=Fraction(qa).limit_denominator(10**6))
         sol = spectra.match_coefficients(V, qn)
-        gt = sol.branches[0].solver_vars["gamma_plus_nu_plus_1"]
+        gt = sp.sympify(str(sol.branches[0].solver_vars["gamma_plus_nu_plus_1"]))
         closed = float(1 / sp.sqrt(1 + (sp.nsimplify(qa) / gt) ** 2))
         assert abs(closed - spectra.coulomb_levels(qa, j, n)) < 1e-12
     _report(13, "residuals exact-zero over random rational parameters in all "

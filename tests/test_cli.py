@@ -870,6 +870,47 @@ def test_every_doctored_multiplet_row_exits_0_or_3(row, one_parser, tmp_path, ca
     assert not breaches, "\n".join(breaches)
 
 
+def _malformed(text):
+    """The shipped multiplets.csv text made malformed in one way each."""
+    delta = text.splitlines()[1]
+    return {
+        "a Latin-1 byte in a note": text.replace("rest value", "rest val\xe9e").encode("latin-1"),
+        "a row longer than the header": text.replace(delta, delta + ",extra"),
+        "a second octet N row": text + next(r for r in text.splitlines() if r.startswith("octet,N,")),
+        "a 5001-digit M": text.replace(delta, delta.replace(",,4,4,", ",,4" + "0" * 5000 + ",4,")),
+        "a 401-digit M0": text.replace(delta, delta.replace(",,4,4,", ",,4,4" + "0" * 400 + ",")),
+        "an M past 2^53": text.replace(delta, delta.replace(",,4,4,", f",,{2**53 + 1},4,")),
+        "a 17-digit n0 candidate": text.replace("2|6|8|", "2|60000000000000000|8|"),
+    }
+
+
+MALFORMED_MULTIPLETS = _malformed(Path(data_path("multiplets.csv")).read_text())
+
+
+@pytest.mark.parametrize("case", MALFORMED_MULTIPLETS)
+def test_every_malformed_multiplet_file_exits_3(case, one_parser, tmp_path, capsys):
+    """A byte that is not UTF-8, a cell past the header, a duplicate
+    (family, name) row or an integer cell past 2^53, under every multiplet
+    section of mass: exit 3 with one line naming the file."""
+    shutil.copy(data_path("constants.json"), tmp_path / "constants.json")
+    text = MALFORMED_MULTIPLETS[case]
+    path = tmp_path / "multiplets.csv"
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
+    for section in MULTIPLET_SECTIONS:
+        code = cli.main(["--format", "json", "--data-dir", str(tmp_path), "mass", section])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (cli.EXIT_DATA, "", 1), (section, err[:200])
+        assert err.startswith(f"invalid data: {path}: "), err[:200]
+
+
+def test_constants_that_are_not_utf8_exit_3(tmp_path, capsys):
+    text = Path(data_path("constants.json")).read_text()
+    (tmp_path / "constants.json").write_bytes(text.replace("{", '{"n\xf6te": 1,', 1).encode("latin-1"))
+    assert cli.main(["--data-dir", str(tmp_path), "gut"]) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"invalid data: {tmp_path / 'constants.json'}: not UTF-8 text (invalid start byte)\n"
+
+
 FUZZ_JSON = ('""', '"x"', "NaN", "Infinity", "0", "-1", "1e400", "2.5", None)
 SHIPPED_CONSTANTS = json.loads(Path(data_path("constants.json")).read_text())
 CONSTANTS_KEYS = [(key,) for key in SHIPPED_CONSTANTS] + [
@@ -1005,6 +1046,27 @@ def test_requests_that_solve_nothing_never_load_sympy(argv, code):
     proc = subprocess.run([sys.executable, "-c", script, *argv.split()],
                           capture_output=True, text=True)
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
+NO_SYMPY = ("import sys; from nilpotent import cli; code = cli.main(sys.argv[1:]); "
+            "assert 'sympy' not in sys.modules, 'sympy was imported'; sys.exit(code)")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    "solve --family strong",
+    "solve --family coulomb --qA 1/10",
+    "solve --family coulomb --qA 1/10 --nprime 1",
+    "solve --family oscillator --c 3",
+    "solve --family lennard-jones --B 1 --C 1",
+    # an imaginary phase with a folded c_{-1} term: a complex q A, kept whole in the branches
+    """solve --potential {"terms":{"2":"1/2","-1":"3/7"},"coulombPhase":"1/5i","q":"2/3"}""",
+])
+def test_no_cli_request_loads_sympy(argv, fmt):
+    """Every exact solve, in each format, leaves sympy unimported when cli.main returns."""
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY, "--format", fmt, *argv.split()],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_OK and proc.stdout and proc.stderr == "", proc.stderr
 
 
 RUN_MODULES = """

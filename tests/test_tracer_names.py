@@ -42,7 +42,7 @@ def test_cli_import_loads_spectra_but_not_sympy():
     """The tracer wraps only modules already in ``sys.modules`` when
     ``nilpotent.cli`` loads.  ``spectra`` is registered there at import and
     compiled and run at the first read of one of its attributes (the
-    tracer's own read runs it); sympy waits for the first exact solve."""
+    tracer's own read runs it); no request loads sympy."""
     script = ("import sys, nilpotent.cli; "
               "assert 'nilpotent.spectra' in sys.modules, 'spectra was not imported'; "
               "assert 'sympy' not in sys.modules, 'sympy was imported'")
