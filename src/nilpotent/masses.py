@@ -68,7 +68,12 @@ def load_constants(data_dir=None) -> dict:
     angle and the Cabibbo parameter also below 1), else InvalidDataError."""
     path = _data_path("constants.json", data_dir)
     with open(path, encoding="utf-8") as fh, _utf8(path):
-        constants = json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
+        try:
+            constants = json.load(fh, object_hook=lambda d: DatasetRecord(path, d))
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:  # not JSON, or an integer past the interpreter's digit limit
+            raise InvalidDataError(f"{path}: not readable JSON ({exc})") from None
     _check_values(path, "", constants)
     return constants
 
@@ -80,6 +85,14 @@ def _utf8(path: str):
         yield
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+_ECHO = 60  # the characters of a refused value that its one-line message repeats
+
+
+def _echo(text: str) -> str:
+    """``text`` as a message repeats it: whole if short, else its head and length."""
+    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
 
 
 def _check_values(path: str, prefix: str, record: dict) -> None:
@@ -94,7 +107,8 @@ def _check_values(path: str, prefix: str, record: dict) -> None:
                 or not 0 < value < (1 if below_one else sys.float_info.max)):
             expected = ("an object" if name in _OBJECTS else "a number between 0 and 1"
                         if below_one else "a finite number above 0")
-            raise InvalidDataError(f"{path}: {name} is {json.dumps(value)}, expected {expected}")
+            raise InvalidDataError(f"{path}: {_echo(name)} is {_echo(json.dumps(value))}, "
+                                   f"expected {expected}")
 
 
 class MassUnit(NamedTuple):
@@ -187,7 +201,8 @@ def load_multiplets(data_dir=None) -> Multiplets:
         for rec in reader:
             row = _multiplet(path, rec, tables)
             if any(m.family == row.family and m.name == row.name for m in rows):
-                raise InvalidDataError(f"{path}: the {row.family} row {row.name} appears twice")
+                raise InvalidDataError(
+                    f"{path}: the {row.family} row {_echo(row.name)} appears twice")
             rows.append(row)
     return rows
 
@@ -197,8 +212,8 @@ def _multiplet(path: str, rec: dict, tables) -> Multiplet:
     contents = tuple(rec["content"].split("|"))
 
     def refuse(column, expected):
-        return InvalidDataError(f"{path}: the row {name} has {column} {rec[column]!r}, "
-                                f"expected {expected}")
+        return InvalidDataError(f"{path}: the row {_echo(name)} has {column} "
+                                f"{_echo(repr(rec[column]))}, expected {expected}")
 
     def integers(column, least, many=False):
         # the length test comes first: int() of a long enough cell raises
@@ -210,7 +225,7 @@ def _multiplet(path: str, rec: dict, tables) -> Multiplet:
                              f"{least} and at most 2^53")
 
     if None in rec:  # csv.DictReader files the cells past the header under None
-        raise InvalidDataError(f"{path}: the row {name} has more cells than the header "
+        raise InvalidDataError(f"{path}: the row {_echo(name)} has more cells than the header "
                                f"({len(rec[None])} more)")
 
     def measured(column):
@@ -229,8 +244,8 @@ def _multiplet(path: str, rec: dict, tables) -> Multiplet:
     if family not in _BARYON_FAMILIES:
         n0 = integers("n0_candidates", 0, many=True)
     elif cell:
-        raise InvalidDataError(f"{path}: the {family} row {name} fills n0_candidates "
-                               f"with {cell!r}, which the charge tables give")
+        raise InvalidDataError(f"{path}: the {family} row {_echo(name)} fills n0_candidates "
+                               f"with {_echo(repr(cell))}, which the charge tables give")
     else:
         try:
             n0 = charges.multiplet_zero_candidates(contents, "A", tables)

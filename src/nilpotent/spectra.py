@@ -177,14 +177,14 @@ class _Kernel:
         self.keys = {}  # ("sqrt" | "sum", frozen terms) -> shift
         self.squares = {0: {0: -1}}  # generator shift -> its square, oldest first; I is 0
         self.sums = {}  # shift of a sum kept whole -> its terms
-        self.atoms = {0: _I_ATOM}  # shift -> (sort key, text)
+        self.atoms = {0: _I_ATOM}  # shift -> (sort key, text), None until ``atom`` makes it
         self.fields = 1
         self.symbolic = 0  # the fields of symbols and of the variables whose value holds one
         self.high = _ROOT  # the generator fields' bits above exponent 1
 
-    def _field(self, key, text, symbolic) -> int:
+    def _field(self, atom, symbolic) -> int:
         shift, self.fields = self.fields * _FIELD, self.fields + 1
-        self.atoms[shift] = (key, text)
+        self.atoms[shift] = atom
         if symbolic:
             self.symbolic |= _MASK << shift
         return shift
@@ -193,7 +193,7 @@ class _Kernel:
         """The shift of the field of the symbol ``name``."""
         shift = self.symbols.get(name)
         if shift is None:
-            shift = self.symbols[name] = self._field((2, 1, name), name, True)
+            shift = self.symbols[name] = self._field(((2, 1, name), name), True)
         return shift
 
     def symbol(self, name: str) -> "Expr":
@@ -211,11 +211,7 @@ class _Kernel:
         key = ("sqrt", frozenset(square.items()))
         shift = self.keys.get(key)
         if shift is None:
-            text = f"sqrt({_print(self, square)})"
-            # a squarefree integer sorts among the numbers, a sum before a power
-            sort = ((1, 0, str(square[0])) if square.keys() == {0} else
-                    (3, 1, (0, text)) if len(square) > 1 else (3, 2, text))
-            shift = self.keys[key] = self._field(sort, text, self._holds_symbol(square))
+            shift = self.keys[key] = self._field(None, self._holds_symbol(square))
             self.squares[shift] = square
             self.high |= _ROOT << shift
         return shift
@@ -225,13 +221,29 @@ class _Kernel:
         key = ("sum", frozenset(terms.items()))
         shift = self.keys.get(key)
         if shift is None:
-            text = f"({_print(self, terms)})"
-            sort = (3, 1, (len(terms), tuple(map(functools.partial(_term_key, self),
-                                                 _ordered(self, list(terms.items()))))))
-            shift = self.keys[key] = self._field(
-                sort, text, self._holds_symbol(self.expanded(terms)))
+            shift = self.keys[key] = self._field(None, self._holds_symbol(self.expanded(terms)))
             self.sums[shift] = terms
         return shift
+
+    def atom(self, shift) -> tuple:
+        """(sort key, text) of the variable at ``shift``, made at its first print:
+        the fields it reads are all older than its own, so the text is the one
+        it would have had when the variable was made."""
+        atom = self.atoms[shift]
+        if atom is None:
+            if shift in self.squares:
+                square = self.squares[shift]
+                text = f"sqrt({_print(self, square)})"
+                # a squarefree integer sorts among the numbers, a sum before a power
+                atom = ((1, 0, str(square[0])) if square.keys() == {0} else
+                        (3, 1, (0, text)) if len(square) > 1 else (3, 2, text)), text
+            else:
+                terms = self.sums[shift]
+                atom = (3, 1, (len(terms), tuple(map(functools.partial(_term_key, self),
+                                                     _ordered(self, list(terms.items())))))
+                        ), f"({_print(self, terms)})"
+            self.atoms[shift] = atom
+        return atom
 
     def sqrt(self, x):
         """The principal square root of ``x``, as sympy's sqrt evaluates it for
@@ -250,17 +262,30 @@ class _Kernel:
 
     def mul(self, p, q) -> dict:
         """The product, each generator squared replaced by its square until none is."""
-        todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
-        done = []
+        if len(p) == 1 and len(q) == 1:
+            (m1, c1), = p.items()
+            (m2, c2), = q.items()
+            mono, c = m1 + m2, c1 * c2
+            high = mono & self.high
+            if not high:
+                return {mono: c} if c else {}
+            if high == 2:  # I**2 = -1, and no other generator squared
+                return {mono - 2: -c} if c else {}
+            todo = [(mono, c)]
+        else:
+            todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
+        out = {}
         while todo:
             mono, c = todo.pop()
             if mono & self.high:
                 shift = next(s for s in self.squares if mono >> s & _ROOT)
                 rest = mono - (2 << shift)
                 todo.extend((rest + m, c * c2) for m, c2 in self.squares[shift].items())
+            elif mono in out:
+                out[mono] += c
             else:
-                done.append((mono, c))
-        return _collect(done)
+                out[mono] = c
+        return {mono: c for mono, c in out.items() if c}
 
     def power(self, p, k: int) -> dict:
         out = p
@@ -289,15 +314,18 @@ class _Kernel:
     def substitute(self, poly, values: dict, powers: dict) -> dict:
         """``poly`` with each variable field in ``values`` (shift -> polynomial)
         replaced by its value; ``powers`` keeps the value powers of one branch."""
+        fields = sum(_MASK << shift for shift in values)
         terms = []
         for mono, c in poly.items():
             term = {mono: c}
-            for shift, value in values.items():
-                e = mono >> shift & _MASK
-                if e:
-                    if (shift, e) not in powers:
-                        powers[shift, e] = self.power(value, e)
-                    term = self.mul({m - (e << shift): k for m, k in term.items()}, powers[shift, e])
+            if mono & fields:
+                for shift, value in values.items():
+                    e = mono >> shift & _MASK
+                    if e:
+                        if (shift, e) not in powers:
+                            powers[shift, e] = self.power(value, e)
+                        term = self.mul({m - (e << shift): k for m, k in term.items()},
+                                        powers[shift, e])
             terms.extend(term.items())
         return _collect(terms)
 
@@ -417,6 +445,8 @@ class Expr:
         if len(self.terms) > 1:  # sympy leaves a power of a sum unexpanded
             return Expr(kernel, {k << kernel._sum(self.terms): 1})
         (mono, c), = self.terms.items()
+        if not mono * k & kernel.high:  # no generator to reduce: the exponents multiply
+            return _value(kernel, {mono * k: _pow(c, k)})
         return _value(kernel, {m: v * _pow(c, k) for m, v in kernel.power({mono: 1}, k).items()})
 
 
@@ -444,6 +474,10 @@ def _common_kernel(*values):
     """The kernel whose variables ``values`` hold, or None if they are numbers
     and Gaussian constants only, which read alike in every kernel.  Values
     with variables of two different kernels raise ValueError."""
+    if len(values) == 2:
+        x, y = values
+        if isinstance(x, Expr) and isinstance(y, Expr) and x.kernel is y.kernel:
+            return x.kernel
     found, fixed = None, False
     for x in values:
         if not isinstance(x, Expr) or x.kernel is None or x.kernel is found:
@@ -475,11 +509,15 @@ def _mul(x, y):
     if not isinstance(y, Expr):
         return x * y
     if not isinstance(x, Expr):  # a number times each term
+        if len(y.terms) == 1:
+            (mono, c), = y.terms.items()
+            c *= x
+            return _value(y.kernel, {mono: c} if c else {})
         return _value(y.kernel, _collect((mono, c * x) for mono, c in y.terms.items()))
     kernel = _common_kernel(x, y) or _Kernel()
     whole = [t if len(t) == 1 else {1 << kernel._sum(t): 1} for t in (x.terms, y.terms)]
     terms = kernel.mul(*whole)
-    if len(terms) == 1:
+    if len(terms) == 1 and kernel.sums:
         (mono, c), = terms.items()
         shift = next((s for s in kernel.sums if mono == 1 << s), None)
         if shift is not None:  # a number times one sum: sympy multiplies each of its terms
@@ -587,9 +625,14 @@ def _term_key(kernel, term) -> tuple:
 
 def _factors(kernel, mono) -> list:
     """(sort key, exponent, text) of each variable of ``mono``, in sympy's Mul order."""
-    atoms = kernel.atoms if kernel else {0: _I_ATOM}
-    return sorted((key, mono >> s & _MASK, text) for s, (key, text) in atoms.items()
-                  if mono >> s & _MASK)
+    atom = kernel.atom if kernel else {0: _I_ATOM}.get
+    out = []
+    for s in kernel.atoms if kernel else (0,):
+        e = mono >> s & _MASK
+        if e:
+            key, text = atom(s)
+            out.append((key, e, text))
+    return sorted(out)
 
 
 def _ordered(kernel, items) -> list:
@@ -603,7 +646,7 @@ def _ordered(kernel, items) -> list:
                 and len(_factors(kernel, other[0])) == 1):
             return [number, other]
     symbolic = kernel.symbolic if kernel else 0
-    gens = sorted((kernel.atoms[s][0], s) for s in kernel.atoms
+    gens = sorted((kernel.atom(s)[0], s) for s in kernel.atoms
                   if any((mono & symbolic) >> s & _MASK for mono, _ in items)) if symbolic else []
 
     def key(item):
@@ -720,7 +763,7 @@ class QuantumNumbers(_QuantumFields):
         j = _num(self.j)
         if j < Fraction(1, 2):
             raise ValueError("j must be at least 1/2")
-        if float((2 * j) % 2) != 1:
+        if (2 * j) % 2 != 1:
             raise ValueError(f"j must be a half-integer (2j odd), got {self.j}")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
@@ -1118,7 +1161,7 @@ def coulomb_levels(qA: float, j, n_prime: int) -> float:
 def oscillator_levels(m, j, n_prime: int):
     """E = -m (1/2 + n') / (j + 1/2); equally spaced with spacing m/(j+1/2)."""
     if isinstance(m, (int, Fraction)) and isinstance(j, (int, Fraction)):
-        return -Fraction(m) * (Fraction(1, 2) + n_prime) / (Fraction(j) + Fraction(1, 2))
+        return Fraction(-m * (2 * n_prime + 1), 2 * j + 1)
     return -float(m) * (0.5 + n_prime) / (float(j) + 0.5)
 
 

@@ -901,6 +901,38 @@ def test_every_malformed_multiplet_file_exits_3(case, one_parser, tmp_path, caps
         out, err = capsys.readouterr()
         assert (code, out, err.count("\n")) == (cli.EXIT_DATA, "", 1), (section, err[:200])
         assert err.startswith(f"invalid data: {path}: "), err[:200]
+        assert len(err) < len(str(path)) + 250, err[:200]
+
+
+def _malformed_constants(text):
+    """The shipped constants.json text made malformed in one way each."""
+    first = next(iter(json.loads(text)))
+    value = json.dumps(json.loads(text)[first])
+    return {
+        "truncated after the first value": text[:text.index(value) + len(value) + 1],
+        "a 5001-digit integer": text.replace(value, "1" + "0" * 5000, 1),
+        "a 5000-character string": text.replace(value, json.dumps("x" * 5000), 1),
+        "a 5000-character key of -1": text.replace("{", f'{{"{"k" * 5000}": -1, ', 1),
+    }
+
+
+MALFORMED_CONSTANTS = _malformed_constants(Path(data_path("constants.json")).read_text())
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONSTANTS)
+def test_every_malformed_constants_file_exits_3(case, one_parser, tmp_path, capsys):
+    """Text that is not JSON, an integer past the interpreter's digit limit or a
+    long value, under gut and mass --bosons: exit 3 with one short line naming
+    the file."""
+    shutil.copy(data_path("multiplets.csv"), tmp_path / "multiplets.csv")
+    path = tmp_path / "constants.json"
+    path.write_text(MALFORMED_CONSTANTS[case])
+    for argv in (["gut"], ["mass", "--bosons"]):
+        code = cli.main(["--format", "json", "--data-dir", str(tmp_path), *argv])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (cli.EXIT_DATA, "", 1), (argv, err[:200])
+        assert err.startswith(f"invalid data: {path}: "), err[:200]
+        assert len(err) < len(str(path)) + 250, err[:200]
 
 
 def test_constants_that_are_not_utf8_exit_3(tmp_path, capsys):
@@ -1154,6 +1186,18 @@ def test_json_determinism():
     # |2E| = 1: no bound refuses it, so all 20000 steps run, and (-i)^20000 X = X
     ("algebra_vacuum_unit_factor.txt", ("algebra", "vacuum", "--E", "1/2", "--p", "0,0,1/2",
                                         "--m", "0", "--n", "20000")),
+    # a surd inside a surd: prints E*(2*sqrt(2) + 3) and sqrt(12*sqrt(2) + 18)*sqrt(E**2)
+    ("solve_coulomb_surd.json", ("--format", "json", "solve", "--family", "coulomb",
+                                 "--qA", "1/3", "--j", "1/2", "--nprime", "1")),
+    ("solve_strong.json", ("--format", "json", "solve", "--family", "strong", "--q", "2/3",
+                           "--sigma", "3/5", "--qA", "1/3", "--j", "3/2", "--nprime", "1")),
+    # a sum kept whole, m*(2 + I/3), and the generator sqrt(-E**2 + m**2)
+    ("solve_oscillator.json", ("--format", "json", "solve", "--family", "oscillator",
+                               "--c", "2/3", "--A", "1/3", "--m", "5/7", "--j", "3/2",
+                               "--nprime", "2")),
+    ("solve_lennard_jones.json", ("--format", "json", "solve", "--family", "lennard-jones",
+                                  "--B", "1/2", "--C", "1/3", "--A", "2/5", "--j", "5/2",
+                                  "--nprime", "1")),
 ])
 def test_golden_reports(golden, argv):
     code, out = run_cli(*argv)

@@ -1120,6 +1120,108 @@ def test_kernel_inverts_a_constant_by_conjugates(x):
         assert product == {0: 1}
 
 
+def _reference_mul(kernel, p, q) -> dict:
+    """``_Kernel.mul`` as first written: every pair product popped from one
+    list, each generator squared replaced by its square, then one collect."""
+    todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
+    done = []
+    while todo:
+        mono, c = todo.pop()
+        if mono & kernel.high:
+            shift = next(s for s in kernel.squares if mono >> s & spectra._ROOT)
+            rest = mono - (2 << shift)
+            todo.extend((rest + m, c * c2) for m, c2 in kernel.squares[shift].items())
+        else:
+            done.append((mono, c))
+    return spectra._collect(done)
+
+
+def _reference_substitute(kernel, poly, values, powers) -> dict:
+    """``_Kernel.substitute`` as first written, on ``_reference_mul``."""
+    terms = []
+    for mono, c in poly.items():
+        term = {mono: c}
+        for shift, value in values.items():
+            e = mono >> shift & spectra._MASK
+            if e:
+                if (shift, e) not in powers:
+                    out = value
+                    for _ in range(e - 1):
+                        out = _reference_mul(kernel, out, value)
+                    powers[shift, e] = out
+                term = _reference_mul(kernel, {m - (e << shift): k for m, k in term.items()},
+                                      powers[shift, e])
+        terms.extend(term.items())
+    return spectra._collect(terms)
+
+
+def _kernel_fields():
+    """A kernel with I, the numeric surd sqrt(2), the symbols E and m and the
+    surd sqrt(E**2), whose square holds a symbol; and the shift of each."""
+    kernel = _Kernel()
+    E, m = kernel.variable("E"), kernel.variable("m")
+    root2 = kernel._root({0: 2})
+    rootE = kernel._root({2 << E: 1})
+    return kernel, {"I": 0, "sqrt2": root2, "E": E, "m": m, "sqrtE2": rootE}
+
+
+_KERNEL, _SHIFTS = _kernel_fields()
+_coefficients = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(-3, 3, max_denominator=7).filter(bool),
+    st.floats(-10, 10, allow_nan=False).filter(bool),
+    st.sampled_from([1, -1, 1e-200, 0.1, 1 / 3]))
+_monomials = st.builds(
+    lambda i, r2, rE, e, m: i + (r2 << _SHIFTS["sqrt2"]) + (rE << _SHIFTS["sqrtE2"])
+    + (e << _SHIFTS["E"]) + (m << _SHIFTS["m"]),
+    *[st.integers(0, 1)] * 3, *[st.integers(0, 3)] * 2)
+_polys = st.dictionaries(_monomials, _coefficients, max_size=5)
+
+
+def _items(poly):
+    """The items of ``poly`` in order, each coefficient with its type and exact repr."""
+    return [(mono, type(c), repr(c)) for mono, c in poly.items()]
+
+
+def _negated_in(poly, shift):
+    """``poly`` with the sign of each term that holds the field ``shift`` flipped."""
+    return {mono: -c if mono >> shift & 1 else c for mono, c in poly.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, st.booleans())
+def test_kernel_mul_keeps_the_order_and_types_of_the_first_loop(p, q, conjugate):
+    """The one-term and I**2 shortcuts of ``mul`` return the reference's items:
+    the same monomials in the same order, each float summed in the same order."""
+    if conjugate:
+        q = _negated_in(p, _SHIFTS["sqrtE2"])
+    assert _items(_KERNEL.mul(p, q)) == _items(_reference_mul(_KERNEL, p, q))
+
+
+def test_kernel_mul_cancels_to_nothing():
+    """(sqrt(E**2) - E)(sqrt(E**2) + E) = E**2 - E**2 is the empty polynomial."""
+    g, E = 1 << _SHIFTS["sqrtE2"], 1 << _SHIFTS["E"]
+    for p, q in (({g: 1, E: -1}, {g: 1, E: 1}), ({g: 1}, {g: 1, 2 * E: -1}), ({1: 2}, {1: 0.5, 0: 1})):
+        assert _KERNEL.mul(p, q) == _reference_mul(_KERNEL, p, q)
+    assert _KERNEL.mul({g: 1, E: -1}, {g: 1, E: 1}) == {}
+    assert _KERNEL.mul({1: 1e-200}, {1: 1e-200}) == {} == _reference_mul(_KERNEL, {1: 1e-200}, {1: 1e-200})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys, st.booleans())
+def test_kernel_substitute_keeps_the_order_and_types_of_the_first_loop(poly, e_value, m_value, cancel):
+    """``substitute`` passes a term that holds no substituted field through
+    untouched and otherwise returns the reference's items."""
+    values = {_SHIFTS["E"]: e_value, _SHIFTS["m"]: m_value}
+    if cancel:  # E - m with m := E is the empty polynomial
+        poly = {**poly, 1 << _SHIFTS["E"]: 1, 1 << _SHIFTS["m"]: -1}
+        values[_SHIFTS["m"]] = e_value
+    new = _KERNEL.substitute(poly, values, {})
+    assert _items(new) == _items(_reference_substitute(_KERNEL, poly, values, {}))
+    if cancel and not poly.keys() - {1 << _SHIFTS["E"], 1 << _SHIFTS["m"]}:
+        assert new == {}
+
+
 def test_nan_branch_fails_the_residual_gate():
     """A branch holding nan (as q = 0 once gave) can no longer report residual 0."""
     sol = match_coefficients(PotentialSpec({1: 1}, coulomb_phase=Rational(1, 3)), QN)
