@@ -132,7 +132,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"expected a rational number, got {text!r}") from exc
+        raise UsageError(f"expected a rational number, got {datafiles._echo(repr(text))}") from exc
 
 
 def _parse_float(text: str) -> float:
@@ -140,7 +140,7 @@ def _parse_float(text: str) -> float:
     try:
         return float(_parse_fraction(text))
     except OverflowError as exc:
-        raise UsageError(f"{text!r} is too large") from exc
+        raise UsageError(f"{datafiles._echo(repr(text))} is too large") from exc
 
 
 def _float_between(low: float, high: float):
@@ -149,7 +149,7 @@ def _float_between(low: float, high: float):
         value = _parse_float(text)
         if not low < value < high:
             raise argparse.ArgumentTypeError(
-                f"must lie strictly between {low} and {high}, got {text!r}")
+                f"must lie strictly between {low} and {high}, got {datafiles._echo(repr(text))}")
         return value
     return parse
 
@@ -157,7 +157,7 @@ def _float_between(low: float, high: float):
 def _parse_triple(text: str, what: str = "px,py,pz", parse=_parse_fraction) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected {what}, got {text!r}")
+        raise UsageError(f"expected {what}, got {datafiles._echo(repr(text))}")
     return tuple(parse(p) for p in parts)
 
 

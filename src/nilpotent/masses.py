@@ -29,7 +29,7 @@ import sys
 from typing import NamedTuple
 
 from . import charges
-from .datafiles import DatasetRecord, InvalidDataError, MissingDataError
+from .datafiles import DatasetRecord, InvalidDataError, MissingDataError, _echo
 from .datafiles import data_path as _data_path
 
 __all__ = [
@@ -85,14 +85,6 @@ def _utf8(path: str):
         yield
     except UnicodeDecodeError as exc:
         raise InvalidDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-_ECHO = 60  # the characters of a refused value that its one-line message repeats
-
-
-def _echo(text: str) -> str:
-    """``text`` as a message repeats it: whole if short, else its head and length."""
-    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
 
 
 def _check_values(path: str, prefix: str, record: dict) -> None:

@@ -41,7 +41,9 @@ value is a closed form on the sign s = +-1: b = s i q sigma/2, a = -s i E and
 gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
 (oscillator); u_p = s i q c_p per power and 1 + gamma = s i q A (inverse).
 No value is divided out of another, so a float potential coefficient leaks
-no rounding into gamma or a.
+no rounding into gamma or a.  A branch holds each value once, named as in
+the relations (u6, u12), and the report prints the values the gate
+substitutes; the Coulomb levels read the branches' exact discriminant.
 
 The solver builds its relations and branch values on a small exact kernel
 (``_Kernel``), with no computer-algebra library: each is an ``Expr``, a
@@ -424,6 +426,9 @@ class Expr:
     def __sub__(self, other):
         return _sum((self, -other)) if isinstance(other, _VALUES) else NotImplemented
 
+    def __rsub__(self, other):
+        return _sum((other, -self)) if isinstance(other, _VALUES) else NotImplemented
+
     def __mul__(self, other):
         return _mul(self, other) if isinstance(other, _VALUES) else NotImplemented
 
@@ -730,14 +735,16 @@ class PotentialSpec(NamedTuple):
             try:
                 value = Fraction(body)
             except (ValueError, ZeroDivisionError):
-                raise ValueError(f"expected a rational number, got {s!r}") from None
+                from .datafiles import _echo  # a refusal alone reads it
+                raise ValueError(f"expected a rational number, got {_echo(repr(s))}") from None
             return _I * value if imaginary else value
 
         def power(k):
             try:
                 return int(str(k))
             except ValueError:
-                raise ValueError(f"a power must be an integer, got {k!r}") from None
+                from .datafiles import _echo
+                raise ValueError(f"a power must be an integer, got {_echo(repr(k))}") from None
 
         terms = d.get("terms", {}) if isinstance(d, dict) else None
         if not isinstance(terms, dict):
@@ -791,23 +798,22 @@ class AnsatzBranch(NamedTuple):
     """One sign branch of the solved trial state.
 
     ``exp_coefficients`` are the literal exponent-polynomial coefficients
-    (exponent = -a r + sum_s b_s r^s); ``solver_vars`` carries the family's
-    own variable names (b, c, ...) as they appear in the derivations, and
-    ``subs`` maps the name of each unknown of the relations to its value.
-    Every value is an Expr or a plain int, Fraction or float.
+    (exponent = -a r + sum_s b_s r^s); ``solver_vars``, which the report
+    prints and the gate substitutes, keys each value by its unknown in the
+    relations (a, b, u6, m; gamma0 and gammat as one_plus_gamma and
+    gamma_plus_nu_plus_1), E_level only printed.  Every value is an Expr or
+    a plain int, Fraction or float.
     """
 
-    a: object
     exp_coefficients: dict
     gamma: object
     n_prime: int
     solver_vars: dict
-    subs: dict
     decaying: "bool | None" = None
 
     def to_dict(self) -> dict:
         return {
-            "a": _format(self.a),
+            "a": _format(self.solver_vars["a"]),
             "expCoefficients": {str(k): _format(v) for k, v in self.exp_coefficients.items()},
             "gamma": _format(self.gamma),
             "nPrime": self.n_prime,
@@ -939,23 +945,20 @@ def _solve_confining(kernel, V, qn, E, m):
         a = -s * _I * E
         gt = s * _I * (q * A)
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={2: -b}, gamma=gt + (-1 - n), n_prime=n,
-            solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
-            subs={"a": a, "b": b, "gammat": gt}))
+            exp_coefficients={2: -b}, gamma=gt + (-1 - n), n_prime=n,
+            solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
     return "confining", tuple(branches), relations, None
 
 
-def _coulomb_root(kernel, qA, J):
-    """sqrt((j + 1/2)^2 - (q A)^2): a rational, a float or r*sqrt(f)."""
+def _coulomb_root(sqrt, qA, J):
+    """``sqrt`` of (j + 1/2)^2 - (q A)^2, for the branches and the level series:
+    exact for an exact q A, each square a float rounded once for a float."""
     if isinstance(qA, Expr):
         raise UnsupportedPotentialError(f"a pure Coulomb potential needs a real q A, got {qA}")
     disc = _pow(J, 2) - _pow(qA, 2)
     if not disc > 0:
-        raise SupercriticalCouplingError(
-            f"q^2 A^2 = {_format(_pow(qA, 2))} reaches (j+1/2)^2 = {_format(_pow(J, 2))}: "
-            "no subcritical solution"
-        )
-    return kernel.sqrt(disc)
+        raise SupercriticalCouplingError("q^2 A^2 reaches (j+1/2)^2: supercritical coupling")
+    return sqrt(disc)
 
 
 def _solve_coulomb(kernel, V, qn, E, m):
@@ -967,7 +970,7 @@ def _solve_coulomb(kernel, V, qn, E, m):
         kernel, [(-1, (qA,)), (0, (E,))], [(-1, (None,)), (0, (-1, _a))], (-2,), J, m_sym,
         [(-2, True, _HEAD + ": the indicial condition fixing gamma"),
          (-1, True, "series tail, nu = n'"), (0, True, "fixes the level through m")])
-    g0_root = _coulomb_root(kernel, qA, J)
+    g0_root = _coulomb_root(kernel.sqrt, qA, J)
     branches = []
     for s in (1, -1):
         g0 = s * g0_root          # gamma + 1
@@ -983,10 +986,10 @@ def _solve_coulomb(kernel, V, qn, E, m):
         c2 = _value(kernel, kernel.mul(c.terms, c.terms)) if isinstance(c, Expr) else c * c
         m_expr = kernel.sqrt(_pow(E, 2)) * kernel.sqrt(1 + c2)
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={}, gamma=g0 - 1, n_prime=n,
+            exp_coefficients={}, gamma=g0 - 1, n_prime=n,
             solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
-            subs={"a": a, "gamma0": g0, "gammat": gt, "m": m_expr}, decaying=(s == 1)))
-    series = LevelSeries("coulomb", functools.partial(coulomb_levels, float(qA)))
+            decaying=(s == 1)))
+    series = LevelSeries("coulomb", functools.partial(coulomb_levels, qA))
     return "coulomb", tuple(branches), relations, series
 
 
@@ -1012,10 +1015,9 @@ def _solve_oscillator(kernel, V, qn, E, m):
         a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
+            exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
             solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J},
-            subs={"a": a, "b": b, "gamma0": g0, "gammat": gt}))
+                         "E_level": -m * gt / J}))
     return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
@@ -1048,13 +1050,11 @@ def _solve_inverse(kernel, V, qn, E, m):
         g0 = s * _I * qA
         gt = g0 + n
         a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
-        named = {chr(ord("b") + k): u_vals[p] for k, p in enumerate(powers)}
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
+            exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
             n_prime=n,
-            solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J},
-            subs={"a": a, "gamma0": g0, "gammat": gt, **{u_names[p]: u_vals[p] for p in powers}}))
+            solver_vars={**{u_names[p]: u_vals[p] for p in powers}, "one_plus_gamma": g0, "a": a,
+                         "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
     return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
@@ -1081,12 +1081,13 @@ def _folded(V: PotentialSpec) -> tuple[str, PotentialSpec]:
 def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> AnsatzSolution:
     """Solve the coefficient relations for a supported potential family.
 
-    E and m default to symbols; families that pin one of them (the Coulomb
-    series pins m through E, the oscillator-type families pin E through m)
-    return the pinned expression inside each branch.  An explicit c_{-1}
-    term folds into the phase with the family's bracket sign (negatively
-    for the confining family, where potential terms enter as -qV).  Every
-    relation and branch value is an Expr of one new ``_Kernel``.
+    E and m default to symbols; a number given for either joins the solve's
+    kernel as the potential's coefficients do.  Families that pin one of
+    them (the Coulomb series pins m through E, the oscillator-type families
+    pin E through m) return the pinned expression inside each branch.  An
+    explicit c_{-1} term folds into the phase with the family's bracket sign
+    (negatively for the confining family, where potential terms enter as
+    -qV).  Every relation and branch value is an Expr of one new ``_Kernel``.
     """
     family, Vn = _folded(V)
     if Vn.terms and Vn.coupling == 0:
@@ -1094,12 +1095,16 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
             f"zero coupling q: the {family} relations divide by q times the potential terms"
         )
     kernel = _Kernel()
-    E = kernel.symbol("E") if E is None else _num(E)
-    m = kernel.symbol("m") if m is None else _num(m)
+    E = kernel.symbol("E") if E is None else kernel.adopt(_num(E))
+    m = kernel.symbol("m") if m is None else kernel.adopt(_num(m))
     Vk = PotentialSpec({p: kernel.adopt(c) for p, c in Vn.terms.items()},
                        kernel.adopt(Vn.coulomb_phase), kernel.adopt(Vn.coupling))
     name, branches, relations, series = _FAMILY_SOLVERS[family](kernel, Vk, qn, E, m)
     return AnsatzSolution(name, Vn, qn, branches, tuple(relations), series)
+
+
+# the relations' names of the two report keys that do not name their unknown
+_UNKNOWNS = {"one_plus_gamma": "gamma0", "gamma_plus_nu_plus_1": "gammat"}
 
 
 def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
@@ -1107,8 +1112,8 @@ def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
     one entry per branch and relation, each power having one relation.
 
     The relations and branch values are polynomials of the solution's own
-    ``_Kernel``; each branch's values are substituted into each relation and
-    expanded by exact polynomial arithmetic with no simplification.  An
+    ``_Kernel``; each branch's ``solver_vars`` (E_level aside) are substituted
+    into each relation and expanded exactly, with no simplification.  An
     entry reads 0.0 only when its residual is the zero polynomial: a true
     zero left unreduced can only fail the gate, and a nonzero value never
     passes it.  A value the kernel does not read (a nan, or an object that
@@ -1119,7 +1124,8 @@ def residual_detail(sol: AnsatzSolution, matched_only: bool = True) -> dict:
                  for rel in sol.relations if rel.matched or not matched_only]
     out = {}
     for bi, branch in enumerate(sol.branches):
-        values = {kernel.variable(name): kernel.reading(value) for name, value in branch.subs.items()}
+        values = {kernel.symbols[name]: kernel.reading(v) for key, v in branch.solver_vars.items()
+                  if (name := _UNKNOWNS.get(key, key)) in kernel.symbols}
         powers = {}
         for power, poly in relations:
             out[(bi, power)] = kernel.magnitude(kernel.substitute(poly, values, powers))
@@ -1149,13 +1155,11 @@ def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -
 # ---------------------------------------------------------------------------
 
 
-def coulomb_levels(qA: float, j, n_prime: int) -> float:
-    """E/m = (1 + q^2 A^2 / (sqrt((j+1/2)^2 - q^2 A^2) + n')^2)^(-1/2)."""
-    J = float(j) + 0.5
-    if qA * qA >= J * J:
-        raise SupercriticalCouplingError(f"q^2 A^2 = {qA*qA} >= (j+1/2)^2 = {J*J}")
-    gt = math.sqrt(J * J - qA * qA) + n_prime
-    return (1.0 + (qA * qA) / (gt * gt)) ** -0.5
+def coulomb_levels(qA, j, n_prime: int) -> float:
+    """E/m = (1 + q^2 A^2 / (sqrt((j+1/2)^2 - q^2 A^2) + n')^2)^(-1/2), from the
+    branches' discriminant: exact up to its root for an exact q A."""
+    gt = _coulomb_root(math.sqrt, qA, _num(j) + Fraction(1, 2)) + n_prime
+    return (1.0 + _pow(qA, 2) / (gt * gt)) ** -0.5
 
 
 def oscillator_levels(m, j, n_prime: int):
@@ -1169,7 +1173,7 @@ def lennard_jones_solution(A, B, C, qn: QuantumNumbers) -> AnsatzSolution:
     """Inverse 6-12 potential B/r^6 - C/r^12 with Coulomb phase A.
 
     The two eigenvalue coefficients come out imaginary with opposite signs
-    (c = +-iC against b = -+iB) and the level series is the oscillator one.
+    (u12 = +-iC against u6 = -+iB) and the level series is the oscillator one.
     """
     V = PotentialSpec({-6: B, -12: -_num(C)}, coulomb_phase=A)
     return match_coefficients(V, qn)

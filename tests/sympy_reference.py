@@ -4,8 +4,8 @@ Digital Technical Journal 10, 1998): the same relations and branch values
 built as sympy expressions, so ``str`` of each is sympy's own text.
 
 ``match_coefficients`` returns a ``spectra.AnsatzSolution`` whose fields hold
-sympy objects (``subs`` keyed by sympy Symbols), so its ``to_dict`` is the
-report text the solver printed when it built on sympy.
+sympy objects, so its ``to_dict`` is the report text the solver printed when
+it built on sympy.
 """
 
 import functools
@@ -122,9 +122,8 @@ def _solve_confining(V, qn, E, m):
         a = -s * sp.I * E
         gt = s * sp.I * (q * A)
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={2: -b}, gamma=sp.Add(gt, -1 - n), n_prime=n,
-            solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
-            subs={_a: a, _b: b, _gt: gt}))
+            exp_coefficients={2: -b}, gamma=sp.Add(gt, -1 - n), n_prime=n,
+            solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
     return "confining", tuple(branches), relations, None
 
 
@@ -161,9 +160,9 @@ def _solve_coulomb(V, qn, E, m):
         a = qA * E / gt
         m_expr = sp.sqrt(E**2 + a**2)
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={}, gamma=g0 - 1, n_prime=n,
+            exp_coefficients={}, gamma=g0 - 1, n_prime=n,
             solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
-            subs={_a: a, _g0: g0, _gt: gt, m_sym: m_expr}, decaying=(s == 1)))
+            decaying=(s == 1)))
     series = LevelSeries("coulomb", functools.partial(coulomb_levels, float(qA)))
     return "coulomb", tuple(branches), relations, series
 
@@ -190,10 +189,9 @@ def _solve_oscillator(V, qn, E, m):
         a = sp.sqrt(m**2 - E**2)
         # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
+            exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
             solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J},
-            subs={_a: a, _b: b, _g0: g0, _gt: gt}))
+                         "E_level": -m * gt / J}))
     return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
 
 
@@ -225,13 +223,11 @@ def _solve_inverse(V, qn, E, m):
         g0 = s * sp.I * qA
         gt = g0 + n
         a = sp.sqrt(m**2 - E**2)
-        named = {chr(ord("b") + k): u_vals[p] for k, p in enumerate(powers)}
         branches.append(AnsatzBranch(
-            a=a, exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
+            exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
             n_prime=n,
-            solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J},
-            subs={_a: a, _g0: g0, _gt: gt, **{u_syms[p]: u_vals[p] for p in powers}}))
+            solver_vars={**{str(u_syms[p]): u_vals[p] for p in powers}, "one_plus_gamma": g0,
+                         "a": a, "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
     return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
 
 

@@ -74,6 +74,12 @@ def test_parse_blade_refuses_an_empty_factor(name):
         parse_blade(name)
 
 
+@pytest.mark.parametrize("name", ["i.i", "qi.qj", "vi.vk", "vj.i.vj"])
+def test_parse_blade_refuses_a_repeated_factor(name):
+    with pytest.raises(ValueError, match=f"^repeated factor in blade name '{name}'$"):
+        parse_blade(name)
+
+
 def test_group_codes_and_names():
     assert [group_name(g) for g in (0, NEG, 16, NEG | 28)] == ["+1", "-1", "+i", "-i.qk"]
     assert all(code(group_name(g)) == g for g in range(64))

@@ -392,14 +392,21 @@ NUMERIC_FLAGS = {
 
 
 def assert_rejected(argv, capsys):
-    """Exit 1, nothing on stdout and a one-line message."""
+    """Exit 1, nothing on stdout and a one-line message of at most 200
+    characters, however long the value it refuses."""
     assert cli.main(list(argv)) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert len(err) <= 200, err[:300]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "sqrt(2)", "x"])
+# a refused value past the 60 characters a message repeats, and one past the
+# interpreter's 4300-digit limit for reading an int
+LONG_VALUES = [pytest.param("x" * 5000, id="5000 x"), pytest.param("1" + "0" * 5000, id="5001 digits")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "sqrt(2)", "x", *LONG_VALUES])
 @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
 def test_non_finite_or_symbolic_number_is_a_usage_error(flag, value, capsys):
     argv = [arg.replace("X", value) for arg in NUMERIC_FLAGS[flag]]
@@ -516,7 +523,14 @@ def test_potential_json_equals_family_flags():
             == run_cli("--format", "json", "solve", "--family", "oscillator", "--c", "1"))
 
 
-@pytest.mark.parametrize("potential", ["[]", "1", '{"terms": []}', '{"terms": {"x": "1"}}'])
+@pytest.mark.parametrize("potential", [
+    "[]", "1", '{"terms": []}', '{"terms": {"x": "1"}}',
+    '{"terms": {"-6": "1"}}',  # an inverse power with no Coulomb phase
+    '{"terms": {"-2": "1", "-4": "1", "-6": "1"}, "coulombPhase": "1/2i"}',
+    *(pytest.param(json.dumps(doc), id=f"{long.id} {where}") for long in LONG_VALUES
+      for where, doc in (("value", {"terms": {"1": long.values[0]}}),
+                         ("power", {"terms": {long.values[0]: "1"}}))),
+])
 def test_malformed_potential_document_is_rejected(potential, capsys):
     assert_rejected(["solve", "--potential", potential], capsys)
 
@@ -546,6 +560,28 @@ def test_solve_that_divides_by_zero_is_rejected(argv, capsys):
     """Zero coupling gave nan and the Coulomb pole zoo, each with residual 0.0;
     an underflowing q * sigma in the infrared radius was a ZeroDivisionError."""
     assert_rejected(["--format", "json", *argv], capsys)
+
+
+@pytest.mark.parametrize("qA,want", [("0.99999999999999999999", 1.4142135623730950e-10),
+                                     ("0.99999999999999994", 1.0954451150103322e-08)])
+def test_near_critical_coulomb_level_is_the_exact_one(qA, want):
+    """The first exited 1 as supercritical once q A was rounded to 1.0, and the
+    second printed 1.4901161193847656e-08: both against 50-digit values."""
+    code, out = run_cli("--format", "json", "solve", "--family", "coulomb", "--qA", qA, "--j", "1/2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["residual"] == 0.0
+    assert report["E_over_m"] == pytest.approx(want, rel=1e-12)
+    assert report["levels"][0]["E_over_m"] == report["E_over_m"]
+
+
+@pytest.mark.parametrize("qA", ["1", "3/2", "1" + "0" * 3000])
+def test_supercritical_coupling_is_one_short_line(qA, capsys):
+    """A q A of 3001 digits once failed the message itself, on the
+    interpreter's limit for printing an int."""
+    assert_rejected(["solve", "--family", "coulomb", "--qA", qA], capsys)
+    assert cli.main(["solve", "--family", "coulomb", "--qA", qA]) == cli.EXIT_USAGE
+    assert "supercritical coupling" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1063,6 +1099,7 @@ def test_verify_runs_without_numpy():
     ("solve --family coulomb", cli.EXIT_USAGE),  # no --qA
     ("solve --family coulomb --qA 1/2 --j 1", cli.EXIT_USAGE),  # j not a half-integer
     ("solve --family strong --radius --E 0", cli.EXIT_USAGE),
+    ("solve --family strong --radius", cli.EXIT_USAGE),  # no --E
 ])
 def test_requests_that_solve_nothing_never_load_sympy(argv, code):
     """Nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), which

@@ -7,6 +7,7 @@ solver built it on sympy.
 """
 
 import cmath
+import decimal
 import importlib.util
 import json
 import math
@@ -57,9 +58,20 @@ def _sym(x):
     return sp.sympify(str(x), locals=_SYMBOLS) if isinstance(x, Expr) else sp.sympify(x)
 
 
+# the relations' names of the two report keys that do not name their unknown;
+# E_level names none
+_UNKNOWN = {"one_plus_gamma": "gamma0", "gamma_plus_nu_plus_1": "gammat"}
+
+
+def _unknowns(branch):
+    """A branch's values keyed by the names of the unknowns of its relations."""
+    return {_UNKNOWN.get(key, key): value for key, value in branch.solver_vars.items()
+            if key != "E_level"}
+
+
 def _sym_subs(branch):
     """A branch's substitution map, keyed and valued by sympy objects."""
-    return {sp.Symbol(name): _sym(value) for name, value in branch.subs.items()}
+    return {sp.Symbol(name): _sym(value) for name, value in _unknowns(branch).items()}
 
 
 def _names(x):
@@ -168,6 +180,64 @@ def test_coulomb_surd_of_a_large_rational():
         assert _sym(sol.branches[0].solver_vars["one_plus_gamma"]) == sp.sqrt(1 - Rational(1, q**2))
 
 
+def _decimal_level(qa: Fraction, j, n) -> decimal.Decimal:
+    """E/m = (sqrt(d) + n') / sqrt((sqrt(d) + n')^2 + q^2 A^2), d = (j+1/2)^2 - q^2 A^2,
+    in 50-digit decimals from the exact q A."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        qa2 = decimal.Decimal(qa.numerator ** 2) / qa.denominator ** 2
+        J = decimal.Decimal(int(2 * j + 1)) / 2
+        gt = (J * J - qa2).sqrt() + n
+        return gt / (gt * gt + qa2).sqrt()
+
+
+@pytest.mark.parametrize("qa", ["0.99999999999999999999", "0.99999999999999994", "0.9999999",
+                                "299/300", "1/10"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_exact_coupling_keeps_its_level_up_to_the_critical_one(qa, n):
+    """The level reads the branches' exact discriminant: a q A that rounds to
+    the critical 1.0 as a float once refused a real level, and 1 - 6e-17 lost
+    36 % of it to cancellation."""
+    got = coulomb_levels(Fraction(qa), Fraction(1, 2), n)
+    assert got == pytest.approx(float(_decimal_level(Fraction(qa), Fraction(1, 2), n)), rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(st.floats(0, 12), st.integers(0, 4), st.integers(0, 4))
+def test_float_coupling_keeps_the_float_formula(qa, k, n):
+    """A float q A reads (j+1/2)^2 - q^2 A^2 in floats, as the level series
+    always did: bit for bit, refusals included."""
+    j = Fraction(2 * k + 1, 2)
+    J = float(j) + 0.5
+    if qa * qa >= J * J:
+        with pytest.raises(SupercriticalCouplingError):
+            coulomb_levels(qa, j, n)
+        return
+    gt = math.sqrt(J * J - qa * qa) + n
+    assert coulomb_levels(qa, j, n) == (1.0 + (qa * qa) / (gt * gt)) ** -0.5
+
+
+@pytest.mark.parametrize("qa", [Fraction(1), 1.0, Fraction(3, 2), Fraction(10**3000)])
+def test_branches_and_levels_refuse_one_coupling_alike(qa):
+    """One discriminant and one refusal, a short line for a q A of any size:
+    the message once formatted q^2 A^2 whole, past the interpreter's limit for
+    printing an int."""
+    with pytest.raises(SupercriticalCouplingError) as levels:
+        coulomb_levels(qa, Fraction(1, 2), 0)
+    with pytest.raises(SupercriticalCouplingError) as branches:
+        match_coefficients(PotentialSpec({}, qa), QN)
+    assert str(levels.value) == str(branches.value)
+    assert "supercritical" in str(levels.value) and len(str(levels.value)) < 100
+
+
+def test_nan_coupling_has_no_level():
+    """A nan q A once gave the level nan; the branches refused it already."""
+    for solve in (lambda: coulomb_levels(math.nan, Fraction(1, 2), 0),
+                  lambda: match_coefficients(PotentialSpec({}, math.nan), QN)):
+        with pytest.raises(ValueError):
+            solve()
+
+
 def test_coulomb_weak_coupling_series():
     qa, j, n = 1e-3, Fraction(1, 2), 0
     exact = coulomb_levels(qa, j, n)
@@ -196,6 +266,14 @@ def test_oscillator_levels_examples():
     assert oscillator_levels(0, Fraction(1, 2), 0) == 0
 
 
+@pytest.mark.parametrize("m,j,want", [(1.0, Fraction(1, 2), -1.5), (2, 1.5, -1.5), (0.5, 0.5, -0.75),
+                                       (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2))])
+def test_oscillator_level_of_a_float_mass_or_j_is_a_float(m, j, want):
+    """n' = 1: an exact m and j give the exact quotient, a float either a float."""
+    got = oscillator_levels(m, j, 1)
+    assert got == want and type(got) is type(want)
+
+
 def test_oscillator_spacing():
     for j in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
         spacing = {
@@ -216,7 +294,7 @@ def test_oscillator_needs_phase():
 def test_lennard_jones_opposite_signs():
     sol = lennard_jones_solution(I / 2, 1, 1, QN)
     assert sol.family == "inverse-multipole"
-    pairs = {(sp.simplify(_sym(b.solver_vars["b"])), sp.simplify(_sym(b.solver_vars["c"])))
+    pairs = {(sp.simplify(_sym(b.solver_vars["u6"])), sp.simplify(_sym(b.solver_vars["u12"])))
              for b in sol.branches}
     assert pairs == {(I, -I), (-I, I)}
     assert residual_verify(sol.potential, sol, QN) == 0.0
@@ -308,7 +386,7 @@ def test_c_minus_2_shifts_the_centrifugal_term(q, n):
     J = _sym(sol.quantum_numbers.j_plus_half)
     rel = {r.power: _sym(r.expr) for r in sol.relations}
     for branch in sol.branches:
-        g = _sym(branch.subs["gammat"])
+        g = _sym(branch.solver_vars["gamma_plus_nu_plus_1"])
         subs = {**_sym_subs(branch), a: E * qA / g}
         assert sp.expand(rel[-1].xreplace(subs)) == 0
         assert sp.expand(rel[-2].xreplace(subs) - (qA**2 + g**2 - J**2 + 2 * c * E * n / g)) == 0
@@ -409,7 +487,7 @@ def _sympy_gate(sol):
     _sympy_magnitude."""
     sol = _reference(sol)
     return max(
-        _sympy_magnitude(sp.expand(rel.expr.xreplace(branch.subs)))
+        _sympy_magnitude(sp.expand(rel.expr.xreplace(_sym_subs(branch))))
         for branch in sol.branches
         for rel in sol.relations
         if rel.matched
@@ -421,7 +499,7 @@ def _reference_residual(sol):
     the kernel gate must equal."""
     sol = _reference(sol)
     return max(
-        _sympy_magnitude(sp.expand(sp.simplify(rel.expr.subs(branch.subs))))
+        _sympy_magnitude(sp.expand(sp.simplify(rel.expr.subs(_sym_subs(branch)))))
         for branch in sol.branches
         for rel in sol.relations
         if rel.matched
@@ -444,8 +522,9 @@ def test_branch_values_hold_no_substituted_symbol():
     no value holds a key of its map."""
     for _, sol, _, _ in _potential_set(5):
         for branch in sol.branches:
-            keys = set(branch.subs)
-            for value in branch.subs.values():
+            values = _unknowns(branch)
+            keys = set(values)
+            for value in values.values():
                 assert not _names(value) & keys, (sol.potential, value)
 
 
@@ -473,7 +552,7 @@ def test_kernel_gate_agrees_with_the_sympy_gate(seed):
             assert got <= 1e-10 and want <= 1e-10, (family, sol.potential, qn, got, want)
         kernel = sol.relations[0].expr.kernel
         for value in [*(rel.expr for rel in sol.relations),
-                      *(value for branch in sol.branches for value in branch.subs.values())]:
+                      *(value for branch in sol.branches for value in branch.solver_vars.values())]:
             assert all(map(cmath.isfinite, map(complex, kernel.reading(value).values()))), value
         assert all(map(math.isfinite, residual_detail(sol, matched_only=False).values()))
 
@@ -503,9 +582,9 @@ FAMILY_POTENTIALS = [
 @pytest.mark.parametrize("make", FAMILY_POTENTIALS)
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_perturbed_branch_fails_the_gate(make, exact):
-    """Each branch value that a matched relation holds, moved by 1e-6 on its own,
-    fails the gate: no false pass in any family, and no value left ungated where
-    groups of the derivation merge on one power."""
+    """Each printed branch value that a matched relation holds, moved by 1e-6 on
+    its own, fails the gate: no false pass in any family, and no value left
+    ungated where groups of the derivation merge on one power."""
     num, delta = (Fraction, Fraction(1, 10**6)) if exact else (float, 1e-6)
     sol = match_coefficients(make(num), QN)
     assert residual_verify(sol.potential, sol, QN) <= (0.0 if exact else 1e-10)
@@ -514,16 +593,18 @@ def test_perturbed_branch_fails_the_gate(make, exact):
     gated = set().union(*(_names(rel.expr) for rel in sol.relations if rel.matched))
     moved_keys = set()
     for bi, branch in enumerate(sol.branches):
-        for key in branch.subs.keys() & gated:
-            moved = {**branch.subs, key: branch.subs[key] + delta}
+        for key, value in branch.solver_vars.items():
+            if _UNKNOWN.get(key, key) not in gated:
+                continue
+            moved = {**branch.solver_vars, key: value + delta}
             branches = list(sol.branches)
-            branches[bi] = branch._replace(subs=moved)
+            branches[bi] = branch._replace(solver_vars=moved)
             broken = sol._replace(branches=tuple(branches))
             assert any(value != 0 for value in residual_detail(broken).values()), key
             assert residual_verify(broken.potential, broken, QN) > (0.0 if exact else 1e-10), key
-            moved_keys.add(key)
+            moved_keys.add(_UNKNOWN.get(key, key))
     # every unknown but gammat, which only the unmatched tail holds outside two families
-    want = set(sol.branches[0].subs) - (
+    want = set(_unknowns(sol.branches[0])) - (
         set() if sol.family in ("confining", "coulomb") else {"gammat"})
     assert moved_keys == want
 
@@ -539,13 +620,32 @@ def test_every_relation_has_its_own_power(make):
     assert len(residual_detail(sol, matched_only=False)) == 2 * len(sol.relations)
 
 
+# E and m given as a number, the four families by four kinds of number
+GIVEN_VALUES = [pytest.param(2, id="int"), pytest.param(Fraction(1, 3), id="fraction"),
+                pytest.param(1 + 1j, id="complex"),
+                pytest.param(Rational(1, 2) + I / 3, id="sympy")]
+
+
+@pytest.mark.parametrize("value", GIVEN_VALUES)
+@pytest.mark.parametrize("name", ["E", "m"])
+@pytest.mark.parametrize("make", FAMILY_POTENTIALS[:4])
+def test_a_given_E_or_m_enters_the_solve(make, name, value):
+    """A caller's E or m joins the solve's kernel as the potential's
+    coefficients do: a rational m once met int - Expr, which had no __rsub__,
+    and a complex E or m with two nonzero parts belonged to no solve."""
+    sol = match_coefficients(make(Fraction), QN, **{name: value})
+    json.dumps(sol.to_dict())
+    bound = 1e-10 if isinstance(value, complex) else 0.0
+    assert residual_verify(sol.potential, sol, QN) <= bound
+
+
 # --- closed-form branch values against the division-based derivation --------
 
 
 def _reference_branches(sol):
     """The branch values as the division-based derivation finds them on sympy:
     each value divided out of the relation that holds the one before it."""
-    _a, _b, _g0, _gt, E, m = sp.symbols("a b gamma0 gammat E m")
+    E, m = sp.symbols("E m")
     V, qn = reference._normalized(sol.potential), sol.quantum_numbers
     q, A, J, n = V.coupling, V.coulomb_phase, reference._j_plus_half(qn), qn.n_prime
     if sol.family == "coulomb":  # the surd path, not a closed form of the sign
@@ -558,16 +658,15 @@ def _reference_branches(sol):
             a = q * sigma * E / (2 * b)
             gt = q * A * E / a
             out.append(AnsatzBranch(
-                a=a, exp_coefficients={2: -b}, gamma=sp.expand(gt - 1 - n), n_prime=n,
-                solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt},
-                subs={_a: a, _b: b, _gt: gt}))
+                exp_coefficients={2: -b}, gamma=sp.expand(gt - 1 - n), n_prime=n,
+                solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
             continue
         qA = q * A
         if sol.family == "oscillator":
             w2 = q * V.terms[2]
             b = s * I * w2 / 3
             g0 = -w2 * qA / (3 * b)
-            named, subs, exp = {"b": b}, {_b: b}, {3: b}
+            named, exp = {"b": b}, {3: b}
         else:
             powers = sorted(V.terms, reverse=True)
             c = {p: q * V.terms[p] for p in powers}
@@ -575,15 +674,13 @@ def _reference_branches(sol):
             for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
                 u[hi] = -c[hi] * c[lo] / u[lo]
             g0 = -qA * c[powers[0]] / u[powers[0]]
-            named = {chr(ord("b") + k): u[p] for k, p in enumerate(powers)}
-            subs = {sp.Symbol(f"u{abs(p)}"): u[p] for p in powers}
+            named = {f"u{abs(p)}": u[p] for p in powers}
             exp = {p + 1: u[p] / (p + 1) for p in powers}
         gt, a = g0 + n, sp.sqrt(m**2 - E**2)
         out.append(AnsatzBranch(
-            a=a, exp_coefficients=exp, gamma=g0 - 1, n_prime=n,
+            exp_coefficients=exp, gamma=g0 - 1, n_prime=n,
             solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J},
-            subs={_a: a, _g0: g0, _gt: gt, **subs}))
+                         "E_level": -m * gt / J}))
     return tuple(out)
 
 
@@ -635,7 +732,7 @@ def test_closed_forms_equal_the_division_derivation(family):
         ref = sol._replace(branches=_reference_branches(sol))
         assert json.dumps(sol.to_dict()) == json.dumps(ref.to_dict()), sol.potential
         for got, want in zip(sol.branches, ref.branches, strict=True):
-            assert _sym_subs(got) == {sp.Symbol(str(k)): _sym(v) for k, v in want.subs.items()}
+            assert _sym_subs(got) == _sym_subs(want)
 
 
 def _numeric(expr):
@@ -655,7 +752,7 @@ def test_closed_forms_match_the_division_derivation_on_floats(family):
 
     for sol in _closed_form_cases(family, exact=False, count=10):
         for got, want in zip(sol.branches, _reference_branches(sol), strict=True):
-            pairs = [(got.a, want.a), (got.gamma, want.gamma)]
+            pairs = [(got.gamma, want.gamma)]
             pairs += [(got.solver_vars[k], v) for k, v in want.solver_vars.items()]
             pairs += [(got.exp_coefficients[k], v) for k, v in want.exp_coefficients.items()]
             assert all(close(g, w) for g, w in pairs), sol.potential
@@ -788,7 +885,7 @@ def test_branch_values_are_the_closed_forms():
         assert _sym(branch.gamma) == -2 + s * 3 * I / 25
     # a float sigma leaves a and gamma exact
     sol = match_coefficients(PotentialSpec({1: 1.0}, Fraction(3, 10), Fraction(2, 5)), qn)
-    assert [_sym(b.a) for b in sol.branches] == [-I * E, I * E]
+    assert [_sym(b.solver_vars["a"]) for b in sol.branches] == [-I * E, I * E]
     assert not any(_sym(b.gamma).atoms(sp.Float) for b in sol.branches)
     # oscillator, A = i/5, q = 3/10, c2 = 10: b = +-i q c2/3, 1 + gamma = +-i q A
     sol = match_coefficients(PotentialSpec({2: 10}, I / 5, Fraction(3, 10)), qn)
@@ -797,7 +894,7 @@ def test_branch_values_are_the_closed_forms():
                                                                       Fraction(3, 50)]
     # inverse with float coefficients and an exact phase: u_p = +-i c_p, gamma exact
     sol = match_coefficients(PotentialSpec({-6: 0.5, -12: -0.25}, I / 5), qn)
-    assert [(_sym(b.solver_vars["b"]), _sym(b.solver_vars["c"])) for b in sol.branches] == [
+    assert [(_sym(b.solver_vars["u6"]), _sym(b.solver_vars["u12"])) for b in sol.branches] == [
         (0.5 * I, -0.25 * I), (-0.5 * I, 0.25 * I)]
     assert [b.gamma for b in sol.branches] == [Fraction(-6, 5), Fraction(-4, 5)]
     assert not any(_sym(b.gamma).atoms(sp.Float) for b in sol.branches)
@@ -817,7 +914,7 @@ def test_complex_phase_prints_as_i_times_q_a(power, key, want):
     assert [str(b.solver_vars[key]) for b in sol.branches] == [want, "-" + want]
     assert [str(b.gamma) for b in sol.branches] == ["-1 + " + want, "-1 - " + want]
     for branch, ref in zip(sol.branches, _reference_branches(sol), strict=True):
-        for got, old in [(branch.gamma, ref.gamma), (branch.a, ref.a),
+        for got, old in [(branch.gamma, ref.gamma),
                          *((branch.solver_vars[k], v) for k, v in ref.solver_vars.items())]:
             assert sp.expand(_sym(got) - old) == 0
     assert residual_verify(V, sol, QN) == 0.0
@@ -939,6 +1036,14 @@ def test_complex_inputs_print_as_the_sympy_solver_printed_them():
         got = json.dumps(match_coefficients(V, qn).to_dict())
         assert got == json.dumps(reference.match_coefficients(V, qn).to_dict()), (V, qn)
         checked += 1
+
+
+def test_a_number_times_one_kept_sum_prints_as_sympy_prints_it():
+    """sqrt(2) times the kept sum sqrt(2)*(E + I) is 2 times one sum, which
+    sympy multiplies into each term."""
+    kernel, E = _Kernel(), sp.Symbol("E")
+    value = kernel.sqrt(2) * (kernel.sqrt(2) * (kernel.symbol("E") + spectra._I))
+    assert str(value) == str(sp.sqrt(2) * (sp.sqrt(2) * (E + I))) == "2*E + 2*I"
 
 
 def test_floats_print_as_sympy_prints_them():
@@ -1093,7 +1198,8 @@ def test_exact_nonzero_residual_never_reads_zero():
     key = "b"
     for delta in (tiny, -tiny * spectra._I):
         broken = sol._replace(branches=tuple(
-            b._replace(subs={**b.subs, key: b.subs[key] + delta}) for b in sol.branches))
+            b._replace(solver_vars={**b.solver_vars, key: b.solver_vars[key] + delta})
+            for b in sol.branches))
         assert residual_verify(broken.potential, broken, QN) > 0.0
 
 
@@ -1103,7 +1209,8 @@ def test_residual_too_large_for_a_float_is_infinite():
     assert _kernel_magnitude(lambda k, E, m: huge * E + spectra._I) == math.inf
     sol = match_coefficients(strong_potential(), QN)
     broken = sol._replace(branches=tuple(
-        b._replace(subs={**b.subs, "gammat": huge}) for b in sol.branches))
+        b._replace(solver_vars={**b.solver_vars, "gamma_plus_nu_plus_1": huge})
+        for b in sol.branches))
     assert residual_verify(broken.potential, broken, QN) == math.inf
 
 
@@ -1226,7 +1333,8 @@ def test_nan_branch_fails_the_residual_gate():
     """A branch holding nan (as q = 0 once gave) can no longer report residual 0."""
     sol = match_coefficients(PotentialSpec({1: 1}, coulomb_phase=Rational(1, 3)), QN)
     broken = sol._replace(branches=tuple(
-        b._replace(subs={**b.subs, next(iter(b.subs)): math.nan}) for b in sol.branches))
+        b._replace(solver_vars={**b.solver_vars, next(iter(b.solver_vars)): math.nan})
+        for b in sol.branches))
     assert residual_verify(sol.potential, sol, QN) == 0.0
     assert residual_verify(broken.potential, broken, QN) == math.inf
 

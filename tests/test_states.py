@@ -131,6 +131,17 @@ def test_spinor_component_orders():
     assert [(c.sign_e, c.sign_p) for c in a.components] == [(-1, 1), (-1, -1), (1, 1), (1, -1)]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: conjugate(X_REF, "TXP"), "^unknown conjugation 'X' in 'TXP'$"),
+    (lambda: vacuum_reflect(X_REF, "q"), "^unknown vacuum charge 'q'; expected 'k', 'j' or 'i'$"),
+    (lambda: vertex_sum("e", 5, (0, 0, 4), 3), "^unknown vertex 'e'; expected one of 'abcd'$"),
+    (lambda: chain_product([]), "^chain_product needs at least one factor$"),
+], ids=["conjugation", "vacuum charge", "vertex", "empty chain"])
+def test_unknown_names_and_empty_chains_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_signs_other_than_plus_or_minus_one_are_refused():
     for signs in ({"sign_e": 0}, {"sign_p": 2}):
         with pytest.raises(ValueError, match=r"^sign_e and sign_p must be \+/-1$"):
