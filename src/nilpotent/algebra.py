@@ -52,6 +52,7 @@ __all__ = [
     "image_product",
     "matrices_equal",
     "dual_element_image",
+    "dual_homomorphism_witness",
     "gamma_pentad",
     "dual_mul",
     "dual_name",
@@ -128,22 +129,18 @@ def parse_blade(name: str) -> int:
     e, q, v = 0, 0, 0
     if name.strip() != "1":
         for part in name.strip().split("."):
-            if not part:  # "" is the name of no quaternion and no vector factor
-                raise ValueError(f"empty factor in blade name {name!r}")
-            if part == "i":
-                if e:
-                    raise ValueError(f"repeated factor in blade name {name!r}")
+            if part == "i" and not e:
                 e = 1
-            elif part in _Q_NAMES:
-                if q:
-                    raise ValueError(f"repeated factor in blade name {name!r}")
+            elif part in _Q_NAMES[1:] and not q:
                 q = _Q_NAMES.index(part)
-            elif part in _V_NAMES:
-                if v:
-                    raise ValueError(f"repeated factor in blade name {name!r}")
+            elif part in _V_NAMES[1:] and not v:
                 v = _V_NAMES.index(part)
-            else:
-                raise ValueError(f"unknown factor {part!r} in blade name {name!r}")
+            else:  # "" is the name of no quaternion and no vector factor
+                from .datafiles import _echo  # a refusal alone reads it
+                if part and part not in ("i", *_Q_NAMES, *_V_NAMES):
+                    raise ValueError(f"unknown factor {_echo(repr(part))} in a blade name")
+                problem = "repeated" if part else "empty"
+                raise ValueError(f"{problem} factor in blade name {_echo(repr(name))}")
     return _blade_index(e, q, v)
 
 
@@ -503,6 +500,19 @@ def dual_element_image(x: int) -> int:
         if x >> n & 1:
             out = group_mul(out, _DUAL_TO_DIRAC[g])
     return out
+
+
+def dual_homomorphism_witness(elements) -> str:
+    """The first product of ``elements`` that ``dual_element_image`` does not
+    carry to the product of the images, named with both sides; "" if none."""
+    image = [dual_element_image(x) for x in range(64)]  # every code, so every product has one
+    els = sorted(elements)
+    return next((
+        f"{dual_name(x)} * {dual_name(y)} maps to {group_name(image[dual_mul(x, y)])}, "
+        f"but {group_name(image[x])} * {group_name(image[y])} = "
+        f"{group_name(group_mul(image[x], image[y]))}"
+        for x in els for y in els
+        if image[dual_mul(x, y)] != group_mul(image[x], image[y])), "")
 
 
 def element_order_census(elements, mul) -> dict[int, int]:

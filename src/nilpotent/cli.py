@@ -68,7 +68,8 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\.?\d|(i|[qv][ijk])(\.|$)|(BRG|GBR|RGB)$)")
 
     def error(self, message):
-        raise UsageError(message)
+        # each refused value, quoted or bare, repeated by the one 60-character rule
+        raise UsageError(re.sub(r"'[^']*'|\S+", lambda m: datafiles._echo(m[0]), message))
 
 
 class RunConfig(NamedTuple):
@@ -321,6 +322,7 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         report["isomorphic_to_dirac_group"] = (
             image == group
             and census == algebra.element_order_census(group, algebra.group_mul)
+            and not algebra.dual_homomorphism_witness(elements)
         )
     emit(report, config)
     return EXIT_OK

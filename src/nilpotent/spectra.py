@@ -17,7 +17,7 @@ Each family matches the groups of products its derivation solves (extreme
 powers fix the exponent coefficients, the potential-Coulomb cross fixes gamma
 at the series head, the constant/1/r/1/r^2 trio at the tail fixes a and the
 energy): confining r^2, r and 1/r; coulomb the 1/r^2 head, the 1/r tail and
-r^0; oscillator r^4, the r head and r^0; inverse each r^{2p}, the r^{p+p'}
+r^0; power laws (oscillator p = 2, inverse p <= -2) each r^{2p}, the r^{p+p'}
 cross, each r^{p-1} head and r^0.  The rest is reported unmatched.  Groups on
 one power make its one relation, matched only if each group is: with c3/r^3 +
 c4/r^4 the r^-3 head shares r^-4 with an open cross term.  Four families:
@@ -38,11 +38,11 @@ gammat, a term the printed level does not see.
 
 Outside the Coulomb family, whose branches go through a surd, every branch
 value is a closed form on the sign s = +-1: b = s i q sigma/2, a = -s i E and
-gamma + nu + 1 = s i q A (confining); b = s i w2/3 and 1 + gamma = s i q A
-(oscillator); u_p = s i q c_p per power and 1 + gamma = s i q A (inverse).
+gamma + nu + 1 = s i q A (confining); u_p = s i q c_p per power and
+1 + gamma = s i q A (oscillator p = 2, inverse p <= -2; float residual 0).
 No value is divided out of another, so a float potential coefficient leaks
 no rounding into gamma or a.  A branch holds each value once, named as in
-the relations (u6, u12), and the report prints the values the gate
+the relations (u2, u6), and the report prints the values the gate
 substitutes; the Coulomb levels read the branches' exact discriminant.
 
 The solver builds its relations and branch values on a small exact kernel
@@ -876,9 +876,9 @@ def _detect_family(V: PotentialSpec) -> str:
         return "inverse"
     if positive == [1, 2]:
         raise InconsistentSystemError(3, "r and r^2 terms cannot be matched together")
-    raise UnsupportedPotentialError(
-        f"unsupported potential powers {powers}; supported: r, r^2, A/r, inverse powers <= -2"
-    )
+    from .datafiles import _echo  # a refusal alone reads it
+    raise UnsupportedPotentialError(f"unsupported potential powers {_echo(str(powers))}; "
+                                    "supported: r, r^2, A/r, inverse powers <= -2")
 
 
 def _product(factors):
@@ -993,35 +993,8 @@ def _solve_coulomb(kernel, V, qn, E, m):
     return "coulomb", tuple(branches), relations, series
 
 
-def _solve_oscillator(kernel, V, qn, E, m):
-    q, A = V.coupling, V.coulomb_phase
-    if A == 0:
-        raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
-    w2 = q * V.terms[2]
-    _a, _b = kernel.symbol("a"), kernel.symbol("b")
-    qA = q * A
-    J = qn.j_plus_half
-    n = qn.n_prime
-    # exponent b r^3, so u holds 3 b r^2
-    relations = _laurent_relations(
-        kernel, [(2, (w2,)), (-1, (qA,)), (0, (E,))], [(2, (3, _b)), (-1, (None,)), (0, (-1, _a))],
-        (1,), J, m,
-        [(4, True, ""), (1, True, _HEAD), (0, True, ""), *_TAILS, (2, False, _CROSS)])
-    branches = []
-    for s in (1, -1):
-        b = s * _I * (w2 / 3)
-        g0 = s * _I * qA  # 1 + gamma = +- i q A
-        gt = g0 + n
-        a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
-        # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
-        branches.append(AnsatzBranch(
-            exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
-            solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J}))
-    return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
-
-
-def _solve_inverse(kernel, V, qn, E, m):
+def _solve_power(kernel, V, qn, E, m):
+    """The power laws c_p r^p: the oscillator (p = 2), up to two inverse powers (p <= -2)."""
     q, A = V.coupling, V.coulomb_phase
     if A == 0:
         raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
@@ -1055,14 +1028,15 @@ def _solve_inverse(kernel, V, qn, E, m):
             n_prime=n,
             solver_vars={**{u_names[p]: u_vals[p] for p in powers}, "one_plus_gamma": g0, "a": a,
                          "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
-    return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
+    family = "oscillator" if powers == [2] else "inverse-multipole"
+    return family, tuple(branches), relations, _OSCILLATOR_SERIES
 
 
 _FAMILY_SOLVERS = {
     "confining": _solve_confining,
     "coulomb": _solve_coulomb,
-    "oscillator": _solve_oscillator,
-    "inverse": _solve_inverse,
+    "oscillator": _solve_power,
+    "inverse": _solve_power,
 }
 
 

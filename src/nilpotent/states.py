@@ -173,7 +173,8 @@ def conjugate(x: NilpotentVector, op: str) -> NilpotentVector:
     out = x
     for letter in reversed(op.upper()):
         if letter not in _CPT_SANDWICH:
-            raise ValueError(f"unknown conjugation {letter!r} in {op!r}")
+            from .datafiles import _echo  # a refusal alone reads it
+            raise ValueError(f"unknown conjugation {letter!r} in {_echo(repr(op))}")
         if letter == "P":
             out = out.flip_p()
         elif letter == "T":
@@ -254,7 +255,9 @@ def spinor_pair_sum(a: Spinor4, b: Spinor4, pairing: str) -> Multivector:
     pairings insert the named charge quaternion between the factors.
     """
     if pairing not in PAIRING_KINDS:
-        raise ValueError(f"unknown pairing {pairing!r}; expected one of {list(PAIRING_KINDS)}")
+        from .datafiles import _echo
+        raise ValueError(f"unknown pairing {_echo(repr(pairing))}; "
+                         f"expected one of {list(PAIRING_KINDS)}")
     if (a.E, a.p, a.m) != (b.E, b.p, b.m):
         raise ValueError("paired spinors must share (E, p, m)")
     rows = a.components
@@ -309,7 +312,9 @@ def baryon_product(phase: str, E, p, m) -> tuple[Fraction, NilpotentVector]:
     carries +p for the phases BGR, -BRG, RBG and -p for GRB, -GBR, -RGB.
     """
     if phase not in BARYON_PHASES:
-        raise ValueError(f"unknown baryon phase {phase!r}; expected one of {sorted(BARYON_PHASES)}")
+        from .datafiles import _echo
+        raise ValueError(f"unknown baryon phase {_echo(repr(phase))}; "
+                         f"expected one of {sorted(BARYON_PHASES)}")
     x = make_nilpotent(E, p, m)
     if not x.on_shell:
         raise ValueError("baryon_product requires an on-shell state (E^2 = p^2 + m^2)")

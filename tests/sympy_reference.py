@@ -167,35 +167,8 @@ def _solve_coulomb(V, qn, E, m):
     return "coulomb", tuple(branches), relations, series
 
 
-def _solve_oscillator(V, qn, E, m):
-    q, A = V.coupling, V.coulomb_phase
-    if A == 0:
-        raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
-    w2 = q * V.terms[2]
-    _a, _b, _g0, _gt, _, _ = _symbols()
-    qA = q * A
-    J = _j_plus_half(qn)
-    n = qn.n_prime
-    # exponent b r^3, so u holds 3 b r^2
-    relations = _laurent_relations(
-        [(2, (w2,)), (-1, (qA,)), (0, (E,))], [(2, (3, _b)), (-1, (None,)), (0, (-1, _a))],
-        (1,), J, m,
-        [(4, True, ""), (1, True, _HEAD), (0, True, ""), *_TAILS, (2, False, _CROSS)])
-    branches = []
-    for s in (1, -1):
-        b = s * sp.I * (w2 / 3)
-        g0 = s * sp.I * qA  # 1 + gamma = +- i q A
-        gt = g0 + n
-        a = sp.sqrt(m**2 - E**2)
-        # tail elimination: m^2 gt^2 / E^2 = J^2, the level series
-        branches.append(AnsatzBranch(
-            exp_coefficients={3: b}, gamma=g0 - 1, n_prime=n,
-            solver_vars={"b": b, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J}))
-    return "oscillator", tuple(branches), relations, _OSCILLATOR_SERIES
-
-
-def _solve_inverse(V, qn, E, m):
+def _solve_power(V, qn, E, m):
+    """The power laws c_p r^p: the oscillator (p = 2), up to two inverse powers (p <= -2)."""
     q, A = V.coupling, V.coulomb_phase
     if A == 0:
         raise InconsistentSystemError(-2, "spherical symmetry forces a nonzero Coulomb phase term")
@@ -228,14 +201,15 @@ def _solve_inverse(V, qn, E, m):
             n_prime=n,
             solver_vars={**{str(u_syms[p]): u_vals[p] for p in powers}, "one_plus_gamma": g0,
                          "a": a, "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
-    return "inverse-multipole", tuple(branches), relations, _OSCILLATOR_SERIES
+    family = "oscillator" if powers == [2] else "inverse-multipole"
+    return family, tuple(branches), relations, _OSCILLATOR_SERIES
 
 
 _FAMILY_SOLVERS = {
     "confining": _solve_confining,
     "coulomb": _solve_coulomb,
-    "oscillator": _solve_oscillator,
-    "inverse": _solve_inverse,
+    "oscillator": _solve_power,
+    "inverse": _solve_power,
 }
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
-from nilpotent import charges, cli, masses, spectra, states, unification, verify
+from nilpotent import algebra, charges, cli, masses, spectra, states, unification, verify
 from nilpotent.algebra import MV
 from nilpotent.datafiles import data_path
 
@@ -225,6 +225,18 @@ def test_dual_subcommand():
     report = json.loads(out)
     assert report["element_count"] == 64
     assert report["isomorphic_to_dirac_group"] is True
+
+
+def test_dual_isomorphism_needs_a_homomorphism(monkeypatch):
+    """i1 -> +qi.vi keeps the image the whole group and the order census, but
+    the map no longer carries products: the report reads false, as verify's
+    homomorphism check fails."""
+    monkeypatch.setitem(algebra._DUAL_TO_DIRAC, "i1", algebra.parse_blade("qi.vi"))
+    code, out = run_cli("--format", "json", "algebra", "dual", "--order", "64")
+    assert code == 0 and json.loads(out)["isomorphic_to_dirac_group"] is False
+    checks = {c.name: c.passed for c in verify.run_identity_suite(oracle_pairs=0, state_samples=0)}
+    assert checks["dual order 64 image bijective"] and checks["dual order 64 census matches"]
+    assert not checks["dual order 64 generator map is a homomorphism"]
 
 
 def test_solve_without_a_family_or_potential_names_both_flags(capsys):
@@ -530,9 +542,32 @@ def test_potential_json_equals_family_flags():
     *(pytest.param(json.dumps(doc), id=f"{long.id} {where}") for long in LONG_VALUES
       for where, doc in (("value", {"terms": {"1": long.values[0]}}),
                          ("power", {"terms": {long.values[0]: "1"}}))),
+    # an integer power the family rules refuse, under the 4300-digit limit
+    pytest.param(json.dumps({"terms": {"1" + "0" * 3000: "1"}}), id="3001-digit power"),
 ])
 def test_malformed_potential_document_is_rejected(potential, capsys):
     assert_rejected(["solve", "--potential", potential], capsys)
+
+
+# a request per refusal that repeats a name or choice, X standing for the value
+REFUSED_NAMES = {
+    "cpt --op": ("algebra", "cpt", "--op", "TX", "--E", "5", "--p", "0,0,4", "--m", "3"),
+    "multiply --a": ("algebra", "multiply", "--a", "qi.X", "--b", "qj"),
+    "spinor --pairing": ("algebra", "spinor", "--pairing", "X", "--E", "5", "--p", "0,0,4",
+                         "--m", "3"),
+    "baryon --phase": ("algebra", "baryon", "--phase", "X", "--E", "5", "--p", "0,0,4", "--m", "3"),
+    "solve --family": ("solve", "--family", "X"),
+    "verb": ("X",),
+    "--format": ("--format", "X", "gut"),
+    "--nprime": ("solve", "--family", "coulomb", "--qA", "1/10", "--nprime", "X"),
+    "unknown flag": ("gut", "--X"),
+}
+
+
+@pytest.mark.parametrize("value", LONG_VALUES)
+@pytest.mark.parametrize("request_", sorted(REFUSED_NAMES))
+def test_a_refused_name_or_choice_is_repeated_short(request_, value, capsys):
+    assert_rejected([arg.replace("X", value) for arg in REFUSED_NAMES[request_]], capsys)
 
 
 @pytest.mark.parametrize("key", ["x", "1.5"])

@@ -253,7 +253,7 @@ def test_oscillator_relations():
     V = PotentialSpec({2: Rational(3, 2)}, coulomb_phase=I / 2)
     sol = match_coefficients(V, QN)
     assert sol.family == "oscillator"
-    assert _branch_var(sol, "b") == {I / 2, -I / 2}  # +-ic/6
+    assert _branch_var(sol, "u2") == {3 * I / 2, -3 * I / 2}  # +-ic/2
     assert _branch_var(sol, "one_plus_gamma") == {Rational(1, 2), -Rational(1, 2)}  # +-iA
     for b in sol.branches:
         assert sp.simplify(_sym(b.solver_vars["a"]) - sp.sqrt(sp.Symbol("m") ** 2 - sp.Symbol("E") ** 2)) == 0
@@ -286,6 +286,19 @@ def test_oscillator_needs_phase():
     with pytest.raises(InconsistentSystemError) as err:
         match_coefficients(PotentialSpec({2: 1}), QN)
     assert err.value.power == -2
+
+
+_FLOAT = st.floats(-10, 10, allow_subnormal=False).filter(bool)
+
+
+@settings(max_examples=200)
+@given(_FLOAT, _FLOAT, _FLOAT, st.integers(0, 3), st.integers(0, 4))
+def test_float_oscillator_residual_is_exactly_zero(c2, q, a, k, n):
+    """u2 = s i q c2 and 1 + gamma = s i q A divide nothing out of another, so
+    float inputs leave no rounding in the gate."""
+    qn = QuantumNumbers(Fraction(2 * k + 1, 2), n)
+    V = PotentialSpec({2: c2}, I * a, q)
+    assert residual_verify(V, match_coefficients(V, qn), qn) == 0.0
 
 
 # --- Lennard-Jones / inverse multipole --------------------------------------
@@ -661,26 +674,18 @@ def _reference_branches(sol):
                 exp_coefficients={2: -b}, gamma=sp.expand(gt - 1 - n), n_prime=n,
                 solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
             continue
-        qA = q * A
-        if sol.family == "oscillator":
-            w2 = q * V.terms[2]
-            b = s * I * w2 / 3
-            g0 = -w2 * qA / (3 * b)
-            named, exp = {"b": b}, {3: b}
-        else:
-            powers = sorted(V.terms, reverse=True)
-            c = {p: q * V.terms[p] for p in powers}
-            u = {powers[-1]: s * I * c[powers[-1]]}
-            for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
-                u[hi] = -c[hi] * c[lo] / u[lo]
-            g0 = -qA * c[powers[0]] / u[powers[0]]
-            named = {f"u{abs(p)}": u[p] for p in powers}
-            exp = {p + 1: u[p] / (p + 1) for p in powers}
+        # the oscillator and the inverse multipoles: u holds u_p r^p per power
+        powers = sorted(V.terms, reverse=True)
+        c = {p: q * V.terms[p] for p in powers}
+        u = {powers[-1]: s * I * c[powers[-1]]}
+        for hi, lo in zip(reversed(powers[:-1]), reversed(powers[1:])):
+            u[hi] = -c[hi] * c[lo] / u[lo]
+        g0 = -q * A * c[powers[0]] / u[powers[0]]
         gt, a = g0 + n, sp.sqrt(m**2 - E**2)
         out.append(AnsatzBranch(
-            exp_coefficients=exp, gamma=g0 - 1, n_prime=n,
-            solver_vars={**named, "one_plus_gamma": g0, "a": a, "gamma_plus_nu_plus_1": gt,
-                         "E_level": -m * gt / J}))
+            exp_coefficients={p + 1: u[p] / (p + 1) for p in powers}, gamma=g0 - 1, n_prime=n,
+            solver_vars={**{f"u{abs(p)}": u[p] for p in powers}, "one_plus_gamma": g0, "a": a,
+                         "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
     return tuple(out)
 
 
@@ -771,9 +776,7 @@ def _condition(sol, r, values):
     W, u = E + q * A / r, -a + g / r
     if sol.family == "confining":  # exponent -a r + b2 r^2 with b2 = -b
         W, u = W - q * V.terms[1] * r, u + 2 * -b * r
-    elif sol.family == "oscillator":  # exponent -a r + b3 r^3 with b3 = b
-        W, u = W + q * V.terms[2] * r**2, u + 3 * b * r**2
-    elif sol.family == "inverse-multipole":  # exponent -a r + sum_p u_p r^(p+1) / (p+1)
+    else:  # exponent -a r + sum_p u_p r^(p+1) / (p+1), no term for coulomb
         for p, c in V.terms.items():
             W, u = W + q * c * r**p, u + values[f"u{abs(p)}"] * r**p
     return W**2 + u**2 - m**2 - J**2 / r**2
@@ -829,14 +832,14 @@ PINNED_RELATIONS = {
         (0, "E**2 + a**2 - m**2", True, "fixes the level through m"),
     ]),
     "oscillator": (PotentialSpec({2: Fraction(3, 2)}, I / 2), [
-        (4, "9*b**2 + 9/4", True, ""),
-        (1, "6*b*gamma0 + 3*I/2", True, "series head, nu = 0"),
+        (4, "u2**2 + 9/4", True, ""),
+        (1, "2*gamma0*u2 + 3*I/2", True, "series head, nu = 0"),
         (0, "E**2 + a**2 - m**2", True, ""),
         (-1, "I*E - 2*a*gammat", False,
          "tail equation; with 1/r^2 it eliminates to the level formula"),
         (-2, "gammat**2 - 17/4", False,
          "tail equation; with 1/r it eliminates to the level formula"),
-        (2, "3*E - 6*a*b", False, "cross term left open by the printed derivation"),
+        (2, "3*E - 2*a*u2", False, "cross term left open by the printed derivation"),
     ]),
     # the head of -3 and the cross term of -4 share r^-4, which is left open
     "inverse-3-4": (PotentialSpec({-3: Fraction(1, 2), -4: Fraction(-3)}, I / 2), [
@@ -887,9 +890,9 @@ def test_branch_values_are_the_closed_forms():
     sol = match_coefficients(PotentialSpec({1: 1.0}, Fraction(3, 10), Fraction(2, 5)), qn)
     assert [_sym(b.solver_vars["a"]) for b in sol.branches] == [-I * E, I * E]
     assert not any(_sym(b.gamma).atoms(sp.Float) for b in sol.branches)
-    # oscillator, A = i/5, q = 3/10, c2 = 10: b = +-i q c2/3, 1 + gamma = +-i q A
+    # oscillator, A = i/5, q = 3/10, c2 = 10: u2 = +-i q c2, 1 + gamma = +-i q A
     sol = match_coefficients(PotentialSpec({2: 10}, I / 5, Fraction(3, 10)), qn)
-    assert [_sym(b.solver_vars["b"]) for b in sol.branches] == [I, -I]
+    assert [_sym(b.solver_vars["u2"]) for b in sol.branches] == [3 * I, -3 * I]
     assert [b.solver_vars["one_plus_gamma"] for b in sol.branches] == [Fraction(-3, 50),
                                                                       Fraction(3, 50)]
     # inverse with float coefficients and an exact phase: u_p = +-i c_p, gamma exact
