@@ -68,7 +68,11 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\.?\d|(i|[qv][ijk])(\.|$)|(BRG|GBR|RGB)$)")
 
     def error(self, message):
-        # each refused value, quoted or bare, repeated by the one 60-character rule
+        # each refused value, quoted or bare, repeated by the one 60-character
+        # rule; argparse lists every unrecognized argument, and the list is one value
+        stray = "unrecognized arguments: "
+        if message.startswith(stray):
+            raise UsageError(stray + datafiles._echo(message[len(stray):]))
         raise UsageError(re.sub(r"'[^']*'|\S+", lambda m: datafiles._echo(m[0]), message))
 
 

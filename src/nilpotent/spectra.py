@@ -37,13 +37,18 @@ at n' = 0.  With c_{-2}/r^2, and a = E q A / gammat from the 1/r tail, the
 gammat, a term the printed level does not see.
 
 Outside the Coulomb family, whose branches go through a surd, every branch
-value is a closed form on the sign s = +-1: b = s i q sigma/2, a = -s i E and
-gamma + nu + 1 = s i q A (confining); u_p = s i q c_p per power and
-1 + gamma = s i q A (oscillator p = 2, inverse p <= -2; float residual 0).
-No value is divided out of another, so a float potential coefficient leaks
-no rounding into gamma or a.  A branch holds each value once, named as in
-the relations (u2, u6), and the report prints the values the gate
-substitutes; the Coulomb levels read the branches' exact discriminant.
+value is a closed form on the sign s = +-1: b = s i w/2 with w = q sigma,
+a = -s i E and gamma + nu + 1 = s i q A (confining); u_p = s i q c_p per
+power and 1 + gamma = s i q A (oscillator p = 2, inverse p <= -2).  The
+relations read the same products w, q c_p and q A that the branches hold,
+so a real float input leaves a residual of 0 (short of a subnormal w).  No
+value is divided out of another, so a float potential coefficient leaks no
+rounding into gamma or a.  A branch holds each value once, named as in the
+relations (u2, u6), and the report prints the values the gate substitutes;
+the Coulomb levels read the branches' exact discriminant.  Each solve reads
+its potential once, builds the values free of s once, and the gate strips
+each term of its unknowns once, then multiplies their powers in the order
+of one unknown at a time.
 
 The solver builds its relations and branch values on a small exact kernel
 (``_Kernel``), with no computer-algebra library: each is an ``Expr``, a
@@ -64,7 +69,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -114,6 +118,7 @@ class _NotPolynomial(ValueError):
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
 _ROOT = _MASK - 1  # a generator field's bits above exponent 1
+_HALF = Fraction(1, 2)
 _TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds to 0.0
 # (sort key, text) of I, field 0: sympy sorts the factors of a product as
 # numbers (sqrt(11)), then I, then symbols by name, then sums (and roots of
@@ -267,7 +272,9 @@ class _Kernel:
         if len(p) == 1 and len(q) == 1:
             (m1, c1), = p.items()
             (m2, c2), = q.items()
-            mono, c = m1 + m2, c1 * c2
+            # the same value and type as c1 * c2: an int 1 taken as it is, and
+            # a Fraction on the left, whose own product is the quicker one
+            mono, c = m1 + m2, c1 * c2 if type(c1) is not int else c2 if c1 == 1 else c2 * c1
             high = mono & self.high
             if not high:
                 return {mono: c} if c else {}
@@ -290,10 +297,7 @@ class _Kernel:
         return {mono: c for mono, c in out.items() if c}
 
     def power(self, p, k: int) -> dict:
-        out = p
-        for _ in range(k - 1):
-            out = self.mul(out, p)
-        return out
+        return p if k == 1 else functools.reduce(self.mul, [p] * k)
 
     def inverse(self, p) -> dict:
         """1/p for a nonzero p free of symbols, by conjugates: p = P + Q g times
@@ -315,19 +319,22 @@ class _Kernel:
 
     def substitute(self, poly, values: dict, powers: dict) -> dict:
         """``poly`` with each variable field in ``values`` (shift -> polynomial)
-        replaced by its value; ``powers`` keeps the value powers of one branch."""
-        fields = sum(_MASK << shift for shift in values)
+        replaced by its value; ``powers`` keeps the value powers of one branch.
+        Each term loses its substituted exponents at once, then takes their powers in
+        ``values`` order, which rounds a float as substituting one field at a time."""
         terms = []
         for mono, c in poly.items():
+            factors = []
+            for shift, value in values.items():
+                e = mono >> shift & _MASK
+                if e:
+                    mono -= e << shift
+                    if (shift, e) not in powers:
+                        powers[shift, e] = self.power(value, e)
+                    factors.append(powers[shift, e])
             term = {mono: c}
-            if mono & fields:
-                for shift, value in values.items():
-                    e = mono >> shift & _MASK
-                    if e:
-                        if (shift, e) not in powers:
-                            powers[shift, e] = self.power(value, e)
-                        term = self.mul({m - (e << shift): k for m, k in term.items()},
-                                        powers[shift, e])
+            for factor in factors:
+                term = self.mul(term, factor)
             terms.extend(term.items())
         return _collect(terms)
 
@@ -459,7 +466,7 @@ def _value(kernel, terms: dict):
     """The Expr of ``terms``, or the plain number when no variable is left."""
     if not terms:
         return 0
-    if terms.keys() == {0}:
+    if len(terms) == 1 and 0 in terms:
         return terms[0]
     return Expr(kernel, terms)
 
@@ -516,12 +523,13 @@ def _mul(x, y):
     if not isinstance(x, Expr):  # a number times each term
         if len(y.terms) == 1:
             (mono, c), = y.terms.items()
-            c *= x
+            c = c * x if type(c) is not int else x if c == 1 else x * c  # as in _Kernel.mul
             return _value(y.kernel, {mono: c} if c else {})
         return _value(y.kernel, _collect((mono, c * x) for mono, c in y.terms.items()))
     kernel = _common_kernel(x, y) or _Kernel()
-    whole = [t if len(t) == 1 else {1 << kernel._sum(t): 1} for t in (x.terms, y.terms)]
-    terms = kernel.mul(*whole)
+    xt, yt = x.terms, y.terms
+    terms = kernel.mul(xt if len(xt) == 1 else {1 << kernel._sum(xt): 1},
+                       yt if len(yt) == 1 else {1 << kernel._sum(yt): 1})
     if len(terms) == 1 and kernel.sums:
         (mono, c), = terms.items()
         shift = next((s for s in kernel.sums if mono == 1 << s), None)
@@ -768,9 +776,9 @@ class QuantumNumbers(_QuantumFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         j = _num(self.j)
-        if j < Fraction(1, 2):
+        if j < _HALF:
             raise ValueError("j must be at least 1/2")
-        if (2 * j) % 2 != 1:
+        if j * 2 % 2 != 1:
             raise ValueError(f"j must be a half-integer (2j odd), got {self.j}")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
@@ -778,7 +786,7 @@ class QuantumNumbers(_QuantumFields):
 
     @property
     def j_plus_half(self):
-        return _num(self.j) + Fraction(1, 2)
+        return _num(self.j) + _HALF
 
 
 class Relation(NamedTuple):
@@ -881,15 +889,22 @@ def _detect_family(V: PotentialSpec) -> str:
                                     "supported: r, r^2, A/r, inverse powers <= -2")
 
 
-def _product(factors):
+def _product(factors, g):
     """The product from the left, numbers first, with a factor object that
     recurs raised to its count: q, sigma, q, A give q**2 * sigma * A, so a
-    float rounds as the derivation's q**2 does."""
+    float rounds as the derivation's q**2 does.  The factor None reads g."""
     counts = {}
     for f in factors:
-        counts[id(f)] = (f, counts.get(id(f), (f, 0))[1] + 1)
-    powers = [f if k == 1 else _pow(f, k) for f, k in counts.values()]
-    return functools.reduce(operator.mul, sorted(powers, key=lambda f: isinstance(f, Expr)))
+        f = g if f is None else f
+        counts[id(f)] = (f, counts[id(f)][1] + 1 if id(f) in counts else 1)
+    numbers, exprs = [], []
+    for f, k in counts.values():
+        f = f if k == 1 else _pow(f, k)
+        (exprs if isinstance(f, Expr) else numbers).append(f)
+    out, *rest = numbers + exprs
+    for f in rest:
+        out = _mul(out, f)
+    return out
 
 
 def _laurent_relations(kernel, W, u, head, J, m, groups):
@@ -908,7 +923,7 @@ def _laurent_relations(kernel, W, u, head, J, m, groups):
             for k, (p2, f2) in enumerate(terms[i:]):
                 g = g0 if p + p2 in head else gt
                 factors = (*f, *f2) if k == 0 else (2, *f, *f2)
-                sums.setdefault(p + p2, []).append(_product(g if x is None else x for x in factors))
+                sums.setdefault(p + p2, []).append(_product(factors, g))
     sums[0].append(-_pow(m, 2))
     sums[-2].append(-_pow(J, 2))
     merged = {}
@@ -927,26 +942,31 @@ _OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_lev
 
 
 def _solve_confining(kernel, V, qn, E, m):
-    q, A = V.coupling, V.coulomb_phase
-    sigma = V.terms[1]
+    q, A, sigma = V.coupling, V.coulomb_phase, V.terms[1]
+    # w = q sigma and q A are each one product for the relations and the
+    # branches, as the power laws' q c_p and q A, so a float residual is 0; a
+    # Gaussian q, sigma or A keeps its own factors, whose squares sympy prints
+    # apart
+    w, qA = q * sigma, q * A
+    W = ([(1, (-1, q, sigma)), (-1, (q, A))] if any(isinstance(x, Expr) for x in (q, sigma, A))
+         else [(1, (-1, w)), (-1, (qA,))])
     _a, _b = kernel.symbol("a"), kernel.symbol("b")
     n = qn.n_prime
     # exponent b2 r^2 with b2 = -b, so u holds 2 b2 r = -2 b r
     open_note = "left open by the three-equation solution"
     relations = _laurent_relations(
-        kernel, [(1, (-1, q, sigma)), (-1, (q, A)), (0, (E,))],
+        kernel, [*W, (0, (E,))],
         [(1, (-2, _b)), (-1, (None,)), (0, (-1, _a))], (), qn.j_plus_half, m,
         [(2, True, ""), (1, True, ""), (-1, True, ""), (0, False, open_note),
          (-2, False, open_note)])
+    # the r^2, r and 1/r relations in closed form at s = 1; s = -1 negates them
+    b, a, gt = _I * (w / 2), -_I * E, _I * qA
     branches = []
-    for s in (1, -1):
-        # the r^2, r and 1/r relations in closed form
-        b = s * _I * (q * sigma / 2)
-        a = -s * _I * E
-        gt = s * _I * (q * A)
+    for _ in (1, -1):
         branches.append(AnsatzBranch(
             exp_coefficients={2: -b}, gamma=gt + (-1 - n), n_prime=n,
             solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
+        b, a, gt = -b, -a, -gt
     return "confining", tuple(branches), relations, None
 
 
@@ -971,6 +991,7 @@ def _solve_coulomb(kernel, V, qn, E, m):
         [(-2, True, _HEAD + ": the indicial condition fixing gamma"),
          (-1, True, "series tail, nu = n'"), (0, True, "fixes the level through m")])
     g0_root = _coulomb_root(kernel.sqrt, qA, J)
+    root_E2 = kernel.sqrt(_pow(E, 2))
     branches = []
     for s in (1, -1):
         g0 = s * g0_root          # gamma + 1
@@ -984,7 +1005,7 @@ def _solve_coulomb(kernel, V, qn, E, m):
         c = qA * _reciprocal(gt)
         a = c * E
         c2 = _value(kernel, kernel.mul(c.terms, c.terms)) if isinstance(c, Expr) else c * c
-        m_expr = kernel.sqrt(_pow(E, 2)) * kernel.sqrt(1 + c2)
+        m_expr = root_E2 * kernel.sqrt(1 + c2)
         branches.append(AnsatzBranch(
             exp_coefficients={}, gamma=g0 - 1, n_prime=n,
             solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
@@ -1016,18 +1037,18 @@ def _solve_power(kernel, V, qn, E, m):
         [(2 * powers[-1], True, ""), *((hi + lo, True, "") for hi, lo in zip(powers, powers[1:])),
          *((p - 1, True, _HEAD) for p in powers), (0, True, ""), *_TAILS,
          *((p, False, _CROSS) for p in powers), *((2 * p, True, "") for p in powers[:-1])])
+    a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
+    # the extreme, cross and head relations in closed form at s = 1; s = -1 negates them
+    u_vals, g0 = {p: _I * coeffs[p] for p in powers}, _I * qA
     branches = []
-    for s in (1, -1):
-        # the extreme, cross and head relations in closed form
-        u_vals = {p: s * _I * coeffs[p] for p in powers}
-        g0 = s * _I * qA
+    for _ in (1, -1):
         gt = g0 + n
-        a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
         branches.append(AnsatzBranch(
             exp_coefficients={p + 1: u_vals[p] / (p + 1) for p in powers}, gamma=g0 - 1,
             n_prime=n,
             solver_vars={**{u_names[p]: u_vals[p] for p in powers}, "one_plus_gamma": g0, "a": a,
                          "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
+        u_vals, g0 = {p: -u for p, u in u_vals.items()}, -g0
     family = "oscillator" if powers == [2] else "inverse-multipole"
     return family, tuple(branches), relations, _OSCILLATOR_SERIES
 
@@ -1040,16 +1061,24 @@ _FAMILY_SOLVERS = {
 }
 
 
+_last_fold = None  # (V, its fields as read, family, fold) of the last call
+
+
 def _folded(V: PotentialSpec) -> tuple[str, PotentialSpec]:
     """The family of ``V`` and ``V`` as its solver reads it: normalized, with
-    c_{-1} folded into the phase as ``match_coefficients`` says."""
-    Vn = V.normalized()
-    c_m1 = Vn.terms.pop(-1, 0)
-    if c_m1 != 0:
-        # the terms alone fix the family, so a pure c_{-1}/r is Coulomb
-        confining = set(Vn.terms) == {1}
-        Vn = PotentialSpec(Vn.terms, Vn.coulomb_phase + (-c_m1 if confining else c_m1), Vn.coupling)
-    return _detect_family(Vn), Vn
+    c_{-1} folded into the phase as ``match_coefficients`` says; read once for
+    the same ``V`` with the same fields, and copied for each call."""
+    global _last_fold
+    last, fields = _last_fold, (tuple(V.terms.items()), V.coulomb_phase, V.coupling)
+    if last is None or last[0] is not V or last[1] != fields:
+        Vn = V.normalized()
+        c_m1 = Vn.terms.pop(-1, 0)
+        if c_m1 != 0:
+            # the terms alone fix the family, so a pure c_{-1}/r is Coulomb
+            confining = set(Vn.terms) == {1}
+            Vn = Vn._replace(coulomb_phase=Vn.coulomb_phase + (-c_m1 if confining else c_m1))
+        last = _last_fold = (V, fields, _detect_family(Vn), Vn)
+    return last[2], last[3]._replace(terms=dict(last[3].terms))
 
 
 def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> AnsatzSolution:
@@ -1132,14 +1161,14 @@ def residual_verify(V: PotentialSpec, sol: AnsatzSolution, qn: QuantumNumbers) -
 def coulomb_levels(qA, j, n_prime: int) -> float:
     """E/m = (1 + q^2 A^2 / (sqrt((j+1/2)^2 - q^2 A^2) + n')^2)^(-1/2), from the
     branches' discriminant: exact up to its root for an exact q A."""
-    gt = _coulomb_root(math.sqrt, qA, _num(j) + Fraction(1, 2)) + n_prime
+    gt = _coulomb_root(math.sqrt, qA, _num(j) + _HALF) + n_prime
     return (1.0 + _pow(qA, 2) / (gt * gt)) ** -0.5
 
 
 def oscillator_levels(m, j, n_prime: int):
     """E = -m (1/2 + n') / (j + 1/2); equally spaced with spacing m/(j+1/2)."""
     if isinstance(m, (int, Fraction)) and isinstance(j, (int, Fraction)):
-        return Fraction(-m * (2 * n_prime + 1), 2 * j + 1)
+        return Fraction(-m * (2 * n_prime + 1) * j.denominator, 2 * j.numerator + j.denominator)
     return -float(m) * (0.5 + n_prime) / (float(j) + 0.5)
 
 

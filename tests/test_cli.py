@@ -570,6 +570,12 @@ def test_a_refused_name_or_choice_is_repeated_short(request_, value, capsys):
     assert_rejected([arg.replace("X", value) for arg in REFUSED_NAMES[request_]], capsys)
 
 
+def test_many_unrecognized_arguments_are_repeated_short(capsys):
+    """argparse lists every stray argument in one message, which the 60-character
+    rule bounds as one value: 2500 of them once made a 12537-byte line."""
+    assert_rejected(["gut", *["--zz"] * 2500], capsys)
+
+
 @pytest.mark.parametrize("key", ["x", "1.5"])
 def test_potential_power_that_is_not_an_integer_is_named(key, capsys):
     assert cli.main(["solve", "--potential", json.dumps({"terms": {key: 1}})]) == cli.EXIT_USAGE

@@ -301,6 +301,18 @@ def test_float_oscillator_residual_is_exactly_zero(c2, q, a, k, n):
     assert residual_verify(V, match_coefficients(V, qn), qn) == 0.0
 
 
+@settings(max_examples=200)
+@given(st.floats(0.1, 10), st.floats(0.01, 3), st.floats(-5, 5), st.integers(0, 3),
+       st.integers(0, 4))
+def test_float_confining_residual_is_exactly_zero(sigma, q, A, k, n):
+    """The r^2 relation and b = s i w/2 read the one product w = q sigma, so
+    float inputs leave no rounding in the gate; q**2 * sigma**2 in the
+    relation once left up to 2e-13 against (q sigma/2)**2 in b."""
+    qn = QuantumNumbers(Fraction(2 * k + 1, 2), n)
+    V = PotentialSpec({1: sigma}, A, q)
+    assert residual_verify(V, match_coefficients(V, qn), qn) == 0.0
+
+
 # --- Lennard-Jones / inverse multipole --------------------------------------
 
 
@@ -815,13 +827,14 @@ PINNED_RELATIONS = {
          "left open by the three-equation solution"),
         (-2, "gammat**2 - 2491/625", False, "left open by the three-equation solution"),
     ]),
-    # q**2 * sigma**2 and -2*q**2*sigma*A, not (q*sigma)**2 and 2*(-q*sigma)*(q*A),
-    # which round to ...502 and -1.42694844574622
+    # w**2 and -2*w*qA with the products w = q*sigma and qA that b = +-i w/2 and
+    # gammat = +-i qA hold, so the relations read 0.0 at the branches;
+    # q**2 * sigma**2 and -2*q**2*sigma*A round to ...503 and -1.42694844574623
     "confining-float": (PotentialSpec({1: 1.1131}, 0.9095, 0.8395), [
-        (2, "4*b**2 + 0.873192036811503", True, ""),
+        (2, "4*b**2 + 0.873192036811502", True, ""),
         (1, "-1.8688949*E + 4*a*b", True, ""),
         (-1, "1.5270505*E - 2*a*gammat", True, ""),
-        (0, "E**2 + a**2 - 4*b*gammat - m**2 - 1.42694844574623", False,
+        (0, "E**2 + a**2 - 4*b*gammat - m**2 - 1.42694844574622", False,
          "left open by the three-equation solution"),
         (-2, "gammat**2 - 3.41702919261244", False, "left open by the three-equation solution"),
     ]),
@@ -1375,6 +1388,128 @@ def test_residual_for_other_quantum_numbers_is_refused(qn):
         residual_verify(V, sol, qn)
 
 
+def test_residual_refuses_a_potential_edited_after_the_solve():
+    """The gate reads the potential its solution was just matched from once;
+    an edit in place to either one's terms is read again, and refused."""
+    V = PotentialSpec({1: Fraction(1)}, coulomb_phase=Fraction(3, 10), coupling=Fraction(2, 5))
+    sol = match_coefficients(V, QN)
+    V.terms[1] = Fraction(2)
+    with pytest.raises(ValueError, match="matched for the potential"):
+        residual_verify(V, sol, QN)
+    V.terms[1] = Fraction(1)
+    assert residual_verify(V, sol, QN) == 0.0
+    sol.potential.terms[1] = Fraction(2)
+    with pytest.raises(ValueError, match="matched for the potential"):
+        residual_verify(V, sol, QN)
+
+
+@pytest.mark.parametrize("twin", [
+    PotentialSpec({"2": Rational(3, 2)}, I / 2),
+    PotentialSpec({2: 1.5, -1: 0}, Fraction(1, 2) * spectra._I),
+    PotentialSpec.from_dict({"terms": {"2": "3/2"}, "coulombPhase": "1/2i"}),
+])
+def test_residual_accepts_another_object_of_the_same_potential(twin):
+    V = PotentialSpec({2: Fraction(3, 2)}, I / 2)
+    sol = match_coefficients(V, QN)
+    assert residual_verify(twin, sol, QN) == 0.0
+    assert residual_verify(V, sol, QN) == 0.0
+
+
+# --- scale covariance --------------------------------------------------------
+#
+# Under r -> lam r with E -> lam E, m -> lam m and each c_k -> lam**(k+1) c_k
+# (the phase A, k = -1, stays), W(r) and u(r) become lam W(lam r) and
+# lam u(lam r).  So the relation at r^p scales by lam**(p+2), a and m by lam,
+# b_s by lam**s, u_p by lam**(p+1) and E_level by lam, while gamma and every
+# level E/m stay.  The solver's own arithmetic does not see this symmetry, so
+# it tests the kernel from outside: exactly for exact input, and bit for bit
+# for float input at lam = 2**k, where every scaled product rounds alike.  With
+# E and m left as symbols (the CLI's path) a scaled value in (E, m) is lam**w
+# times the unscaled one at (E/lam, m/lam): E, m and a root of their squares
+# weigh 1 like the unknowns.
+
+
+def _terms(x):
+    """A solver value as {((atom text, exponent), ...): coefficient}, free of
+    the field layout of its kernel."""
+    if not isinstance(x, Expr):
+        return {(): x} if x else {}
+    kernel = x.kernel or _Kernel()
+    return {tuple((kernel.atom(s)[1], mono >> s & spectra._MASK) for s in kernel.atoms
+                  if mono >> s & spectra._MASK): c for mono, c in x.terms.items()}
+
+
+def _scaled(x, lam, weight, weights):
+    """``_terms(x)`` as the scaled solve must hold it: each term times lam to
+    the ``weight`` less the weights of the unknowns it holds."""
+    return {key: c * lam ** (weight - sum(weights.get(name, 0) * e for name, e in key))
+            for key, c in _terms(x).items()}
+
+
+def _assert_scale_covariant(V, qn, E, m, lam):
+    """E and m are numbers, or both None for symbols."""
+    scaled_V = PotentialSpec({k: c * lam ** (k + 1) for k, c in V.terms.items()},
+                             V.coulomb_phase, V.coupling)
+    sol = match_coefficients(V, qn, E, m)
+    scaled = match_coefficients(scaled_V, qn, *((None, None) if E is None else (lam * E, lam * m)))
+    u_weights = {f"u{abs(p)}": p + 1 for p in V.terms}
+    weights = {"E": 1, "m": 1, "a": 1, "b": 2, "sqrt(E**2)": 1, "sqrt(-E**2 + m**2)": 1,
+               **u_weights}
+    assert [r.power for r in scaled.relations] == [r.power for r in sol.relations]
+    for rel, got in zip(sol.relations, scaled.relations):
+        assert _terms(got.expr) == _scaled(rel.expr, lam, rel.power + 2, weights), rel
+    values = {"E_level": 1, "m": 1, "a": 1, "b": 2, **u_weights}
+    for branch, got in zip(sol.branches, scaled.branches, strict=True):
+        assert got.solver_vars.keys() == branch.solver_vars.keys()
+        for key, v in branch.solver_vars.items():
+            assert _terms(got.solver_vars[key]) == _scaled(v, lam, values.get(key, 0), weights), key
+        assert _terms(got.gamma) == _terms(branch.gamma)
+        for power, v in branch.exp_coefficients.items():
+            assert _terms(got.exp_coefficients[power]) == _scaled(v, lam, power, weights), power
+    if sol.level_series:
+        js, n_primes = [qn.j, Fraction(5, 2)], [0, 1, 4]
+        assert scaled.level_series.table(js, n_primes) == sol.level_series.table(js, n_primes)
+
+
+_EXACT_SCALE_CASES = {
+    "confining": PotentialSpec({1: Fraction(5, 3)}, Fraction(3, 10), Fraction(2, 5)),
+    "coulomb": PotentialSpec({}, Fraction(3, 10), Fraction(2, 5)),
+    "oscillator": PotentialSpec({2: Fraction(3, 2)}, I / 2, Fraction(4, 9)),
+    "inverse-6-12": PotentialSpec({-6: Fraction(1, 7), -12: Fraction(-3, 11)}, I * Rational(2, 3)),
+    "inverse-3-4": PotentialSpec({-3: Fraction(1, 2), -4: Fraction(-3)}, I / 2),
+    "inverse-2": PotentialSpec({-2: Fraction(5, 2)}, I / 3, Fraction(3, 7)),
+}
+
+
+@pytest.mark.parametrize("E,m", [(Fraction(7, 4), Fraction(9, 5)), (None, None)])
+@pytest.mark.parametrize("lam", [Fraction(3, 2), Fraction(2, 7), Fraction(4)])
+@pytest.mark.parametrize("name", _EXACT_SCALE_CASES)
+def test_exact_solve_is_scale_covariant(name, lam, E, m):
+    _assert_scale_covariant(_EXACT_SCALE_CASES[name], QuantumNumbers(Fraction(3, 2), 1), E, m, lam)
+
+
+# magnitudes that keep every product of the solve a normal float: a subnormal
+# one has fewer bits, so a power of two does not scale it exactly
+_SCALE_FLOAT = st.floats(0.1, 10)
+_SIGNED = st.builds(lambda x, s: s * x, st.floats(0.01, 5), st.sampled_from((1, -1)))
+_float_potentials = st.one_of(
+    st.builds(lambda sigma, A, q: PotentialSpec({1: sigma}, A, q),
+              _SCALE_FLOAT, _SIGNED, st.floats(0.01, 3)),
+    st.builds(lambda A, q: PotentialSpec({}, A, q), st.floats(0.01, 0.9), st.floats(0.5, 1)),
+    st.builds(lambda c, a, q: PotentialSpec({2: c}, I * a, q),
+              _SCALE_FLOAT, _SIGNED, st.floats(0.01, 3)),
+    st.builds(lambda c6, c12, a: PotentialSpec({-6: c6, -12: -c12}, I * a),
+              _SCALE_FLOAT, _SCALE_FLOAT, _SIGNED),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_potentials, st.one_of(st.tuples(_SCALE_FLOAT, _SCALE_FLOAT), st.just((None, None))),
+       st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+def test_float_solve_is_scale_covariant_bit_for_bit(V, E_m, j, n, k):
+    _assert_scale_covariant(V, QuantumNumbers(Fraction(2 * j + 1, 2), n), *E_m, 2.0 ** k)
+
+
 # --- infrared radius and flux-tube geometry ----------------------------------
 
 
@@ -1449,6 +1584,25 @@ def _weiszfeld_minimum(a, b, c):
 def test_lmin_matches_weiszfeld(a, b, angle_deg):
     c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(math.radians(angle_deg)))
     assert lmin(a, b, c) == pytest.approx(_weiszfeld_minimum(a, b, c), rel=1e-6)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(1.0, 179.0), st.integers(-8, 8))
+def test_lmin_scales_as_a_length_bit_for_bit(a, b, angle_deg, k):
+    """L_min is homogeneous of degree one in the sides; at lam = 2**k every
+    sum, product and root of the formula scales exactly."""
+    c = math.sqrt(a * a + b * b - 2 * a * b * math.cos(math.radians(angle_deg)))
+    lam = 2.0 ** k
+    assert lmin(lam * a, lam * b, lam * c) == lam * lmin(a, b, c)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.1, 10.0), st.floats(0.01, 3.0), st.floats(0.1, 10.0), st.integers(-8, 8))
+def test_infrared_radius_scales_as_a_length_bit_for_bit(E, q, sigma, k):
+    """Under r -> lam r, E -> lam E and sigma = c_1 -> lam**2 sigma, so the
+    radius 2E/(q sigma) -> radius/lam."""
+    lam = 2.0 ** k
+    assert infrared_radius(lam * E, q, lam * lam * sigma) == infrared_radius(E, q, sigma) / lam
 
 
 def test_lmin_triangle_inequality():
