@@ -466,7 +466,8 @@ def dual_generate(target_order: int) -> frozenset[int]:
     """
     valid = [o for o, _, _ in DUAL_STEPS]
     if target_order not in valid:
-        raise ValueError(f"target order must be one of {valid}, got {target_order}")
+        from .datafiles import _echo  # a refusal alone reads it
+        raise ValueError(f"target order must be one of {valid}, got {_echo(str(target_order))}")
     elements = {0}
     for order, _, gen in DUAL_STEPS:
         g = NEG if gen is None else 1 << _DUAL_GENS.index(gen)

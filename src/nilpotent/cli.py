@@ -45,8 +45,9 @@ def _lazy(name: str):
     return module
 
 
-algebra, charges, datafiles, masses, spectra, states, unification, verify = map(_lazy, (
-    "algebra", "charges", "datafiles", "masses", "spectra", "states", "unification", "verify"))
+algebra, charges, datafiles, exact, geometry, masses, spectra, states, unification, verify = map(
+    _lazy, ("algebra", "charges", "datafiles", "exact", "geometry", "masses", "spectra", "states",
+            "unification", "verify"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -207,7 +208,11 @@ def _printable_chain(x: states.NilpotentVector, n: int):
         digits = _digit_count(max((max(abs(c.numerator), c.denominator)
                                    for c in chain.blades().values()), default=1))
     if digits > limit:
-        raise UsageError(f"--n {n} gives chain coefficients of at least {digits} digits, "
+        # an n too long to repeat whole is past 2^53, so its count is that of 2^53:
+        # the line leaves it out to stay short
+        shown = datafiles._echo(str(n))
+        count = f"of at least {digits} digits, " if shown == str(n) else ""
+        raise UsageError(f"--n {shown} gives chain coefficients {count}"
                          f"over the {limit}-digit limit for printing an int")
     return chain, lam
 
@@ -337,10 +342,10 @@ def _cmd_algebra(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_potential(args) -> spectra.PotentialSpec:
+def _build_potential(args) -> exact.PotentialSpec:
     """The family flags as the ``{terms, coulombPhase, q}`` mapping ``--potential`` takes."""
     if args.potential:
-        return spectra.PotentialSpec.from_dict(json.loads(args.potential))
+        return exact.PotentialSpec.from_dict(json.loads(args.potential))
     family = args.family
     if family == "strong":
         spec = {"terms": {1: _parse_fraction(args.sigma)}, "q": _parse_fraction(args.q),
@@ -361,25 +366,25 @@ def _build_potential(args) -> spectra.PotentialSpec:
         spec = {"terms": {-6: B, -12: -C}, "coulombPhase": args.A or "1/2i"}
     else:  # argparse admits no other family
         raise UsageError("solve needs --family or --potential")
-    return spectra.PotentialSpec.from_dict(spec)
+    return exact.PotentialSpec.from_dict(spec)
 
 
 def _cmd_solve(args, config: RunConfig) -> int:
-    qn = spectra.QuantumNumbers(_parse_fraction(args.j), args.nprime)
+    qn = exact.QuantumNumbers(_parse_fraction(args.j), args.nprime)
     m = _parse_fraction(args.m) if args.m else 1
 
     if args.family == "strong" and args.radius:
         if args.E is None:
             raise UsageError("--radius needs --E (the constituent or reduced energy)")
-        r = spectra.infrared_radius(_parse_float(args.E), _parse_float(args.q),
-                                    _parse_float(args.sigma))
+        r = geometry.infrared_radius(_parse_float(args.E), _parse_float(args.q),
+                                     _parse_float(args.sigma))
         emit({"family": "strong", "E": args.E, "q": args.q, "sigma": args.sigma,
               "infrared_radius_fm": r}, config)
         return EXIT_OK
 
     if args.lmin:
         a, b, c = _parse_triple(args.lmin, "three sides a,b,c for --lmin", _parse_float)
-        emit({"sides": [a, b, c], "L_min": spectra.lmin(a, b, c)}, config)
+        emit({"sides": [a, b, c], "L_min": geometry.lmin(a, b, c)}, config)
         return EXIT_OK
 
     V = _build_potential(args)

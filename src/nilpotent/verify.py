@@ -106,7 +106,8 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
     """
     for name, count in (("oracle_pairs", oracle_pairs), ("state_samples", state_samples)):
         if count < 0:
-            raise ValueError(f"{name} must be nonnegative, got {count}")
+            from .datafiles import _echo  # a refusal alone reads it
+            raise ValueError(f"{name} must be nonnegative, got {_echo(str(count))}")
     rng = random.Random(seed)
     checks: list[Check] = []
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilpotent import charges, masses, spectra, states, unification
+from nilpotent import charges, geometry, masses, spectra, states, unification
 from nilpotent.algebra import MV
 from nilpotent.verify import random_on_shell, run_identity_suite
 
@@ -121,7 +121,7 @@ def test_criterion_09_running_mass_ratios():
 
 
 def test_criterion_10_infrared_radius():
-    r = spectra.infrared_radius(0.75, 0.4, 1.0)
+    r = geometry.infrared_radius(0.75, 0.4, 1.0)
     assert r == pytest.approx(3.75, rel=1e-12)
     _report(10, f"r = 2E/(q sigma) = {r} fm (reduced-mass reading of ~4 fm)")
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
-from nilpotent import algebra, charges, cli, masses, spectra, states, unification, verify
+from nilpotent import algebra, charges, cli, exact, masses, spectra, states, unification, verify
 from nilpotent.algebra import MV
 from nilpotent.datafiles import data_path
 
@@ -478,7 +478,7 @@ def test_cli_does_not_know_sympy():
 RECORD_TYPES = [
     "charges.FermionChargeSpec", "charges.ChargeEntry", "charges.ChargeRow",
     "charges.ChargeTable", "charges.WeakChargeResult", "charges.SU5Grid",
-    "spectra.PotentialSpec", "spectra.QuantumNumbers", "spectra.Relation",
+    "exact.PotentialSpec", "exact.QuantumNumbers", "spectra.Relation",
     "spectra.AnsatzBranch", "spectra.LevelSeries", "spectra.AnsatzSolution",
     "masses.MassUnit", "masses.Multiplet", "masses.BosonBlock",
     "states.NilpotentVector", "states.Spinor4",
@@ -508,7 +508,7 @@ def one_record_of_each_type():
 
 
 def test_record_types_are_every_public_record():
-    modules = (charges, spectra, masses, states, unification, verify, cli)
+    modules = (charges, exact, spectra, masses, states, unification, verify, cli)
     found = {f"{m.__name__.rsplit('.', 1)[1]}.{name}" for m in modules
              for name, value in vars(m).items()
              if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
@@ -574,6 +574,21 @@ def test_many_unrecognized_arguments_are_repeated_short(capsys):
     """argparse lists every stray argument in one message, which the 60-character
     rule bounds as one value: 2500 of them once made a 12537-byte line."""
     assert_rejected(["gut", *["--zz"] * 2500], capsys)
+
+
+NINES = "9" * 400  # an int under the 4300-digit limit for reading one, far past 60 characters
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--j", "1e400", "--family", "coulomb", "--qA", "1/3"),
+    ("algebra", "verify", "--pairs", f"-{NINES}"),
+    ("algebra", "verify", "--pairs", "0", "--samples", f"-{NINES}"),
+    ("algebra", "dual", "--order", NINES),
+    ("algebra", "vacuum", "--n", NINES, "--E", "5", "--p", "0,0,4", "--m", "3"),
+], ids=["j", "pairs", "samples", "order", "vacuum n"])
+def test_a_long_int_is_repeated_short(argv, capsys):
+    """Each refusal repeated the whole int: one line of 446 to 525 characters."""
+    assert_rejected(argv, capsys)
 
 
 @pytest.mark.parametrize("key", ["x", "1.5"])
@@ -1200,8 +1215,9 @@ json.dump([code, sorted(os.path.basename(f)[:-3] for f in ran
     ("gut", "cli datafiles masses unification"),
     ("algebra multiply --a qi --b qj", "algebra cli"),
     ("algebra dual --order 8", "algebra cli"),
-    ("solve --lmin 3,4,5", "cli spectra"),
-    ("solve --family strong --radius --E 3/4 --q 2/5", "cli spectra"),
+    ("solve --lmin 3,4,5", "cli exact geometry"),
+    ("solve --family strong --radius --E 3/4 --q 2/5", "cli exact geometry"),
+    ("solve --family coulomb --qA 1/10", "cli exact spectra"),
     ("algebra verify --pairs 0 --samples 0", "algebra cli states verify"),
     ("algebra baryon --phase BGR --E 5 --p 0,0,4 --m 3", "algebra cli states"),
     ("mass --bosons", "cli datafiles masses"),
@@ -1215,6 +1231,20 @@ def test_each_request_runs_only_the_modules_its_verb_uses(argv, modules):
     assert json.loads(proc.stderr.splitlines()[-1]) == [0, modules.split()], proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "solve --potential []",
+    "solve --lmin 3,4,5 --j 0",
+    "solve --family coulomb --qA 1/10 --j 2/3",
+])
+def test_a_solve_refused_before_matching_runs_no_solver(argv):
+    """The input records check a request before the solver is read; the
+    error handlers of ``cli.main`` read ``datafiles`` for every refusal."""
+    proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *argv.split()],
+                          capture_output=True, text=True)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [1, ["cli", "datafiles", "exact"]], (
+        proc.stderr)
+
+
 def test_a_module_imported_before_the_cli_is_kept():
     """And one registered by the CLI is bound on the package, as an import binds it."""
     script = ("import sys, nilpotent; from nilpotent import spectra, states; "
@@ -1223,6 +1253,18 @@ def test_a_module_imported_before_the_cli_is_kept():
               "assert cli.spectra is spectra; "
               "assert cli.verify is sys.modules['nilpotent.verify'] is nilpotent.verify; "
               "assert cli.verify.states is states, 'states was registered twice'")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py")
+                                           if path.stem != "__init__"))
+def test_each_module_imports_alone(module):
+    """A fresh interpreter with sympy barred imports one module by itself, so an
+    import cycle that one process importing everything would hide shows here;
+    the exact kernel and the geometry never read the solver."""
+    check = "assert 'nilpotent.spectra' not in sys.modules" if module in ("exact", "geometry") else ""
+    script = f"import sys; sys.modules['sympy'] = None; import nilpotent.{module}; {check}"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -1297,7 +1339,7 @@ def _leaf_flags(parser, verbs=()):
 LEAVES = sorted(_leaf_flags(cli.build_parser()), key=lambda leaf: leaf[0])
 FUZZ_VALUES = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e-200", "sqrt(2)", "x", "", "1,2",
                "7/3", "1", "5", "1/2", "0,0,4", "3,4,5", "TCP", "64", ".vj", "qi.", "-3/4",
-               "-3,0,4", "-qi", "-i.qk", "BGR", "spin0"]
+               "-3,0,4", "-qi", "-i.qk", "BGR", "spin0", NINES, f"-{NINES}"]
 # the sweep sizes of verify stay small so the whole fuzz run is quick
 SMALL_COUNTS = ["0", "-1", "1", "2", "x", "1/2"]
 RANDOM_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
@@ -1339,5 +1381,8 @@ def test_fuzzed_argv_ends_in_a_documented_exit(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if code in (1, 3):  # a refusal is one line, however long the value it repeats
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+        assert len(err.getvalue()) <= 200, (argv, err.getvalue()[:300])
     if argv.count("--format") == 1 and argv[1] == "json" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=_strict)

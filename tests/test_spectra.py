@@ -26,26 +26,25 @@ from sympy import I, Rational
 
 import sympy_reference as reference
 from nilpotent import spectra
+from nilpotent.algebra import MV, Multivector, blade_name, gamma_pentad, parse_blade
+from nilpotent.exact import Expr, _I, _Kernel, _MASK, _NotPolynomial, _ROOT, _collect, _float_text
+from nilpotent.geometry import infrared_radius, lmin
 from nilpotent.spectra import (
     AnsatzBranch,
     AnsatzSolution,
-    Expr,
     InconsistentSystemError,
     PotentialSpec,
     QuantumNumbers,
     SupercriticalCouplingError,
     UnsupportedPotentialError,
-    _Kernel,
-    _NotPolynomial,
     coulomb_levels,
-    infrared_radius,
     lennard_jones_solution,
-    lmin,
     match_coefficients,
     oscillator_levels,
     residual_detail,
     residual_verify,
 )
+from nilpotent.states import _MASS_UNIT
 
 QN = QuantumNumbers(Fraction(1, 2), 0)
 
@@ -779,26 +778,48 @@ def test_closed_forms_match_the_division_derivation_on_floats(family):
 # --- the relations are the Laurent coefficients of the pointwise condition ---
 
 
+def _gaussian(z):
+    """A solver value or a sympy rational as a multivector: its real part on
+    the scalar blade and its imaginary part on the central i blade, a float
+    as its exact Fraction (a Gaussian constant Expr holds terms in 1 and I only)."""
+    if isinstance(z, Expr):
+        parts = {0: z.terms.get(0, 0), parse_blade("i"): z.terms.get(1, 0)}
+    else:
+        parts = {0: Fraction(int(z.p), int(z.q)) if isinstance(z, sp.Rational) else z}
+    return Multivector({k: Fraction(v) for k, v in parts.items()})
+
+
 def _condition(sol, r, values):
-    """W(r)^2 + u(r)^2 - m^2 - J^2/r^2 from the ansatz of the spectra docstring,
-    at the point r and the symbol values given by name."""
-    V, J = reference._normalized(sol.potential), reference._j_plus_half(sol.quantum_numbers)
-    q, A = V.coupling, V.coulomb_phase
-    a, b, g, E, m = (values[k] for k in ("a", "b", "g", "E", "m"))
-    W, u = E + q * A / r, -a + g / r
+    """The pointwise condition as the algebra gives it, at the point r and the
+    symbol values given by name: (X+^2 + X-^2)/2 with X+- = W g0 + (-i u +- J/r) g1
+    + m qj, g0 and g1 from the pinned pentad and the states' mass unit, which is
+    W^2 + u^2 - m^2 - J^2/r^2 when the three anticommute.  W and u follow the
+    ansatz of the spectra docstring, each input entering exactly (a float as
+    its Fraction); the blades other than 1 and i must cancel."""
+    V = sol.potential
+    q, A, J = map(_gaussian, (V.coupling, V.coulomb_phase, sol.quantum_numbers.j_plus_half))
+    a, b, g, E, m = (_gaussian(values[k]) for k in ("a", "b", "g", "E", "m"))
+    r = Fraction(int(r.p), int(r.q))
+    W, u = E + q * A * (1 / r), -a + g * (1 / r)
     if sol.family == "confining":  # exponent -a r + b2 r^2 with b2 = -b
-        W, u = W - q * V.terms[1] * r, u + 2 * -b * r
+        W, u = W - q * _gaussian(V.terms[1]) * r, u - b * (2 * r)
     else:  # exponent -a r + sum_p u_p r^(p+1) / (p+1), no term for coulomb
         for p, c in V.terms.items():
-            W, u = W + q * c * r**p, u + values[f"u{abs(p)}"] * r**p
-    return W**2 + u**2 - m**2 - J**2 / r**2
+            W, u = W + q * _gaussian(c) * r**p, u + _gaussian(values[f"u{abs(p)}"]) * r**p
+    g0, g1 = gamma_pentad("mapping-2")[:2]
+    X = [W * g0 + (-(MV("i") * u) + J * (s / r)) * g1 + m * _MASS_UNIT for s in (1, -1)]
+    half = (X[0] * X[0] + X[1] * X[1]) * Fraction(1, 2)
+    rest = {blade_name(k): c for k, c in half.blades().items() if k not in (0, parse_blade("i"))}
+    assert not rest, (sol.potential, rest)
+    re, im = half.scalar_part, half.coefficient("i")
+    return Rational(re.numerator, re.denominator) + I * Rational(im.numerator, im.denominator)
 
 
 @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_relations_sum_to_the_pointwise_condition(family, exact):
-    """With gamma0 = gammat = g, sum_k expr_k r^k is the condition itself, at a
-    random rational r and random values of every symbol."""
+    """With gamma0 = gammat = g, sum_k expr_k r^k is the condition the algebra
+    gives, at a random rational r and random values of every symbol."""
     rng = random.Random(f"{family} {exact} condition")
 
     def rand():
@@ -953,7 +974,8 @@ NO_SYMPY_SOLVES = """
 import json, sys
 sys.modules["sympy"] = None  # any import of sympy now fails
 from fractions import Fraction as F
-from nilpotent.spectra import (PotentialSpec, QuantumNumbers, _I, lennard_jones_solution,
+from nilpotent.exact import _I
+from nilpotent.spectra import (PotentialSpec, QuantumNumbers, lennard_jones_solution,
                                match_coefficients, residual_verify)
 cases = [
     (PotentialSpec({1: F(1)}, F(3, 10), F(2, 5)), True),
@@ -1058,7 +1080,7 @@ def test_a_number_times_one_kept_sum_prints_as_sympy_prints_it():
     """sqrt(2) times the kept sum sqrt(2)*(E + I) is 2 times one sum, which
     sympy multiplies into each term."""
     kernel, E = _Kernel(), sp.Symbol("E")
-    value = kernel.sqrt(2) * (kernel.sqrt(2) * (kernel.symbol("E") + spectra._I))
+    value = kernel.sqrt(2) * (kernel.sqrt(2) * (kernel.symbol("E") + _I))
     assert str(value) == str(sp.sqrt(2) * (sp.sqrt(2) * (E + I))) == "2*E + 2*I"
 
 
@@ -1071,7 +1093,7 @@ def test_floats_print_as_sympy_prints_them():
             rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-12, 20))
         if math.isfinite(x):
             for strip in (False, True):
-                assert spectra._float_text(x, strip) == sp.sstr(sp.Float(x), full_prec=not strip), x
+                assert _float_text(x, strip) == sp.sstr(sp.Float(x), full_prec=not strip), x
 
 
 # the one class of report text the printer does not match: sympy keeps the
@@ -1190,8 +1212,8 @@ def test_coulomb_pole_is_rejected(A, q, j, n):
 
 @pytest.mark.parametrize("value", [
     lambda k, E, m: math.nan,  # nan, complex infinity (zoo) and zoo*E
-    lambda k, E, m: math.inf * spectra._I,
-    lambda k, E, m: math.inf * spectra._I * E,
+    lambda k, E, m: math.inf * _I,
+    lambda k, E, m: math.inf * _I * E,
     lambda k, E, m: E + math.nan * E**2,
     # a symbolic denominator, which the kernel refuses to build
     lambda k, E, m: 1 / E,
@@ -1209,10 +1231,10 @@ def test_exact_nonzero_residual_never_reads_zero():
     """1/10**400 rounds to 0.0 as a float; the sympy gate read it as 0.0."""
     tiny = Fraction(1, 10**400)
     assert _kernel_magnitude(lambda k, E, m: tiny) == math.ulp(0.0)
-    assert _kernel_magnitude(lambda k, E, m: tiny * k.sqrt(2) - tiny * E * spectra._I) == math.ulp(0.0)
+    assert _kernel_magnitude(lambda k, E, m: tiny * k.sqrt(2) - tiny * E * _I) == math.ulp(0.0)
     sol = match_coefficients(strong_potential(), QN)
     key = "b"
-    for delta in (tiny, -tiny * spectra._I):
+    for delta in (tiny, -tiny * _I):
         broken = sol._replace(branches=tuple(
             b._replace(solver_vars={**b.solver_vars, key: b.solver_vars[key] + delta})
             for b in sol.branches))
@@ -1222,7 +1244,7 @@ def test_exact_nonzero_residual_never_reads_zero():
 def test_residual_too_large_for_a_float_is_infinite():
     huge = 10**400
     assert _kernel_magnitude(lambda k, E, m: huge) == math.inf
-    assert _kernel_magnitude(lambda k, E, m: huge * E + spectra._I) == math.inf
+    assert _kernel_magnitude(lambda k, E, m: huge * E + _I) == math.inf
     sol = match_coefficients(strong_potential(), QN)
     broken = sol._replace(branches=tuple(
         b._replace(solver_vars={**b.solver_vars, "gamma_plus_nu_plus_1": huge})
@@ -1230,9 +1252,9 @@ def test_residual_too_large_for_a_float_is_infinite():
     assert residual_verify(broken.potential, broken, QN) == math.inf
 
 
-@pytest.mark.parametrize("x", [lambda k: 2 + 3 * k.sqrt(11) / 10, lambda k: 1 + spectra._I,
-                               lambda k: 3 + (1 + k.sqrt(2)) * spectra._I,
-                               lambda k: k.sqrt(1 + k.sqrt(3)), lambda k: 0.5 + 0.25 * spectra._I],
+@pytest.mark.parametrize("x", [lambda k: 2 + 3 * k.sqrt(11) / 10, lambda k: 1 + _I,
+                               lambda k: 3 + (1 + k.sqrt(2)) * _I,
+                               lambda k: k.sqrt(1 + k.sqrt(3)), lambda k: 0.5 + 0.25 * _I],
                          ids=[f"x{k}" for k in range(5)])
 def test_kernel_inverts_a_constant_by_conjugates(x):
     kernel = _Kernel()
@@ -1251,12 +1273,12 @@ def _reference_mul(kernel, p, q) -> dict:
     while todo:
         mono, c = todo.pop()
         if mono & kernel.high:
-            shift = next(s for s in kernel.squares if mono >> s & spectra._ROOT)
+            shift = next(s for s in kernel.squares if mono >> s & _ROOT)
             rest = mono - (2 << shift)
             todo.extend((rest + m, c * c2) for m, c2 in kernel.squares[shift].items())
         else:
             done.append((mono, c))
-    return spectra._collect(done)
+    return _collect(done)
 
 
 def _reference_substitute(kernel, poly, values, powers) -> dict:
@@ -1265,7 +1287,7 @@ def _reference_substitute(kernel, poly, values, powers) -> dict:
     for mono, c in poly.items():
         term = {mono: c}
         for shift, value in values.items():
-            e = mono >> shift & spectra._MASK
+            e = mono >> shift & _MASK
             if e:
                 if (shift, e) not in powers:
                     out = value
@@ -1275,7 +1297,7 @@ def _reference_substitute(kernel, poly, values, powers) -> dict:
                 term = _reference_mul(kernel, {m - (e << shift): k for m, k in term.items()},
                                       powers[shift, e])
         terms.extend(term.items())
-    return spectra._collect(terms)
+    return _collect(terms)
 
 
 def _kernel_fields():
@@ -1405,7 +1427,7 @@ def test_residual_refuses_a_potential_edited_after_the_solve():
 
 @pytest.mark.parametrize("twin", [
     PotentialSpec({"2": Rational(3, 2)}, I / 2),
-    PotentialSpec({2: 1.5, -1: 0}, Fraction(1, 2) * spectra._I),
+    PotentialSpec({2: 1.5, -1: 0}, Fraction(1, 2) * _I),
     PotentialSpec.from_dict({"terms": {"2": "3/2"}, "coulombPhase": "1/2i"}),
 ])
 def test_residual_accepts_another_object_of_the_same_potential(twin):
@@ -1435,8 +1457,8 @@ def _terms(x):
     if not isinstance(x, Expr):
         return {(): x} if x else {}
     kernel = x.kernel or _Kernel()
-    return {tuple((kernel.atom(s)[1], mono >> s & spectra._MASK) for s in kernel.atoms
-                  if mono >> s & spectra._MASK): c for mono, c in x.terms.items()}
+    return {tuple((kernel.atom(s)[1], mono >> s & _MASK) for s in kernel.atoms
+                  if mono >> s & _MASK): c for mono, c in x.terms.items()}
 
 
 def _scaled(x, lam, weight, weights):
