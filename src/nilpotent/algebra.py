@@ -39,6 +39,8 @@ import math
 from fractions import Fraction
 from itertools import product as _iproduct
 
+from . import _echo
+
 __all__ = [
     "Multivector",
     "NEG",
@@ -136,7 +138,6 @@ def parse_blade(name: str) -> int:
             elif part in _V_NAMES[1:] and not v:
                 v = _V_NAMES.index(part)
             else:  # "" is the name of no quaternion and no vector factor
-                from .datafiles import _echo  # a refusal alone reads it
                 if part and part not in ("i", *_Q_NAMES, *_V_NAMES):
                     raise ValueError(f"unknown factor {_echo(repr(part))} in a blade name")
                 problem = "repeated" if part else "empty"
@@ -466,8 +467,7 @@ def dual_generate(target_order: int) -> frozenset[int]:
     """
     valid = [o for o, _, _ in DUAL_STEPS]
     if target_order not in valid:
-        from .datafiles import _echo  # a refusal alone reads it
-        raise ValueError(f"target order must be one of {valid}, got {_echo(str(target_order))}")
+        raise ValueError(f"target order must be one of {valid}, got {_echo(target_order)}")
     elements = {0}
     for order, _, gen in DUAL_STEPS:
         g = NEG if gen is None else 1 << _DUAL_GENS.index(gen)

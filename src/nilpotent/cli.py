@@ -27,6 +27,8 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import InvalidDataError, MissingDataError, _digit_count, _echo
+
 
 def _lazy(name: str):
     """The package module ``name``, compiled and run only when one of its
@@ -45,6 +47,8 @@ def _lazy(name: str):
     return module
 
 
+# cli reads nothing of datafiles, but a profiler that wraps the modules in
+# sys.modules when cli loads finds it registered, before masses imports it
 algebra, charges, datafiles, exact, geometry, masses, spectra, states, unification, verify = map(
     _lazy, ("algebra", "charges", "datafiles", "exact", "geometry", "masses", "spectra", "states",
             "unification", "verify"))
@@ -73,8 +77,8 @@ class _Parser(argparse.ArgumentParser):
         # rule; argparse lists every unrecognized argument, and the list is one value
         stray = "unrecognized arguments: "
         if message.startswith(stray):
-            raise UsageError(stray + datafiles._echo(message[len(stray):]))
-        raise UsageError(re.sub(r"'[^']*'|\S+", lambda m: datafiles._echo(m[0]), message))
+            raise UsageError(stray + _echo(message[len(stray):]))
+        raise UsageError(re.sub(r"'[^']*'|\S+", lambda m: _echo(m[0]), message))
 
 
 class RunConfig(NamedTuple):
@@ -138,7 +142,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"expected a rational number, got {datafiles._echo(repr(text))}") from exc
+        raise UsageError(f"expected a rational number, got {_echo(repr(text))}") from exc
 
 
 def _parse_float(text: str) -> float:
@@ -146,7 +150,7 @@ def _parse_float(text: str) -> float:
     try:
         return float(_parse_fraction(text))
     except OverflowError as exc:
-        raise UsageError(f"{datafiles._echo(repr(text))} is too large") from exc
+        raise UsageError(f"{_echo(repr(text))} is too large") from exc
 
 
 def _float_between(low: float, high: float):
@@ -155,7 +159,7 @@ def _float_between(low: float, high: float):
         value = _parse_float(text)
         if not low < value < high:
             raise argparse.ArgumentTypeError(
-                f"must lie strictly between {low} and {high}, got {datafiles._echo(repr(text))}")
+                f"must lie strictly between {low} and {high}, got {_echo(repr(text))}")
         return value
     return parse
 
@@ -163,7 +167,7 @@ def _float_between(low: float, high: float):
 def _parse_triple(text: str, what: str = "px,py,pz", parse=_parse_fraction) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected {what}, got {datafiles._echo(repr(text))}")
+        raise UsageError(f"expected {what}, got {_echo(repr(text))}")
     return tuple(parse(p) for p in parts)
 
 
@@ -178,14 +182,6 @@ def _make_state(args) -> states.NilpotentVector:
         _parse_fraction(args.E), _parse_triple(args.p), _parse_fraction(args.m),
         getattr(args, "sign_e", 1), getattr(args, "sign_p", 1),
     )
-
-
-def _digit_count(v: int) -> int:
-    """Decimal digits of v > 0, without str(), which refuses a long int."""
-    k = int(math.log10(v))  # off by at most one next to a power of ten
-    k -= v < 10 ** k
-    k += v >= 10 ** (k + 1)
-    return k + 1
 
 
 def _printable_chain(x: states.NilpotentVector, n: int):
@@ -210,7 +206,7 @@ def _printable_chain(x: states.NilpotentVector, n: int):
     if digits > limit:
         # an n too long to repeat whole is past 2^53, so its count is that of 2^53:
         # the line leaves it out to stay short
-        shown = datafiles._echo(str(n))
+        shown = _echo(str(n))
         count = f"of at least {digits} digits, " if shown == str(n) else ""
         raise UsageError(f"--n {shown} gives chain coefficients {count}"
                          f"over the {limit}-digit limit for printing an int")
@@ -421,7 +417,7 @@ def _cmd_gut(args, config: RunConfig) -> int:
         if any(getattr(args, flag) is not None for flag in _GUT_OVERRIDES):
             raise
         # every input is the dataset's, so it is the dataset the solve refuses
-        raise datafiles.InvalidDataError(f"{constants.source}: {exc}") from None
+        raise InvalidDataError(f"{constants.source}: {exc}") from None
     emit(report, config)
     return EXIT_OK
 
@@ -661,20 +657,24 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except (FileNotFoundError, datafiles.MissingDataError) as exc:
-        sys.stderr.write(f"missing data: {exc}\n")
-        return EXIT_DATA
-    except datafiles.InvalidDataError as exc:
-        sys.stderr.write(f"invalid data: {exc}\n")
-        return EXIT_DATA
+        return _refuse(f"usage error: {exc}", EXIT_USAGE)
+    except (FileNotFoundError, MissingDataError) as exc:
+        return _refuse(f"missing data: {exc}", EXIT_DATA)
+    except InvalidDataError as exc:
+        return _refuse(f"invalid data: {exc}", EXIT_DATA)
     except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return _refuse(f"error: {exc}", EXIT_USAGE)
     except OverflowError as exc:
-        sys.stderr.write(f"error: the result overflows a float ({exc})\n")
-        return EXIT_USAGE
+        return _refuse(f"error: the result overflows a float ({exc})", EXIT_USAGE)
+
+
+def _refuse(message: str, code: int) -> int:
+    """Write ``message`` as one stderr line, each character that is not
+    printable (a line break in a quoted path or name) escaped as repr escapes it."""
+    if not message.isprintable():
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    sys.stderr.write(message + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -1,20 +1,12 @@
-"""Shipped-dataset lookup, overridable per call or via NILPOTENT_DATA_DIR,
-and the rule by which a one-line refusal repeats the value it refuses."""
+"""Shipped-dataset lookup, overridable per call or via NILPOTENT_DATA_DIR."""
 
 from __future__ import annotations
 
 import os
 
+from . import MissingDataError
+
 DATA_ENV_VAR = "NILPOTENT_DATA_DIR"
-_ECHO = 60  # the characters of a refused value that its one-line message repeats
-
-
-class MissingDataError(LookupError):
-    """A dataset file lacks an entry the program reads."""
-
-
-class InvalidDataError(ValueError):
-    """A dataset file holds a value outside the domain the program reads it in."""
 
 
 class DatasetRecord(dict):
@@ -26,11 +18,6 @@ class DatasetRecord(dict):
 
     def __missing__(self, key):
         raise MissingDataError(f"{self.source} has no key {key!r}")
-
-
-def _echo(text: str) -> str:
-    """``text`` as a message repeats it: whole if short, else its head and length."""
-    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
 
 
 def data_path(name: str, data_dir=None) -> str:

@@ -1,14 +1,14 @@
 """Exact values of a solve: the polynomial kernel, its printer, and the inputs.
 
 The solver builds its relations and branch values on a small exact kernel
-(``_Kernel``), with no computer-algebra library: each is an ``Expr``, a
-polynomial with int, Fraction or float coefficients over packed monomials in
-the symbols, I and each surd a generator that reduces by its square; floats
-only when the caller passes floats.  A Coulomb branch lives in Q(sqrt(d)):
-a = E (alpha + beta sqrt(d)) and m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)).  The
-residual gate substitutes and expands those same polynomials.  A caller's
-sympy number is read exactly by its parts (``as_real_imag``, ``p``/``q``)
-without importing sympy.
+(``_Kernel``), no computer-algebra library: each is an ``Expr``, a polynomial
+with int, Fraction or float coefficients (floats only from the caller's) over
+packed monomials in the symbols, I and each surd, a generator that reduces by
+its square.  So the kernel is a ring with square roots: an Expr divides only
+by a number.  A Coulomb branch lives in Q(sqrt(d)): a = E (alpha + beta
+sqrt(d)) and m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)), which the residual gate
+substitutes and expands.  A caller's sympy number is read exactly by its
+parts (``as_real_imag``, ``p``/``q``) without importing sympy.
 
 The printing contract, which ``tests/sympy_reference.py`` pins: ``str`` of an
 Expr prints it as sympy's ``str`` prints the expression sympy would build
@@ -29,12 +29,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _echo
+
 __all__ = ["Expr", "PotentialSpec", "QuantumNumbers"]
-
-
-class _NotPolynomial(ValueError):
-    """A value the kernel does not build: a denominator that holds a symbol or
-    reduces to no nonzero number."""
 
 
 # bits per variable in a packed monomial: an exponent of 2**16 would carry into
@@ -223,24 +220,6 @@ class _Kernel:
     def power(self, p, k: int) -> dict:
         return p if k == 1 else functools.reduce(self.mul, [p] * k)
 
-    def inverse(self, p) -> dict:
-        """1/p for a nonzero p free of symbols, by conjugates: p = P + Q g times
-        P - Q g is free of the generator g, newest generator first, since a
-        square holds only generators older than its own."""
-        if self._holds_symbol(p):
-            raise _NotPolynomial("a denominator that holds a symbol")
-        num = {0: 1}
-        for shift in reversed(self.squares):
-            bit = 1 << shift
-            if any(mono & bit for mono in p):
-                conj = {mono: -c if mono & bit else c for mono, c in p.items()}
-                num, p = self.mul(num, conj), self.mul(p, conj)
-        if p.keys() != {0}:  # zero, or float leftovers of a generator
-            raise _NotPolynomial("a denominator that reduces to no nonzero number")
-        d = p[0]
-        inv = 1 / d if isinstance(d, float) else Fraction(1) / d
-        return {mono: c * inv for mono, c in num.items()}
-
     def substitute(self, poly, values: dict, powers: dict) -> dict:
         """``poly`` with each variable field in ``values`` (shift -> polynomial)
         replaced by its value; ``powers`` keeps the value powers of one branch.
@@ -367,10 +346,8 @@ class Expr:
         return _mul(other, self) if isinstance(other, _VALUES) else NotImplemented
 
     def __truediv__(self, other):
-        return _mul(self, _reciprocal(other)) if isinstance(other, _VALUES) else NotImplemented
-
-    def __rtruediv__(self, other):
-        return _mul(other, _reciprocal(self)) if isinstance(other, _VALUES) else NotImplemented
+        return (_mul(self, _reciprocal(other)) if isinstance(other, (int, Fraction, float))
+                else NotImplemented)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 1:
@@ -463,10 +440,7 @@ def _mul(x, y):
 
 
 def _reciprocal(x):
-    """1/x: exact for a rational, 1.0/x for a float, by conjugates for a constant Expr."""
-    if isinstance(x, Expr):
-        kernel = x.kernel or _Kernel()
-        return _value(kernel, kernel.inverse(kernel.expanded(x.terms)))
+    """1/x: exact for a rational, 1.0/x for a float."""
     return 1.0 / x if isinstance(x, float) else Fraction(1) / x
 
 
@@ -667,7 +641,6 @@ class PotentialSpec(NamedTuple):
             try:
                 value = Fraction(body)
             except (ValueError, ZeroDivisionError):
-                from .datafiles import _echo  # a refusal alone reads it
                 raise ValueError(f"expected a rational number, got {_echo(repr(s))}") from None
             return _I * value if imaginary else value
 
@@ -675,7 +648,6 @@ class PotentialSpec(NamedTuple):
             try:
                 return int(str(k))
             except ValueError:
-                from .datafiles import _echo
                 raise ValueError(f"a power must be an integer, got {_echo(repr(k))}") from None
 
         terms = d.get("terms", {}) if isinstance(d, dict) else None
@@ -703,8 +675,7 @@ class QuantumNumbers(_QuantumFields):
         if j < _HALF:
             raise ValueError("j must be at least 1/2")
         if j * 2 % 2 != 1:
-            from .datafiles import _echo  # a refusal alone reads it
-            raise ValueError(f"j must be a half-integer (2j odd), got {_echo(str(self.j))}")
+            raise ValueError(f"j must be a half-integer (2j odd), got {_echo(self.j)}")
         if self.n_prime < 0:
             raise ValueError("n' must be nonnegative")
         return self

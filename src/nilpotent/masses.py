@@ -28,8 +28,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from . import charges
-from .datafiles import DatasetRecord, InvalidDataError, MissingDataError, _echo
+from . import InvalidDataError, MissingDataError, _echo, charges
+from .datafiles import DatasetRecord
 from .datafiles import data_path as _data_path
 
 __all__ = [

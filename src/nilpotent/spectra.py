@@ -43,12 +43,12 @@ power and 1 + gamma = s i q A (oscillator p = 2, inverse p <= -2).  The
 relations read the same products w, q c_p and q A that the branches hold,
 so a real float input leaves a residual of 0 (short of a subnormal w).  No
 value is divided out of another, so a float potential coefficient leaks no
-rounding into gamma or a.  A branch holds each value once, named as in the
-relations (u2, u6), and the report prints the values the gate substitutes;
-the Coulomb levels read the branches' exact discriminant.  Each solve reads
-its potential once, builds the values free of s once, and the gate strips
-each term of its unknowns once, then multiplies their powers in the order
-of one unknown at a time.
+rounding into gamma or a; a Coulomb a = q A E / gammat takes 1/gammat as
+(gamma0 - n')/(gamma0^2 - n'^2) for a surd gamma0.  A branch holds each
+value once, named as in the relations (u2, u6); the report prints the values
+the gate substitutes, the levels the branches' exact discriminant.  A solve
+reads its potential and builds the values free of s once; the gate strips
+each term of its unknowns once, then multiplies their powers in unknown order.
 
 The relations and branch values are ``Expr`` values of the exact kernel in
 ``nilpotent.exact``, which also prints them as sympy would and holds the two
@@ -64,6 +64,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import _echo
 from .exact import (Expr, PotentialSpec, QuantumNumbers, _HALF, _I, _Kernel, _common_kernel,
                     _format, _mul, _num, _pow, _reciprocal, _sum, _value)
 
@@ -200,7 +201,6 @@ def _detect_family(V: PotentialSpec) -> str:
         return "inverse"
     if positive == [1, 2]:
         raise InconsistentSystemError(3, "r and r^2 terms cannot be matched together")
-    from .datafiles import _echo  # a refusal alone reads it
     raise UnsupportedPotentialError(f"unsupported potential powers {_echo(str(powers))}; "
                                     "supported: r, r^2, A/r, inverse powers <= -2")
 
@@ -317,8 +317,9 @@ def _solve_coulomb(kernel, V, qn, E, m):
                 f"n' = {n} equals sqrt((j+1/2)^2 - (qA)^2), the pole of the second branch "
                 "(a = qA E / (gamma + n' + 1))"
             )
-        # a = c E with c = qA / gt in Q(sqrt(f)), and m = sqrt(E^2) sqrt(1 + c^2)
-        c = qA * _reciprocal(gt)
+        # a = c E with c = qA / gt in Q(sqrt(f)), and m = sqrt(E^2) sqrt(1 + c^2); for a
+        # surd g0, 1/gt = (g0 - n')/(g0^2 - n'^2), whose denominator is a nonzero rational
+        c = qA * ((g0 - n) / (g0 * g0 - n * n) if isinstance(gt, Expr) else _reciprocal(gt))
         a = c * E
         c2 = _value(kernel, kernel.mul(c.terms, c.terms)) if isinstance(c, Expr) else c * c
         m_expr = root_E2 * kernel.sqrt(1 + c2)

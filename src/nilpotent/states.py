@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import NamedTuple
 
+from . import _echo
 from .algebra import MV, Multivector, _ratio, _reduced, gamma_pentad, parse_blade
 
 __all__ = [
@@ -173,7 +174,6 @@ def conjugate(x: NilpotentVector, op: str) -> NilpotentVector:
     out = x
     for letter in reversed(op.upper()):
         if letter not in _CPT_SANDWICH:
-            from .datafiles import _echo  # a refusal alone reads it
             raise ValueError(f"unknown conjugation {letter!r} in {_echo(repr(op))}")
         if letter == "P":
             out = out.flip_p()
@@ -255,7 +255,6 @@ def spinor_pair_sum(a: Spinor4, b: Spinor4, pairing: str) -> Multivector:
     pairings insert the named charge quaternion between the factors.
     """
     if pairing not in PAIRING_KINDS:
-        from .datafiles import _echo
         raise ValueError(f"unknown pairing {_echo(repr(pairing))}; "
                          f"expected one of {list(PAIRING_KINDS)}")
     if (a.E, a.p, a.m) != (b.E, b.p, b.m):
@@ -312,7 +311,6 @@ def baryon_product(phase: str, E, p, m) -> tuple[Fraction, NilpotentVector]:
     carries +p for the phases BGR, -BRG, RBG and -p for GRB, -GBR, -RGB.
     """
     if phase not in BARYON_PHASES:
-        from .datafiles import _echo
         raise ValueError(f"unknown baryon phase {_echo(repr(phase))}; "
                          f"expected one of {sorted(BARYON_PHASES)}")
     x = make_nilpotent(E, p, m)

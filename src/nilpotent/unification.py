@@ -73,7 +73,6 @@ class ChargeContent(NamedTuple):
 
     t3_values: tuple
     q_values: tuple
-    n_generations: int = 3
 
 
 def sin2_from_content(content: ChargeContent):
@@ -185,16 +184,16 @@ B1_LEPTON_LIKE = (
 )
 
 
-def b1_coefficient(assignments, n_generations: int = 3) -> Fraction:
+def b1_coefficient(assignments) -> Fraction:
     """Fermionic vacuum-polarization coefficient, in units of 1/pi.
 
-    (4/3)(1/2) sum(q^2 mult) n_g / 4 as the exact rational multiplying
+    (4/3)(1/2) sum(q^2 mult) n_g / 4 with n_g = 3 generations, exact over
     1/pi; the conventional assignments give 5/3, the lepton-like ones 3.
     """
     if not assignments:
         raise ValueError("empty assignment list")
     total = sum(Fraction(q) * mult for q, mult in assignments)
-    return Fraction(4, 3) * Fraction(1, 2) * total * n_generations / 4
+    return Fraction(4, 3) * Fraction(1, 2) * total * 3 / 4
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import states
+from . import _echo, states
 from .algebra import (
     MV,
     NEG,
@@ -106,8 +106,7 @@ def run_identity_suite(oracle_pairs: int = 1000, state_samples: int = 1000,
     """
     for name, count in (("oracle_pairs", oracle_pairs), ("state_samples", state_samples)):
         if count < 0:
-            from .datafiles import _echo  # a refusal alone reads it
-            raise ValueError(f"{name} must be nonnegative, got {_echo(str(count))}")
+            raise ValueError(f"{name} must be nonnegative, got {_echo(count)}")
     rng = random.Random(seed)
     checks: list[Check] = []
 

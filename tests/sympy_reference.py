@@ -5,7 +5,7 @@ built as sympy expressions, so ``str`` of each is sympy's own text.
 
 ``match_coefficients`` returns a ``spectra.AnsatzSolution`` whose fields hold
 sympy objects, so its ``to_dict`` is the report text the solver printed when
-it built on sympy.
+it built on sympy; it has no level series, which that text does not hold.
 """
 
 import functools
@@ -18,15 +18,12 @@ from nilpotent.spectra import (
     AnsatzBranch,
     AnsatzSolution,
     InconsistentSystemError,
-    LevelSeries,
     PotentialSpec,
     QuantumNumbers,
     Relation,
     SupercriticalCouplingError,
     UnsupportedPotentialError,
     _detect_family,
-    coulomb_levels,
-    oscillator_levels,
 )
 
 
@@ -100,7 +97,6 @@ _HEAD = "series head, nu = 0"
 _TAILS = ((-1, False, "tail equation; with 1/r^2 it eliminates to the level formula"),
           (-2, False, "tail equation; with 1/r it eliminates to the level formula"))
 _CROSS = "cross term left open by the printed derivation"
-_OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_levels(1, j, n_prime))
 
 
 def _solve_confining(V, qn, E, m):
@@ -124,7 +120,7 @@ def _solve_confining(V, qn, E, m):
         branches.append(AnsatzBranch(
             exp_coefficients={2: -b}, gamma=sp.Add(gt, -1 - n), n_prime=n,
             solver_vars={"b": b, "a": a, "gamma_plus_nu_plus_1": gt}))
-    return "confining", tuple(branches), relations, None
+    return "confining", tuple(branches), relations
 
 
 def _coulomb_gamma_t(qA, J):
@@ -163,8 +159,7 @@ def _solve_coulomb(V, qn, E, m):
             exp_coefficients={}, gamma=g0 - 1, n_prime=n,
             solver_vars={"a": a, "one_plus_gamma": g0, "gamma_plus_nu_plus_1": gt, "m": m_expr},
             decaying=(s == 1)))
-    series = LevelSeries("coulomb", functools.partial(coulomb_levels, float(qA)))
-    return "coulomb", tuple(branches), relations, series
+    return "coulomb", tuple(branches), relations
 
 
 def _solve_power(V, qn, E, m):
@@ -202,7 +197,7 @@ def _solve_power(V, qn, E, m):
             solver_vars={**{str(u_syms[p]): u_vals[p] for p in powers}, "one_plus_gamma": g0,
                          "a": a, "gamma_plus_nu_plus_1": gt, "E_level": -m * gt / J}))
     family = "oscillator" if powers == [2] else "inverse-multipole"
-    return family, tuple(branches), relations, _OSCILLATOR_SERIES
+    return family, tuple(branches), relations
 
 
 _FAMILY_SOLVERS = {
@@ -242,5 +237,5 @@ def match_coefficients(V: PotentialSpec, qn: QuantumNumbers, E=None, m=None) -> 
     *_, E_sym, m_sym = _symbols()
     E = E_sym if E is None else _num(E)
     m = m_sym if m is None else _num(m)
-    name, branches, relations, series = _FAMILY_SOLVERS[family](Vn, qn, E, m)
-    return AnsatzSolution(name, Vn, qn, branches, tuple(relations), series)
+    name, branches, relations = _FAMILY_SOLVERS[family](Vn, qn, E, m)
+    return AnsatzSolution(name, Vn, qn, branches, tuple(relations))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import Draft202012Validator
 
+import nilpotent
 from nilpotent import algebra, charges, cli, exact, masses, spectra, states, unification, verify
 from nilpotent.algebra import MV
 from nilpotent.datafiles import data_path
@@ -411,6 +412,7 @@ def assert_rejected(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
     assert len(err) <= 200, err[:300]
+    return err
 
 
 # a refused value past the 60 characters a message repeats, and one past the
@@ -579,16 +581,29 @@ def test_many_unrecognized_arguments_are_repeated_short(capsys):
 NINES = "9" * 400  # an int under the 4300-digit limit for reading one, far past 60 characters
 
 
-@pytest.mark.parametrize("argv", [
-    ("solve", "--j", "1e400", "--family", "coulomb", "--qA", "1/3"),
-    ("algebra", "verify", "--pairs", f"-{NINES}"),
-    ("algebra", "verify", "--pairs", "0", "--samples", f"-{NINES}"),
-    ("algebra", "dual", "--order", NINES),
-    ("algebra", "vacuum", "--n", NINES, "--E", "5", "--p", "0,0,4", "--m", "3"),
-], ids=["j", "pairs", "samples", "order", "vacuum n"])
-def test_a_long_int_is_repeated_short(argv, capsys):
-    """Each refusal repeated the whole int: one line of 446 to 525 characters."""
-    assert_rejected(argv, capsys)
+@pytest.mark.parametrize("argv,start", [
+    (("solve", "--j", "1e400", "--family", "coulomb", "--qA", "1/3"),
+     "error: j must be a half-integer (2j odd), got 1000"),
+    (("algebra", "verify", "--pairs", f"-{NINES}"), "error: oracle_pairs must be nonnegative"),
+    (("algebra", "verify", "--pairs", "0", "--samples", f"-{NINES}"),
+     "error: state_samples must be nonnegative"),
+    (("algebra", "dual", "--order", NINES), "error: target order must be one of"),
+    (("algebra", "vacuum", "--n", NINES, "--E", "5", "--p", "0,0,4", "--m", "3"),
+     "usage error: --n 9999"),
+    (("solve", "--j", "1e5000", "--family", "coulomb", "--qA", "1/3"),
+     "error: j must be a half-integer (2j odd), got a number too long to print "
+     "(an int of 5001 digits)\n"),
+], ids=["j", "pairs", "samples", "order", "vacuum n", "j past the limit for printing an int"])
+def test_a_long_int_is_repeated_short(argv, start, capsys):
+    """Each refusal repeated the whole int: one line of 446 to 525 characters;
+    a j whose str is refused gave the interpreter's line, naming no flag."""
+    assert assert_rejected(argv, capsys).startswith(start)
+
+
+def test_a_number_too_long_to_print_is_repeated_by_its_digits():
+    for value in (10**5000, Fraction(1, 10**5000), Fraction(-(10**5000), 3)):
+        assert nilpotent._echo(value) == "a number too long to print (an int of 5001 digits)"
+    assert nilpotent._echo(Fraction(3, 7)) == "3/7"
 
 
 @pytest.mark.parametrize("key", ["x", "1.5"])
@@ -928,6 +943,33 @@ def dataset_contract_breach(argv, path, capsys):
     return f"exit {code}: {err!r}"
 
 
+def _line_break_case(case, tmp_path):
+    """(argv, the refused value as its one-line message escapes it) of a data
+    directory, a multiplet name or a constants key that holds a line break."""
+    if case == "data dir":
+        return ["--data-dir", str(tmp_path / "a\nb"), "gut"], "a\\nb"
+    for name in ("constants.json", "multiplets.csv", "charge_tables.csv"):
+        shutil.copy(data_path(name), tmp_path / name)
+    if case == "multiplet name":
+        doctor_multiplets(tmp_path, "Delta", "M", "0")
+        path = tmp_path / "multiplets.csv"
+        path.write_text(path.read_text().replace(",Delta,", ',"Del\nta",', 1))
+        return ["--data-dir", str(tmp_path), "mass", "--decuplet"], "Del\\nta"
+    constants = json.loads((tmp_path / "constants.json").read_text())
+    (tmp_path / "constants.json").write_text(json.dumps({**constants, "m_z_gev\nX": -1}))
+    return ["--data-dir", str(tmp_path), "gut"], "m_z_gev\\nX"
+
+
+@pytest.mark.parametrize("case", ["data dir", "multiplet name", "constants key"])
+def test_a_line_break_in_a_refused_value_is_escaped(case, tmp_path, capsys):
+    """The refusal stays one line: each character that is not printable is
+    escaped as repr escapes it (each once split the message over two lines)."""
+    argv, shown = _line_break_case(case, tmp_path)
+    assert cli.main(argv) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and shown in err, err
+
+
 FUZZ_CELLS = ("", "x", "nan", "inf", "0", "-1", "1e400", "2.5")
 MULTIPLET_COLUMNS = Path(data_path("multiplets.csv")).read_text().splitlines()[0].split(",")
 MULTIPLET_SECTIONS = ("--decuplet", "--octet", "--mesons", "--zeros")
@@ -1238,11 +1280,10 @@ def test_each_request_runs_only_the_modules_its_verb_uses(argv, modules):
 ])
 def test_a_solve_refused_before_matching_runs_no_solver(argv):
     """The input records check a request before the solver is read; the
-    error handlers of ``cli.main`` read ``datafiles`` for every refusal."""
+    error handlers of ``cli.main`` read their errors from the package root."""
     proc = subprocess.run([sys.executable, "-c", RUN_MODULES, *argv.split()],
                           capture_output=True, text=True)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [1, ["cli", "datafiles", "exact"]], (
-        proc.stderr)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [1, ["cli", "exact"]], proc.stderr
 
 
 def test_a_module_imported_before_the_cli_is_kept():

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from nilpotent.datafiles import InvalidDataError, data_path
+from nilpotent import InvalidDataError
+from nilpotent.datafiles import data_path
 from nilpotent.masses import (
     MassUnit,
     ckm_apply,
