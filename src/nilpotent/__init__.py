@@ -34,3 +34,13 @@ def _echo(value) -> str:
         digits = _digit_count(max(abs(value.numerator), value.denominator))
         return f"a number too long to print (an int of {digits} digits)"
     return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
+
+
+def _printable(value, name: str):
+    """``value``, a rational that a report repeats, or ValueError naming
+    ``name`` if ``str`` refuses it (an int past sys.get_int_max_str_digits)."""
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError(f"{name} is {_echo(value)}") from None
+    return value

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import InvalidDataError, MissingDataError, _digit_count, _echo
+from . import InvalidDataError, MissingDataError, _digit_count, _echo, _printable
 
 
 def _lazy(name: str):
@@ -132,6 +132,13 @@ def emit(report: dict, config: RunConfig, out=None) -> None:
         _render_text(report, out)
 
 
+def _checked(report: dict, config: RunConfig, witness: str) -> int:
+    """Write the report; exit 2 after it, with one stderr line naming the
+    ``witness``, when the answer failed its own check."""
+    emit(report, config)
+    return _refuse(f"verification failure: {witness}", EXIT_VERIFY) if witness else EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # argument helpers
 # ---------------------------------------------------------------------------
@@ -143,6 +150,15 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"expected a rational number, got {_echo(repr(text))}") from exc
+
+
+def _parse_value(text: str, flag: str) -> Fraction:
+    """``_parse_fraction`` of a value the report repeats, refused by ``flag``
+    if it holds an int too long to print."""
+    try:
+        return _printable(_parse_fraction(text), flag)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_float(text: str) -> float:
@@ -164,7 +180,8 @@ def _float_between(low: float, high: float):
     return parse
 
 
-def _parse_triple(text: str, what: str = "px,py,pz", parse=_parse_fraction) -> tuple:
+def _parse_triple(text: str, what: str = "px,py,pz",
+                  parse=lambda part: _parse_value(part, "--p")) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"expected {what}, got {_echo(repr(text))}")
@@ -179,7 +196,7 @@ def _state_args(parser: _Parser):
 
 def _make_state(args) -> states.NilpotentVector:
     return states.make_nilpotent(
-        _parse_fraction(args.E), _parse_triple(args.p), _parse_fraction(args.m),
+        _parse_value(args.E, "--E"), _parse_triple(args.p), _parse_value(args.m, "--m"),
         getattr(args, "sign_e", 1), getattr(args, "sign_p", 1),
     )
 
@@ -253,19 +270,20 @@ def _cmd_algebra(args, config: RunConfig) -> int:
     if action == "cpt":
         x = _make_state(args)
         image = states.conjugate(x, args.op)
-        sandwich = states.conjugate_realized(x, args.op)
-        emit({
+        matches = states.conjugate_realized(x, args.op) == image.realized
+        return _checked({
             "op": args.op,
             "input": x.to_dict(),
             "output": image.to_dict(),
-            "sandwich_matches": sandwich == image.realized,
+            "sandwich_matches": matches,
             "multivector": image.realized.to_dict(),
-        }, config)
-        return EXIT_OK
+        }, config, "" if matches else
+            f"the sandwich product of --op {_echo(args.op)} differs from its sign flip")
 
     if action == "spinor":
         spinor = states.make_spinor(
-            _parse_fraction(args.E), _parse_triple(args.p), _parse_fraction(args.m), args.kind
+            _parse_value(args.E, "--E"), _parse_triple(args.p),
+            _parse_value(args.m, "--m"), args.kind
         )
         partner = states.make_spinor(spinor.E, spinor.p, spinor.m, "antifermion")
         report = {
@@ -281,7 +299,8 @@ def _cmd_algebra(args, config: RunConfig) -> int:
 
     if action == "baryon":
         factor, survivor = states.baryon_product(
-            args.phase, _parse_fraction(args.E), _parse_triple(args.p), _parse_fraction(args.m)
+            args.phase, _parse_value(args.E, "--E"), _parse_triple(args.p),
+            _parse_value(args.m, "--m")
         )
         emit({
             "phase": args.phase,
@@ -307,7 +326,8 @@ def _cmd_algebra(args, config: RunConfig) -> int:
 
     if action == "vertex":
         emit(states.vertex_report(
-            args.vertex, _parse_fraction(args.E), _parse_triple(args.p), _parse_fraction(args.m)
+            args.vertex, _parse_value(args.E, "--E"), _parse_triple(args.p),
+            _parse_value(args.m, "--m")
         ), config)
         return EXIT_OK
 
@@ -321,16 +341,19 @@ def _cmd_algebra(args, config: RunConfig) -> int:
                     if o <= args.order],
         "order_census": {str(k): v for k, v in sorted(census.items())},
     }
+    witness = ""
     if args.order == 64:
         group = algebra.generate_group()
-        image = {algebra.dual_element_image(e) for e in elements}
-        report["isomorphic_to_dirac_group"] = (
-            image == group
-            and census == algebra.element_order_census(group, algebra.group_mul)
-            and not algebra.dual_homomorphism_witness(elements)
-        )
-    emit(report, config)
-    return EXIT_OK
+        group_census = algebra.element_order_census(group, algebra.group_mul)
+        if {algebra.dual_element_image(e) for e in elements} != group:
+            witness = "the generator map's image is not the Dirac group"
+        elif census != group_census:
+            witness = (f"the order census {report['order_census']} differs from the Dirac "
+                       f"group's {({str(k): v for k, v in sorted(group_census.items())})}")
+        else:
+            witness = algebra.dual_homomorphism_witness(elements)
+        report["isomorphic_to_dirac_group"] = not witness
+    return _checked(report, config, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +367,20 @@ def _build_potential(args) -> exact.PotentialSpec:
         return exact.PotentialSpec.from_dict(json.loads(args.potential))
     family = args.family
     if family == "strong":
-        spec = {"terms": {1: _parse_fraction(args.sigma)}, "q": _parse_fraction(args.q),
-                "coulombPhase": args.A or _parse_fraction(args.qA or "0")}
+        spec = {"terms": {1: _parse_value(args.sigma, "--sigma")},
+                "q": _parse_value(args.q, "--q"),
+                "coulombPhase": args.A or _parse_value(args.qA or "0", "--qA")}
     elif family == "coulomb":
         if args.qA is None:
             raise UsageError("coulomb family needs --qA")
-        spec = {"coulombPhase": _parse_fraction(args.qA)}
+        spec = {"coulombPhase": _parse_value(args.qA, "--qA")}
     elif family == "oscillator":
-        c = _parse_fraction(args.c)
+        c = _parse_value(args.c, "--c")
         if not c:
             raise UsageError("the oscillator family needs a nonzero --c")
         spec = {"terms": {2: c / 2}, "coulombPhase": args.A or "1/2i"}
     elif family == "lennard-jones":
-        B, C = _parse_fraction(args.B), _parse_fraction(args.C)
+        B, C = _parse_value(args.B, "--B"), _parse_value(args.C, "--C")
         if not (B or C):
             raise UsageError("the lennard-jones family needs a nonzero --B or --C")
         spec = {"terms": {-6: B, -12: -C}, "coulombPhase": args.A or "1/2i"}
@@ -367,7 +391,7 @@ def _build_potential(args) -> exact.PotentialSpec:
 
 def _cmd_solve(args, config: RunConfig) -> int:
     qn = exact.QuantumNumbers(_parse_fraction(args.j), args.nprime)
-    m = _parse_fraction(args.m) if args.m else 1
+    m = _parse_value(args.m, "--m") if args.m else 1
 
     if args.family == "strong" and args.radius:
         if args.E is None:
@@ -397,8 +421,13 @@ def _cmd_solve(args, config: RunConfig) -> int:
             report["E_over_m"] = level
         else:
             report["E"] = float(m * level)
-    emit(report, config)
-    return EXIT_OK
+    # every number is read exactly, so a matched solve leaves a residual of 0
+    witness = ""
+    if report["residual"]:
+        detail = spectra.residual_detail(sol)
+        branch, power = max(detail, key=detail.get)
+        witness = f"residual {detail[branch, power]!r} at branch {branch}, power r^{power}"
+    return _checked(report, config, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 The solver builds its relations and branch values on a small exact kernel
 (``_Kernel``), no computer-algebra library: each is an ``Expr``, a polynomial
-with int, Fraction or float coefficients (floats only from the caller's) over
-packed monomials in the symbols, I and each surd, a generator that reduces by
-its square.  So the kernel is a ring with square roots: an Expr divides only
-by a number.  A Coulomb branch lives in Q(sqrt(d)): a = E (alpha + beta
-sqrt(d)) and m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)), which the residual gate
-substitutes and expands.  A caller's sympy number is read exactly by its
+over packed monomials in the symbols, I and each surd, a generator that
+reduces by its square.  Its exact coefficients are int numerators over one
+denominator per polynomial, in lowest terms, and its float coefficients (only
+from the caller's floats) stay floats, each rounded as Fraction arithmetic
+rounds it; so a solve runs on ints, and a Fraction is made only where a
+coefficient is read: the printer, a constant result, an equality.  The kernel
+is a ring with square roots: an Expr divides only by a number.  A Coulomb
+branch lives in Q(sqrt(d)): a = E (alpha + beta sqrt(d)) and
+m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)), which the residual gate substitutes
+and expands.  A caller's sympy number is read exactly by its
 parts (``as_real_imag``, ``p``/``q``) without importing sympy.
 
 The printing contract, which ``tests/sympy_reference.py`` pins: ``str`` of an
@@ -29,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _echo
+from . import _echo, _printable
 
 __all__ = ["Expr", "PotentialSpec", "QuantumNumbers"]
 
@@ -47,20 +51,91 @@ _TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds
 _I_ATOM = ((2, 0, "I"), "I")
 
 
-def _collect(terms) -> dict:
-    """The polynomial sum of (monomial, coefficient) pairs, zeros dropped."""
+def _lowest(den: int, terms: dict) -> tuple:
+    """The polynomial of int numerators (and floats) ``terms`` over ``den`` > 0,
+    in lowest terms: gcd(den, every int numerator) = 1, so equal exact
+    polynomials are equal pairs."""
+    g = den
+    for c in terms.values():
+        if g == 1:
+            return den, terms
+        if type(c) is int:
+            g = math.gcd(g, c)
+    # with no int numerator g is den itself: a polynomial of floats is over 1
+    return (den, terms) if g == 1 else (
+        den // g, {mono: c // g if type(c) is int else c for mono, c in terms.items()})
+
+
+def _times(c1, d1: int, c2, d2: int) -> float:
+    """The product of two coefficients, over ``d1`` and ``d2``, one a float: the
+    int numerator rounded once to its value's float, as ``float(Fraction)``."""
+    return (c1 / d1 if type(c1) is int else c1) * (c2 / d2 if type(c2) is int else c2)
+
+
+def _plus(c1, c2, den: int) -> float:
+    """The sum of two coefficients over ``den``, one a float, as ``_times`` rounds."""
+    return (c1 / den if type(c1) is int else c1) + (c2 / den if type(c2) is int else c2)
+
+
+def _add(polys) -> tuple:
+    """The polynomial sum, like terms combined in order, zeros dropped: each
+    exact term over the lcm of the denominators, a float met as itself."""
+    den = 1
+    for d, _ in polys:
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    out, cancelled = {}, False
+    for d, terms in polys:
+        k = den // d
+        for mono, c in terms.items():
+            if k != 1 and type(c) is int:
+                c *= k
+            if mono in out:
+                a = out[mono]
+                out[mono] = c = a + c if type(a) is int is type(c) else _plus(a, c, den)
+                cancelled = cancelled or not c
+            else:
+                out[mono] = c
+    return _lowest(den, {mono: c for mono, c in out.items() if c} if cancelled else out)
+
+
+def _scaled(poly, k, kd: int) -> tuple:
+    """``poly`` times the number ``k``/``kd`` (``k`` an int, or a float and
+    ``kd`` 1), zeros dropped."""
+    den, terms = poly
     out = {}
-    for mono, c in terms:
-        if mono in out:
-            out[mono] += c
-        else:
+    for mono, c in terms.items():
+        c = c * k if type(c) is int is type(k) else _times(c, den, k, kd)
+        if c:
             out[mono] = c
-    return {mono: c for mono, c in out.items() if c}
+    return _lowest(den * kd, out)
+
+
+def _read(c, den: int):
+    """The coefficient ``c`` of a polynomial over ``den`` as a number: a float
+    as it is, an int numerator as a Fraction, the type exact arithmetic on
+    the solver's Fraction inputs returns."""
+    return c if type(c) is not int else Fraction(c, den)
+
+
+def _values(poly) -> dict:
+    """{monomial: Fraction or float coefficient} of ``poly``."""
+    den, terms = poly
+    return {mono: _read(c, den) for mono, c in terms.items()}
+
+
+def _complex(c, den: int) -> complex:
+    """The coefficient ``c`` of a polynomial over ``den`` as a complex value;
+    OverflowError past the float range."""
+    return complex(c if den == 1 or type(c) is not int else c / den)
 
 
 def _pow(x, k: int):
     """x**k, a float rounded once from the exact power."""
-    return float(Fraction(x) ** k) if isinstance(x, float) else x**k
+    if isinstance(x, float):
+        n, d = x.as_integer_ratio()
+        return n**k / d**k
+    return x**k
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -85,26 +160,29 @@ def _square_part(n: int) -> tuple[int, int]:
 class _Kernel:
     """Exact polynomial arithmetic for one solve and its residual gate.
 
-    A polynomial is a dict from monomials to nonzero int, Fraction or float
-    coefficients.  A monomial packs one exponent per variable into _FIELD-bit
-    fields of an int, so multiplying monomials adds them.  The variables are
-    the symbols, the generators and the sums kept whole.  The generators are
-    I (field 0 in every kernel, so a Gaussian constant reads alike in all)
-    and sqrt(x) for each radicand x met; each reduces by its square
-    (I**2 = -1, sqrt(x)**2 = x), so no generator exponent exceeds 1 in a
-    result.  A generator whose square holds a symbol (sqrt(m**2 - E**2),
-    sqrt(E**2)) is one more variable of a residual; the others (I, sqrt(11))
-    are numbers, read as complex values only by ``magnitude`` and the
-    printer.  A sum kept whole is a product's factor that sympy leaves
-    unexpanded, I*(2/7 + I/5) or m*(1 + I/3); ``expanded`` replaces it by its
-    terms, so the gate reads only symbols and generators.
+    A polynomial is a pair (den, terms): ``terms`` maps monomials to nonzero
+    coefficients, each an int numerator over the positive int ``den`` or a
+    float, in lowest terms (gcd(den, every numerator) = 1), as ``Multivector``
+    holds its blades; so the arithmetic runs on ints, and a Fraction is made
+    only where a coefficient is read.  A monomial packs one exponent per
+    variable into _FIELD-bit fields of an int, so multiplying monomials adds
+    them.  The variables are the symbols, the generators and the sums kept
+    whole.  The generators are I (field 0 in every kernel, so a Gaussian
+    constant reads alike in all) and sqrt(x) for each radicand x met; each
+    reduces by its square (I**2 = -1, sqrt(x)**2 = x), so no generator
+    exponent exceeds 1 in a result.  A generator whose square holds a symbol
+    (sqrt(m**2 - E**2), sqrt(E**2)) is one more variable of a residual; the
+    others (I, sqrt(11)) are numbers, read as complex values only by
+    ``magnitude`` and the printer.  A sum kept whole is a product's factor
+    that sympy leaves unexpanded, I*(2/7 + I/5) or m*(1 + I/3); ``expanded``
+    replaces it by its terms, so the gate reads only symbols and generators.
     """
 
     def __init__(self):
         self.symbols = {}  # name -> the shift of its field
-        self.keys = {}  # ("sqrt" | "sum", frozen terms) -> shift
-        self.squares = {0: {0: -1}}  # generator shift -> its square, oldest first; I is 0
-        self.sums = {}  # shift of a sum kept whole -> its terms
+        self.keys = {}  # ("sqrt" | "sum", den, frozen terms) -> shift
+        self.squares = {0: (1, {0: -1})}  # generator shift -> its square, oldest first; I is 0
+        self.sums = {}  # shift of a sum kept whole -> its polynomial
         self.atoms = {0: _I_ATOM}  # shift -> (sort key, text), None until ``atom`` makes it
         self.fields = 1
         self.symbolic = 0  # the fields of symbols and of the variables whose value holds one
@@ -125,32 +203,32 @@ class _Kernel:
         return shift
 
     def symbol(self, name: str) -> "Expr":
-        return Expr(self, {1 << self.variable(name): 1})
+        return Expr(self, (1, {1 << self.variable(name): 1}))
 
     def adopt(self, x):
         """``x`` with this kernel, if it is a constant of none."""
-        return Expr(self, x.terms) if isinstance(x, Expr) and x.kernel is None else x
+        return Expr(self, x.poly) if isinstance(x, Expr) and x.kernel is None else x
 
     def _holds_symbol(self, terms) -> bool:
         return any(mono & self.symbolic for mono in terms)
 
-    def _root(self, square: dict) -> int:
-        """The shift of the generator whose square is ``square``."""
-        key = ("sqrt", frozenset(square.items()))
+    def _root(self, square) -> int:
+        """The shift of the generator whose square is the polynomial ``square``."""
+        key = ("sqrt", square[0], frozenset(square[1].items()))
         shift = self.keys.get(key)
         if shift is None:
-            shift = self.keys[key] = self._field(None, self._holds_symbol(square))
+            shift = self.keys[key] = self._field(None, self._holds_symbol(square[1]))
             self.squares[shift] = square
             self.high |= _ROOT << shift
         return shift
 
-    def _sum(self, terms: dict) -> int:
-        """The shift of the variable that keeps the sum ``terms`` whole."""
-        key = ("sum", frozenset(terms.items()))
+    def _sum(self, poly) -> int:
+        """The shift of the variable that keeps the sum ``poly`` whole."""
+        key = ("sum", poly[0], frozenset(poly[1].items()))
         shift = self.keys.get(key)
         if shift is None:
-            shift = self.keys[key] = self._field(None, self._holds_symbol(self.expanded(terms)))
-            self.sums[shift] = terms
+            shift = self.keys[key] = self._field(None, self._holds_symbol(self.expanded(poly)[1]))
+            self.sums[shift] = poly
         return shift
 
     def atom(self, shift) -> tuple:
@@ -160,13 +238,13 @@ class _Kernel:
         atom = self.atoms[shift]
         if atom is None:
             if shift in self.squares:
-                square = self.squares[shift]
+                square = _values(self.squares[shift])
                 text = f"sqrt({_print(self, square)})"
                 # a squarefree integer sorts among the numbers, a sum before a power
                 atom = ((1, 0, str(square[0])) if square.keys() == {0} else
                         (3, 1, (0, text)) if len(square) > 1 else (3, 2, text)), text
             else:
-                terms = self.sums[shift]
+                terms = _values(self.sums[shift])
                 atom = (3, 1, (len(terms), tuple(map(functools.partial(_term_key, self),
                                                      _ordered(self, list(terms.items())))))
                         ), f"({_print(self, terms)})"
@@ -178,94 +256,119 @@ class _Kernel:
         a number: r*sqrt(f) with f squarefree for a rational, a float for a
         float, times I for a negative one; any other value is a generator."""
         if isinstance(x, Expr):
-            return Expr(self, {1 << self._root(self.expanded(x.terms)): 1})
+            return Expr(self, (1, {1 << self._root(self.expanded(x.poly)): 1}))
         if x < 0:
             return _I * self.sqrt(-x)
         if isinstance(x, float):
             return math.sqrt(x)
-        x = Fraction(x)
         (rp, fp), (rq, fq) = _square_part(x.numerator), _square_part(x.denominator)
-        c = Fraction(rp * rq, x.denominator)  # sqrt(p/q) = sqrt(p q)/q
-        return c if fp * fq == 1 else Expr(self, {1 << self._root({0: fp * fq}): c})
+        # sqrt(p/q) = sqrt(p q)/q
+        if fp * fq == 1:
+            return Fraction(rp * rq, x.denominator)
+        return Expr(self, _lowest(x.denominator, {1 << self._root((1, {0: fp * fq})): rp * rq}))
 
-    def mul(self, p, q) -> dict:
-        """The product, each generator squared replaced by its square until none is."""
-        if len(p) == 1 and len(q) == 1:
-            (m1, c1), = p.items()
-            (m2, c2), = q.items()
-            # the same value and type as c1 * c2: an int 1 taken as it is, and
-            # a Fraction on the left, whose own product is the quicker one
-            mono, c = m1 + m2, c1 * c2 if type(c1) is not int else c2 if c1 == 1 else c2 * c1
+    def mul(self, p, q) -> tuple:
+        """The product, each generator squared replaced by its square until none
+        is; a square over a denominator multiplies it into every numerator."""
+        (d1, t1), (d2, t2) = p, q
+        den = d1 * d2
+        if len(t1) == 1 == len(t2):
+            (m1, c1), = t1.items()
+            (m2, c2), = t2.items()
+            mono = m1 + m2
+            if type(c1) is int is type(c2):
+                c = c1 * c2
+                g = math.gcd(c, den)
+                c, den = (c, den) if g == 1 else (c // g, den // g)
+            else:
+                c, den = _times(c1, d1, c2, d2), 1
+                if not c:
+                    return 1, {}
             high = mono & self.high
             if not high:
-                return {mono: c} if c else {}
+                return den, {mono: c}
             if high == 2:  # I**2 = -1, and no other generator squared
-                return {mono - 2: -c} if c else {}
+                return den, {mono - 2: -c}
             todo = [(mono, c)]
         else:
-            todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
+            todo = [(m1 + m2, c1 * c2 if type(c1) is int is type(c2) else _times(c1, d1, c2, d2))
+                    for m1, c1 in t1.items() for m2, c2 in t2.items()]
         out = {}
         while todo:
             mono, c = todo.pop()
             if mono & self.high:
                 shift = next(s for s in self.squares if mono >> s & _ROOT)
                 rest = mono - (2 << shift)
-                todo.extend((rest + m, c * c2) for m, c2 in self.squares[shift].items())
+                sd, square = self.squares[shift]
+                cd = den
+                if sd != 1:
+                    den *= sd
+                    todo = [(m, k * sd if type(k) is int else k) for m, k in todo]
+                    out = {m: k * sd if type(k) is int else k for m, k in out.items()}
+                todo.extend((rest + m, c * c2 if type(c) is int is type(c2)
+                             else _times(c, cd, c2, sd)) for m, c2 in square.items())
             elif mono in out:
-                out[mono] += c
+                a = out[mono]
+                out[mono] = a + c if type(a) is int is type(c) else _plus(a, c, den)
             else:
                 out[mono] = c
-        return {mono: c for mono, c in out.items() if c}
+        return _lowest(den, {mono: c for mono, c in out.items() if c})
 
-    def power(self, p, k: int) -> dict:
+    def power(self, p, k: int) -> tuple:
         return p if k == 1 else functools.reduce(self.mul, [p] * k)
 
-    def substitute(self, poly, values: dict, powers: dict) -> dict:
+    def substitute(self, poly, values: dict, powers: dict) -> tuple:
         """``poly`` with each variable field in ``values`` (shift -> polynomial)
         replaced by its value; ``powers`` keeps the value powers of one branch.
         Each term loses its substituted exponents at once, then takes their powers in
         ``values`` order, which rounds a float as substituting one field at a time."""
-        terms = []
-        for mono, c in poly.items():
+        den, terms = poly
+        out = []
+        for mono, c in terms.items():
             factors = []
             for shift, value in values.items():
                 e = mono >> shift & _MASK
                 if e:
                     mono -= e << shift
-                    if (shift, e) not in powers:
-                        powers[shift, e] = self.power(value, e)
-                    factors.append(powers[shift, e])
-            term = {mono: c}
+                    factor = powers.get((shift, e))
+                    if factor is None:
+                        factor = powers[shift, e] = self.power(value, e)
+                    factors.append(factor)
+            term = den, {mono: c}
             for factor in factors:
                 term = self.mul(term, factor)
-            terms.extend(term.items())
-        return _collect(terms)
+            out.append(term)
+        return _add(out)
 
-    def expanded(self, terms: dict) -> dict:
-        """``terms`` with every sum kept whole replaced by its own terms."""
+    def expanded(self, poly) -> tuple:
+        """``poly`` with every sum kept whole replaced by its own terms."""
         values = {shift: self.expanded(value) for shift, value in self.sums.items()
-                  if any(mono >> shift & _MASK for mono in terms)}
-        return self.substitute(terms, values, {}) if values else terms
+                  if any(mono >> shift & _MASK for mono in poly[1])}
+        return self.substitute(poly, values, {}) if values else poly
 
-    def reading(self, x) -> dict:
+    def reading(self, x) -> tuple:
         """The gate's polynomial of a relation or branch value: a number, or an
-        Expr of this kernel or of none; {0: nan} for anything else."""
-        if isinstance(x, (int, Fraction, float)):
-            return {0: x} if x else {}
-        if isinstance(x, Expr) and (x.kernel in (self, None) or _constant(x.terms)):
-            return self.expanded(x.terms)
-        return {0: math.nan}
+        Expr of this kernel or of none; a nan coefficient for anything else."""
+        if isinstance(x, Expr):
+            if x.kernel in (self, None) or _constant(x.poly[1]):
+                return self.expanded(x.poly)
+        elif isinstance(x, (int, Fraction, float)):
+            return _constant_poly(x) if x else (1, {})
+        return 1, {0: math.nan}
 
     def value(self, atoms) -> complex:
         """The complex value of a monomial in numeric variables."""
+        if not atoms:
+            return 1
         value = 1
-        for shift, square in self.squares.items():
+        for shift, (den, square) in self.squares.items():
             if atoms >> shift & 1:
-                value *= cmath.sqrt(sum(complex(c) * self.value(m) for m, c in square.items()))
-        for shift, terms in self.sums.items():
+                value *= cmath.sqrt(sum(_complex(c, den) * self.value(m)
+                                        for m, c in square.items()))
+        for shift, (den, terms) in self.sums.items():
             e = atoms >> shift & _MASK
             if e:
-                value *= sum(complex(c) * self.value(m) for m, c in terms.items()) ** e
+                value *= sum(_complex(c, den) * self.value(m) for m, c in terms.items()) ** e
         return value
 
     def magnitude(self, poly) -> float:
@@ -273,13 +376,14 @@ class _Kernel:
         symbolic variables; inf if one is not finite or too large for a float.
         A coefficient with only exact terms is a true nonzero, so it reads at
         least _TINY even where its float rounds to 0.0."""
+        den, terms = poly
         groups = {}
         try:
-            for mono, c in poly.items():
+            for mono, c in terms.items():
                 key = mono & self.symbolic
                 total, exact = groups.get(key, (0, True))
-                groups[key] = (total + complex(c) * self.value(mono ^ key),
-                               exact and not isinstance(c, float))
+                groups[key] = (total + _complex(c, den) * self.value(mono ^ key),
+                               exact and type(c) is int)
             mags = [abs(total) or (_TINY if exact else 0.0) for total, exact in groups.values()]
         except OverflowError:
             return math.inf
@@ -301,16 +405,17 @@ class Expr:
     coefficients round as sympy's Floats do: each product and quotient once,
     x/n as x*(1/n).  A result free of every variable is returned as a plain
     int, Fraction or float, so an Expr is never a real constant.  ``str``
-    prints as sympy's ``str`` prints the same expression.
+    prints as sympy's ``str`` prints the same expression.  ``poly`` is the
+    kernel's (den, terms) pair; ``_values`` reads its coefficients.
     """
 
-    __slots__ = ("kernel", "terms")
+    __slots__ = ("kernel", "poly")
 
-    def __init__(self, kernel, terms: dict):
-        self.kernel, self.terms = kernel, terms
+    def __init__(self, kernel, poly: tuple):
+        self.kernel, self.poly = kernel, poly
 
     def __str__(self):
-        return _print(self.kernel, self.terms)
+        return _print(self.kernel, _values(self.poly))
 
     __repr__ = __str__
 
@@ -322,10 +427,11 @@ class Expr:
             kernel = _common_kernel(self, other) or _CONSTANTS
         except ValueError:
             return False
-        return kernel.reading(self) == kernel.reading(other)
+        return _values(kernel.reading(self)) == _values(kernel.reading(other))
 
     def __neg__(self):
-        return Expr(self.kernel, {mono: -c for mono, c in self.terms.items()})
+        den, terms = self.poly
+        return Expr(self.kernel, (den, {mono: -c for mono, c in terms.items()}))
 
     def __add__(self, other):
         return _sum((self, other)) if isinstance(other, _VALUES) else NotImplemented
@@ -346,8 +452,14 @@ class Expr:
         return _mul(other, self) if isinstance(other, _VALUES) else NotImplemented
 
     def __truediv__(self, other):
-        return (_mul(self, _reciprocal(other)) if isinstance(other, (int, Fraction, float))
-                else NotImplemented)
+        if isinstance(other, float):
+            return _mul(self, 1.0 / other)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        n, d = other.numerator, other.denominator
+        if not n:
+            raise ZeroDivisionError("division by zero")
+        return _value(self.kernel, _scaled(self.poly, d if n > 0 else -d, abs(n)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 1:
@@ -355,21 +467,27 @@ class Expr:
         if k == 1:
             return self
         kernel = self.kernel or _Kernel()
-        if len(self.terms) > 1:  # sympy leaves a power of a sum unexpanded
-            return Expr(kernel, {k << kernel._sum(self.terms): 1})
-        (mono, c), = self.terms.items()
+        den, terms = self.poly
+        if len(terms) > 1:  # sympy leaves a power of a sum unexpanded
+            return Expr(kernel, (1, {k << kernel._sum(self.poly): 1}))
+        (mono, c), = terms.items()
+        ck, dk = (c**k, den**k) if type(c) is int else (_pow(c, k), 1)
         if not mono * k & kernel.high:  # no generator to reduce: the exponents multiply
-            return _value(kernel, {mono * k: _pow(c, k)})
-        return _value(kernel, {m: v * _pow(c, k) for m, v in kernel.power({mono: 1}, k).items()})
+            return _value(kernel, (dk, {mono * k: ck}))
+        pd, pt = kernel.power((1, {mono: 1}), k)
+        return _value(kernel, _lowest(pd * dk, {
+            m: v * ck if type(v) is int is type(ck) else _times(v, pd, ck, dk)
+            for m, v in pt.items()}))
 
 
-def _value(kernel, terms: dict):
-    """The Expr of ``terms``, or the plain number when no variable is left."""
+def _value(kernel, poly: tuple):
+    """The Expr of ``poly``, or the plain number when no variable is left."""
+    den, terms = poly
     if not terms:
         return 0
     if len(terms) == 1 and 0 in terms:
-        return terms[0]
-    return Expr(kernel, terms)
+        return _read(terms[0], den)
+    return Expr(kernel, poly)
 
 
 _VALUES = (int, Fraction, float, Expr)  # the operands of Expr arithmetic
@@ -387,56 +505,52 @@ def _common_kernel(*values):
     """The kernel whose variables ``values`` hold, or None if they are numbers
     and Gaussian constants only, which read alike in every kernel.  Values
     with variables of two different kernels raise ValueError."""
-    if len(values) == 2:
-        x, y = values
-        if isinstance(x, Expr) and isinstance(y, Expr) and x.kernel is y.kernel:
-            return x.kernel
-    found, fixed = None, False
+    found = first = None  # the kernel found, and the first Expr of it met
     for x in values:
         if not isinstance(x, Expr) or x.kernel is None or x.kernel is found:
             continue
-        if _constant(x.terms):
-            found = found or x.kernel
-        elif fixed:
+        if found is None:
+            found, first = x.kernel, x
+        elif _constant(x.poly[1]):
+            continue
+        elif not _constant(first.poly[1]):
             raise ValueError("the values belong to two different solves")
         else:
-            found, fixed = x.kernel, True
+            found, first = x.kernel, x
     return found
+
+
+def _constant_poly(x) -> tuple:
+    """The polynomial of the nonzero number ``x``."""
+    return (1, {0: x}) if isinstance(x, float) else (x.denominator, {0: x.numerator})
 
 
 def _sum(values):
     """The sum of numbers and Exprs, like terms combined in order."""
-    terms = []
-    for x in values:
-        if isinstance(x, Expr):
-            terms.extend(x.terms.items())
-        elif x:
-            terms.append((0, x))
-    return _value(_common_kernel(*values), _collect(terms))
+    polys = [x.poly if isinstance(x, Expr) else _constant_poly(x) for x in values if x]
+    return _value(_common_kernel(*values), _add(polys))
 
 
 def _mul(x, y):
     """x*y as sympy's Mul evaluates it for the solver's values."""
     if not isinstance(y, Expr):
+        if not isinstance(x, Expr):
+            return x * y
         x, y = y, x
-    if not isinstance(y, Expr):
-        return x * y
     if not isinstance(x, Expr):  # a number times each term
-        if len(y.terms) == 1:
-            (mono, c), = y.terms.items()
-            c = c * x if type(c) is not int else x if c == 1 else x * c  # as in _Kernel.mul
-            return _value(y.kernel, {mono: c} if c else {})
-        return _value(y.kernel, _collect((mono, c * x) for mono, c in y.terms.items()))
+        poly = _scaled(y.poly, x, 1) if isinstance(x, float) else \
+            _scaled(y.poly, x.numerator, x.denominator)
+        return _value(y.kernel, poly)
     kernel = _common_kernel(x, y) or _Kernel()
-    xt, yt = x.terms, y.terms
-    terms = kernel.mul(xt if len(xt) == 1 else {1 << kernel._sum(xt): 1},
-                       yt if len(yt) == 1 else {1 << kernel._sum(yt): 1})
-    if len(terms) == 1 and kernel.sums:
-        (mono, c), = terms.items()
+    xp, yp = x.poly, y.poly
+    poly = kernel.mul(xp if len(xp[1]) == 1 else (1, {1 << kernel._sum(xp): 1}),
+                      yp if len(yp[1]) == 1 else (1, {1 << kernel._sum(yp): 1}))
+    if len(poly[1]) == 1 and kernel.sums:
+        (mono, c), = poly[1].items()
         shift = next((s for s in kernel.sums if mono == 1 << s), None)
         if shift is not None:  # a number times one sum: sympy multiplies each of its terms
-            terms = _collect((m, c * v) for m, v in kernel.sums[shift].items())
-    return _value(kernel, terms)
+            poly = _scaled(kernel.sums[shift], c, poly[0])
+    return _value(kernel, poly)
 
 
 def _reciprocal(x):
@@ -444,7 +558,7 @@ def _reciprocal(x):
     return 1.0 / x if isinstance(x, float) else Fraction(1) / x
 
 
-_I = Expr(None, {1: 1})
+_I = Expr(None, (1, {1: 1}))
 _CONSTANTS = _Kernel()  # reads Gaussian constants, which hold no variable but I
 
 
@@ -634,7 +748,7 @@ class PotentialSpec(NamedTuple):
         """Exact coefficients from decimal, exponent or p/q literals; a trailing
         i, I or j makes one imaginary ('1/2i' is i/2).  Anything else, nan and
         inf included, raises ValueError."""
-        def parse(v):
+        def parse(v, name):
             s = str(v).strip()
             imaginary = s.endswith(("i", "I", "j"))
             body = (s[:-1] or "1") if imaginary else s
@@ -642,6 +756,7 @@ class PotentialSpec(NamedTuple):
                 value = Fraction(body)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"expected a rational number, got {_echo(repr(s))}") from None
+            value = _printable(value, name)
             return _I * value if imaginary else value
 
         def power(k):
@@ -653,11 +768,12 @@ class PotentialSpec(NamedTuple):
         terms = d.get("terms", {}) if isinstance(d, dict) else None
         if not isinstance(terms, dict):
             raise ValueError("a potential is an object whose 'terms' is an object of powers")
-        return cls(
-            {power(k): parse(v) for k, v in terms.items()},
-            parse(d.get("coulombPhase", 0)),
-            parse(d.get("q", 1)),
-        )
+        parsed = {}
+        for k, v in terms.items():
+            n = power(k)
+            parsed[n] = parse(v, f"the r^{_echo(str(n))} term")
+        return cls(parsed, parse(d.get("coulombPhase", 0), "coulombPhase"),
+                   parse(d.get("q", 1), "q"))
 
 
 # a NamedTuple body may not define __new__, so the checks sit in a subclass

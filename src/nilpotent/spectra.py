@@ -65,8 +65,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import _echo
-from .exact import (Expr, PotentialSpec, QuantumNumbers, _HALF, _I, _Kernel, _common_kernel,
-                    _format, _mul, _num, _pow, _reciprocal, _sum, _value)
+from .exact import (Expr, PotentialSpec, QuantumNumbers, _HALF, _I, _Kernel, _add,
+                    _common_kernel, _constant_poly, _format, _lowest, _mul, _num, _pow,
+                    _reciprocal, _scaled, _value)
 
 __all__ = [
     "PotentialSpec",
@@ -205,22 +206,45 @@ def _detect_family(V: PotentialSpec) -> str:
                                     "supported: r, r^2, A/r, inverse powers <= -2")
 
 
-def _product(factors, g):
+def _product(factors, g) -> tuple:
     """The product from the left, numbers first, with a factor object that
     recurs raised to its count: q, sigma, q, A give q**2 * sigma * A, so a
-    float rounds as the derivation's q**2 does.  The factor None reads g."""
+    float rounds as the derivation's q**2 does.  The factor None reads g.
+    Returned as a kernel polynomial; the numbers multiply as one int ratio
+    until a float meets it, which then rounds as a Fraction times a float."""
     counts = {}
     for f in factors:
-        f = g if f is None else f
-        counts[id(f)] = (f, counts[id(f)][1] + 1 if id(f) in counts else 1)
-    numbers, exprs = [], []
+        if f is None:
+            f = g
+        seen = counts.get(id(f))
+        counts[id(f)] = (f, 1) if seen is None else (f, seen[1] + 1)
+    n = d = 1
+    x = None  # the float product, from the first float on
+    exprs = []
     for f, k in counts.values():
-        f = f if k == 1 else _pow(f, k)
-        (exprs if isinstance(f, Expr) else numbers).append(f)
-    out, *rest = numbers + exprs
-    for f in rest:
+        if type(f) is Expr:
+            if k > 1:  # a Gaussian constant's power may be real
+                f, k = f**k, 1
+            if type(f) is Expr:
+                exprs.append(f)
+                continue
+        if type(f) is float:
+            x = (n / d if x is None else x) * _pow(f, k)
+        elif x is None:
+            n, d = n * f.numerator**k, d * f.denominator**k
+        else:
+            x *= f.numerator**k / f.denominator**k
+    if not exprs:
+        return _lowest(d, {0: n}) if x is None else (1, {0: x} if x else {})
+    out = exprs[0].poly
+    if x is not None or n != d:  # the numbers times each term of the first Expr
+        out = _scaled(out, *((n, d) if x is None else (x, 1)))
+    if len(exprs) == 1:
+        return out
+    out = _value(exprs[0].kernel, out)
+    for f in exprs[1:]:
         out = _mul(out, f)
-    return out
+    return out.poly if isinstance(out, Expr) else _constant_poly(out) if out else (1, {})
 
 
 def _laurent_relations(kernel, W, u, head, J, m, groups):
@@ -240,14 +264,15 @@ def _laurent_relations(kernel, W, u, head, J, m, groups):
                 g = g0 if p + p2 in head else gt
                 factors = (*f, *f2) if k == 0 else (2, *f, *f2)
                 sums.setdefault(p + p2, []).append(_product(factors, g))
-    sums[0].append(-_pow(m, 2))
-    sums[-2].append(-_pow(J, 2))
+    sums[0].append(_product((-1, m, m), None))
+    sums[-2].append(_product((-1, J, J), None))
     merged = {}
     for power, matched, note in groups:
         was_matched, was_note = merged.get(power, (True, ""))
         merged[power] = (was_matched and matched, " + ".join(filter(None, (was_note, note))))
     assert merged.keys() == sums.keys(), "every power of the expansion is printed once"
-    return tuple(Relation(p, _sum(sums[p]), ok, note) for p, (ok, note) in merged.items())
+    return tuple(Relation(p, _value(kernel, _add(sums[p])), ok, note)
+                 for p, (ok, note) in merged.items())
 
 
 _HEAD = "series head, nu = 0"
@@ -321,7 +346,7 @@ def _solve_coulomb(kernel, V, qn, E, m):
         # surd g0, 1/gt = (g0 - n')/(g0^2 - n'^2), whose denominator is a nonzero rational
         c = qA * ((g0 - n) / (g0 * g0 - n * n) if isinstance(gt, Expr) else _reciprocal(gt))
         a = c * E
-        c2 = _value(kernel, kernel.mul(c.terms, c.terms)) if isinstance(c, Expr) else c * c
+        c2 = _value(kernel, kernel.mul(c.poly, c.poly)) if isinstance(c, Expr) else c * c
         m_expr = root_E2 * kernel.sqrt(1 + c2)
         branches.append(AnsatzBranch(
             exp_coefficients={}, gamma=g0 - 1, n_prime=n,

@@ -228,16 +228,66 @@ def test_dual_subcommand():
     assert report["isomorphic_to_dirac_group"] is True
 
 
-def test_dual_isomorphism_needs_a_homomorphism(monkeypatch):
+def test_dual_isomorphism_needs_a_homomorphism(monkeypatch, capsys):
     """i1 -> +qi.vi keeps the image the whole group and the order census, but
     the map no longer carries products: the report reads false, as verify's
-    homomorphism check fails."""
+    homomorphism check fails, and the request exits 2 naming the product."""
     monkeypatch.setitem(algebra._DUAL_TO_DIRAC, "i1", algebra.parse_blade("qi.vi"))
-    code, out = run_cli("--format", "json", "algebra", "dual", "--order", "64")
-    assert code == 0 and json.loads(out)["isomorphic_to_dirac_group"] is False
+    assert cli.main(["--format", "json", "algebra", "dual", "--order", "64"]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["isomorphic_to_dirac_group"] is False
+    witness = algebra.dual_homomorphism_witness(algebra.dual_generate(64))
+    assert witness and err == f"verification failure: {witness}\n"
     checks = {c.name: c.passed for c in verify.run_identity_suite(oracle_pairs=0, state_samples=0)}
     assert checks["dual order 64 image bijective"] and checks["dual order 64 census matches"]
     assert not checks["dual order 64 generator map is a homomorphism"]
+
+
+def test_solve_fails_closed_on_a_wrong_branch_value(monkeypatch, capsys):
+    """b = i w/3 in place of i w/2 on both confining branches once printed a
+    nonzero residual with exit 0; the report is still printed, then the
+    request exits 2 naming the largest residual's branch and power."""
+    solve = spectra._FAMILY_SOLVERS["confining"]
+
+    def mutant(*args):
+        family, branches, relations, series = solve(*args)
+        branches = tuple(
+            b._replace(solver_vars={**b.solver_vars, "b": b.solver_vars["b"] * Fraction(2, 3)})
+            for b in branches)
+        return family, branches, relations, series
+
+    monkeypatch.setitem(spectra._FAMILY_SOLVERS, "confining", mutant)
+    assert cli.main(["--format", "json", "solve", "--family", "strong"]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["residual"] == 2 / 3
+    assert err == "verification failure: residual 0.6666666666666666 at branch 0, power r^1\n"
+
+
+def test_cpt_fails_closed_when_the_sandwich_differs(monkeypatch, capsys):
+    """A flipped sign of C's sandwich -j X j once printed "sandwich_matches":
+    false with exit 0; now the report is followed by exit 2 naming the op."""
+    unit, sign = states._CPT_SANDWICH["C"]
+    monkeypatch.setitem(states._CPT_SANDWICH, "C", (unit, -sign))
+    argv = ["--format", "json", "algebra", "cpt", "--op", "TCP", "--E", "5", "--p", "0,0,4",
+            "--m", "3"]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["sandwich_matches"] is False
+    assert err == ("verification failure: the sandwich product of --op TCP differs from its "
+                   "sign flip\n")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("solve", "--family", "strong", "--sigma", "1e5000"), "usage error: --sigma"),
+    (("solve", "--potential", '{"coulombPhase": "1e5000i"}'), "error: coulombPhase"),
+    (("algebra", "cpt", "--op", "T", "--E", "1e5000", "--p", "0,0,0", "--m", "0"),
+     "usage error: --E"),
+])
+def test_a_value_past_the_int_print_limit_is_refused_by_name(argv, name, capsys):
+    """Each once ran on and exited 1 with the interpreter's "Exceeds the
+    limit (4300 digits)" line, naming neither the flag nor the key."""
+    err = assert_rejected(argv, capsys)
+    assert err == f"{name} is a number too long to print (an int of 5001 digits)\n"
 
 
 def test_solve_without_a_family_or_potential_names_both_flags(capsys):

@@ -27,7 +27,7 @@ from sympy import I, Rational
 import sympy_reference as reference
 from nilpotent import spectra
 from nilpotent.algebra import MV, Multivector, blade_name, gamma_pentad, parse_blade
-from nilpotent.exact import Expr, _I, _Kernel, _MASK, _ROOT, _collect, _float_text
+from nilpotent.exact import Expr, _I, _Kernel, _MASK, _ROOT, _float_text, _lowest, _values
 from nilpotent.geometry import infrared_radius, lmin
 from nilpotent.spectra import (
     AnsatzBranch,
@@ -577,7 +577,8 @@ def test_kernel_gate_agrees_with_the_sympy_gate(seed):
         kernel = sol.relations[0].expr.kernel
         for value in [*(rel.expr for rel in sol.relations),
                       *(value for branch in sol.branches for value in branch.solver_vars.values())]:
-            assert all(map(cmath.isfinite, map(complex, kernel.reading(value).values()))), value
+            coefficients = _values(kernel.reading(value)).values()
+            assert all(map(cmath.isfinite, map(complex, coefficients))), value
         assert all(map(math.isfinite, residual_detail(sol, matched_only=False).values()))
 
 
@@ -783,7 +784,8 @@ def _gaussian(z):
     the scalar blade and its imaginary part on the central i blade, a float
     as its exact Fraction (a Gaussian constant Expr holds terms in 1 and I only)."""
     if isinstance(z, Expr):
-        parts = {0: z.terms.get(0, 0), parse_blade("i"): z.terms.get(1, 0)}
+        terms = _values(z.poly)
+        parts = {0: terms.get(0, 0), parse_blade("i"): terms.get(1, 0)}
     else:
         parts = {0: Fraction(int(z.p), int(z.q)) if isinstance(z, sp.Rational) else z}
     return Multivector({k: Fraction(v) for k, v in parts.items()})
@@ -1272,9 +1274,22 @@ def test_no_kernel_value_divides_by_another():
             assert values["a"] * values["gamma_plus_nu_plus_1"] == qA * Fraction(5, 7)
 
 
+def _collect_values(terms) -> dict:
+    """The polynomial sum of (monomial, number) pairs, zeros dropped, as the
+    kernel first wrote it on int, Fraction and float coefficients."""
+    out = {}
+    for mono, c in terms:
+        if mono in out:
+            out[mono] += c
+        else:
+            out[mono] = c
+    return {mono: c for mono, c in out.items() if c}
+
+
 def _reference_mul(kernel, p, q) -> dict:
-    """``_Kernel.mul`` as first written: every pair product popped from one
-    list, each generator squared replaced by its square, then one collect."""
+    """``_Kernel.mul`` as first written, on {monomial: number} dicts: every
+    pair product popped from one list, each generator squared replaced by its
+    square, then one collect."""
     todo = [(m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()]
     done = []
     while todo:
@@ -1282,10 +1297,10 @@ def _reference_mul(kernel, p, q) -> dict:
         if mono & kernel.high:
             shift = next(s for s in kernel.squares if mono >> s & _ROOT)
             rest = mono - (2 << shift)
-            todo.extend((rest + m, c * c2) for m, c2 in kernel.squares[shift].items())
+            todo.extend((rest + m, c * c2) for m, c2 in _values(kernel.squares[shift]).items())
         else:
             done.append((mono, c))
-    return _collect(done)
+    return _collect_values(done)
 
 
 def _reference_substitute(kernel, poly, values, powers) -> dict:
@@ -1304,17 +1319,27 @@ def _reference_substitute(kernel, poly, values, powers) -> dict:
                 term = _reference_mul(kernel, {m - (e << shift): k for m, k in term.items()},
                                       powers[shift, e])
         terms.extend(term.items())
-    return _collect(terms)
+    return _collect_values(terms)
+
+
+def _poly(values: dict) -> tuple:
+    """The kernel's (den, terms) pair of {monomial: int, Fraction or float}:
+    int numerators over the lcm of the exact denominators, in lowest terms."""
+    den = math.lcm(*(Fraction(c).denominator for c in values.values() if not isinstance(c, float)))
+    return _lowest(den, {mono: c if isinstance(c, float) else int(c * den)
+                         for mono, c in values.items()})
 
 
 def _kernel_fields():
-    """A kernel with I, the numeric surd sqrt(2), the symbols E and m and the
-    surd sqrt(E**2), whose square holds a symbol; and the shift of each."""
+    """A kernel with I, the numeric surd sqrt(2), the symbols E and m, the
+    surd sqrt(E**2), whose square holds a symbol, and sqrt(E**2/3 + 2/3),
+    whose square has a denominator; and the shift of each."""
     kernel = _Kernel()
     E, m = kernel.variable("E"), kernel.variable("m")
-    root2 = kernel._root({0: 2})
-    rootE = kernel._root({2 << E: 1})
-    return kernel, {"I": 0, "sqrt2": root2, "E": E, "m": m, "sqrtE2": rootE}
+    root2 = kernel._root((1, {0: 2}))
+    rootE = kernel._root((1, {2 << E: 1}))
+    root3 = kernel._root((3, {2 << E: 1, 0: 2}))
+    return kernel, {"I": 0, "sqrt2": root2, "E": E, "m": m, "sqrtE2": rootE, "sqrt3": root3}
 
 
 _KERNEL, _SHIFTS = _kernel_fields()
@@ -1324,15 +1349,17 @@ _coefficients = st.one_of(
     st.floats(-10, 10, allow_nan=False).filter(bool),
     st.sampled_from([1, -1, 1e-200, 0.1, 1 / 3]))
 _monomials = st.builds(
-    lambda i, r2, rE, e, m: i + (r2 << _SHIFTS["sqrt2"]) + (rE << _SHIFTS["sqrtE2"])
-    + (e << _SHIFTS["E"]) + (m << _SHIFTS["m"]),
-    *[st.integers(0, 1)] * 3, *[st.integers(0, 3)] * 2)
+    lambda i, r2, rE, r3, e, m: i + (r2 << _SHIFTS["sqrt2"]) + (rE << _SHIFTS["sqrtE2"])
+    + (r3 << _SHIFTS["sqrt3"]) + (e << _SHIFTS["E"]) + (m << _SHIFTS["m"]),
+    *[st.integers(0, 1)] * 4, *[st.integers(0, 3)] * 2)
 _polys = st.dictionaries(_monomials, _coefficients, max_size=5)
 
 
-def _items(poly):
-    """The items of ``poly`` in order, each coefficient with its type and exact repr."""
-    return [(mono, type(c), repr(c)) for mono, c in poly.items()]
+def _items(values: dict):
+    """The items of a {monomial: number} dict in order, each exact coefficient
+    as its Fraction and each float by its repr."""
+    return [(mono, float, repr(c)) if isinstance(c, float) else (mono, Fraction, Fraction(c))
+            for mono, c in values.items()]
 
 
 def _negated_in(poly, shift):
@@ -1343,20 +1370,25 @@ def _negated_in(poly, shift):
 @settings(max_examples=200, deadline=None)
 @given(_polys, _polys, st.booleans())
 def test_kernel_mul_keeps_the_order_and_types_of_the_first_loop(p, q, conjugate):
-    """The one-term and I**2 shortcuts of ``mul`` return the reference's items:
-    the same monomials in the same order, each float summed in the same order."""
+    """The one-term and I**2 shortcuts of ``mul``, its int numerators and the
+    denominator a square brings in return the reference's items: the same
+    monomials in the same order, the same exact values, each float summed and
+    rounded in the same order, and a result in lowest terms."""
     if conjugate:
         q = _negated_in(p, _SHIFTS["sqrtE2"])
-    assert _items(_KERNEL.mul(p, q)) == _items(_reference_mul(_KERNEL, p, q))
+    got = _KERNEL.mul(_poly(p), _poly(q))
+    assert _items(_values(got)) == _items(_reference_mul(_KERNEL, p, q))
+    assert got == _lowest(*got)
 
 
 def test_kernel_mul_cancels_to_nothing():
     """(sqrt(E**2) - E)(sqrt(E**2) + E) = E**2 - E**2 is the empty polynomial."""
     g, E = 1 << _SHIFTS["sqrtE2"], 1 << _SHIFTS["E"]
     for p, q in (({g: 1, E: -1}, {g: 1, E: 1}), ({g: 1}, {g: 1, 2 * E: -1}), ({1: 2}, {1: 0.5, 0: 1})):
-        assert _KERNEL.mul(p, q) == _reference_mul(_KERNEL, p, q)
-    assert _KERNEL.mul({g: 1, E: -1}, {g: 1, E: 1}) == {}
-    assert _KERNEL.mul({1: 1e-200}, {1: 1e-200}) == {} == _reference_mul(_KERNEL, {1: 1e-200}, {1: 1e-200})
+        assert _values(_KERNEL.mul(_poly(p), _poly(q))) == _reference_mul(_KERNEL, p, q)
+    assert _KERNEL.mul(_poly({g: 1, E: -1}), _poly({g: 1, E: 1})) == (1, {})
+    assert _KERNEL.mul((1, {1: 1e-200}), (1, {1: 1e-200})) == (1, {})
+    assert _reference_mul(_KERNEL, {1: 1e-200}, {1: 1e-200}) == {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -1368,10 +1400,11 @@ def test_kernel_substitute_keeps_the_order_and_types_of_the_first_loop(poly, e_v
     if cancel:  # E - m with m := E is the empty polynomial
         poly = {**poly, 1 << _SHIFTS["E"]: 1, 1 << _SHIFTS["m"]: -1}
         values[_SHIFTS["m"]] = e_value
-    new = _KERNEL.substitute(poly, values, {})
-    assert _items(new) == _items(_reference_substitute(_KERNEL, poly, values, {}))
+    new = _KERNEL.substitute(_poly(poly), {s: _poly(v) for s, v in values.items()}, {})
+    assert _items(_values(new)) == _items(_reference_substitute(_KERNEL, poly, values, {}))
+    assert new == _lowest(*new)
     if cancel and not poly.keys() - {1 << _SHIFTS["E"], 1 << _SHIFTS["m"]}:
-        assert new == {}
+        assert new == (1, {})
 
 
 def test_nan_branch_fails_the_residual_gate():
@@ -1465,7 +1498,7 @@ def _terms(x):
         return {(): x} if x else {}
     kernel = x.kernel or _Kernel()
     return {tuple((kernel.atom(s)[1], mono >> s & _MASK) for s in kernel.atoms
-                  if mono >> s & _MASK): c for mono, c in x.terms.items()}
+                  if mono >> s & _MASK): c for mono, c in _values(x.poly).items()}
 
 
 def _scaled(x, lam, weight, weights):
