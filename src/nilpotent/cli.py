@@ -298,10 +298,13 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         return EXIT_OK
 
     if action == "baryon":
-        factor, survivor = states.baryon_product(
-            args.phase, _parse_value(args.E, "--E"), _parse_triple(args.p),
-            _parse_value(args.m, "--m")
-        )
+        try:
+            factor, survivor = states.baryon_product(
+                args.phase, _parse_value(args.E, "--E"), _parse_triple(args.p),
+                _parse_value(args.m, "--m")
+            )
+        except AssertionError as exc:  # the product did not collapse: no report to print
+            return _refuse(f"verification failure: phase {args.phase}: {exc}", EXIT_VERIFY)
         emit({
             "phase": args.phase,
             "scalar_factor": str(factor),

@@ -14,11 +14,13 @@ m = sqrt(E^2) sqrt(rho0 + rho1 sqrt(d)), which the residual gate substitutes
 and expands.  A caller's sympy number is read exactly by its
 parts (``as_real_imag``, ``p``/``q``) without importing sympy.
 
-The printing contract, which ``tests/sympy_reference.py`` pins: ``str`` of an
-Expr prints it as sympy's ``str`` prints the expression sympy would build
-(terms in sympy's order, Floats to 15 digits), which is the report text; only
-a Coulomb a and m at n' >= 1 with an irrational root print rationalized where
-sympy kept the surd in a denominator.
+The printing contract: ``str`` of an Expr prints its polynomial, every
+product expanded, which is the report text.  Terms go by the exponents of
+the symbols (by name) and of their roots, highest first, then by those of
+the numbers (I, sqrt(2)), lowest first; a term's factors go as numbers,
+symbols by name, roots of symbols, after its coefficient, a Float to 15
+digits.  No order reads a float value.  ``tests/sympy_reference.py`` checks
+every printed value against sympy's by value.
 
 The two input records, ``PotentialSpec`` and ``QuantumNumbers``, read and
 check a request's numbers here, so a request that is refused before it is
@@ -45,10 +47,6 @@ _MASK = (1 << _FIELD) - 1
 _ROOT = _MASK - 1  # a generator field's bits above exponent 1
 _HALF = Fraction(1, 2)
 _TINY = math.ulp(0.0)  # the reading of an exact nonzero coefficient that rounds to 0.0
-# (sort key, text) of I, field 0: sympy sorts the factors of a product as
-# numbers (sqrt(11)), then I, then symbols by name, then sums (and roots of
-# sums) by their terms, then powers
-_I_ATOM = ((2, 0, "I"), "I")
 
 
 def _lowest(den: int, terms: dict) -> tuple:
@@ -166,26 +164,22 @@ class _Kernel:
     holds its blades; so the arithmetic runs on ints, and a Fraction is made
     only where a coefficient is read.  A monomial packs one exponent per
     variable into _FIELD-bit fields of an int, so multiplying monomials adds
-    them.  The variables are the symbols, the generators and the sums kept
-    whole.  The generators are I (field 0 in every kernel, so a Gaussian
-    constant reads alike in all) and sqrt(x) for each radicand x met; each
-    reduces by its square (I**2 = -1, sqrt(x)**2 = x), so no generator
-    exponent exceeds 1 in a result.  A generator whose square holds a symbol
-    (sqrt(m**2 - E**2), sqrt(E**2)) is one more variable of a residual; the
-    others (I, sqrt(11)) are numbers, read as complex values only by
-    ``magnitude`` and the printer.  A sum kept whole is a product's factor
-    that sympy leaves unexpanded, I*(2/7 + I/5) or m*(1 + I/3); ``expanded``
-    replaces it by its terms, so the gate reads only symbols and generators.
+    them.  The variables are the symbols and the generators: I (field 0 in
+    every kernel, so a Gaussian constant reads alike in all) and sqrt(x) for
+    each radicand x met.  Each generator reduces by its square (I**2 = -1,
+    sqrt(x)**2 = x), so no generator exponent exceeds 1 in a result.  A
+    generator whose square holds a symbol (sqrt(m**2 - E**2), sqrt(E**2)) is
+    one more variable of a residual; the others (I, sqrt(11)) are numbers,
+    read as complex values only by ``magnitude``.
     """
 
     def __init__(self):
         self.symbols = {}  # name -> the shift of its field
-        self.keys = {}  # ("sqrt" | "sum", den, frozen terms) -> shift
+        self.roots = {}  # (den, frozen terms) of a square -> the shift of its generator
         self.squares = {0: (1, {0: -1})}  # generator shift -> its square, oldest first; I is 0
-        self.sums = {}  # shift of a sum kept whole -> its polynomial
-        self.atoms = {0: _I_ATOM}  # shift -> (sort key, text), None until ``atom`` makes it
+        self.atoms = {0: (0, "I")}  # shift -> (rank, text), None until ``atom`` makes it
         self.fields = 1
-        self.symbolic = 0  # the fields of symbols and of the variables whose value holds one
+        self.symbolic = 0  # the fields of symbols and of the roots whose square holds one
         self.high = _ROOT  # the generator fields' bits above exponent 1
 
     def _field(self, atom, symbolic) -> int:
@@ -199,7 +193,7 @@ class _Kernel:
         """The shift of the field of the symbol ``name``."""
         shift = self.symbols.get(name)
         if shift is None:
-            shift = self.symbols[name] = self._field(((2, 1, name), name), True)
+            shift = self.symbols[name] = self._field((1, name), True)
         return shift
 
     def symbol(self, name: str) -> "Expr":
@@ -209,54 +203,34 @@ class _Kernel:
         """``x`` with this kernel, if it is a constant of none."""
         return Expr(self, x.poly) if isinstance(x, Expr) and x.kernel is None else x
 
-    def _holds_symbol(self, terms) -> bool:
-        return any(mono & self.symbolic for mono in terms)
-
     def _root(self, square) -> int:
         """The shift of the generator whose square is the polynomial ``square``."""
-        key = ("sqrt", square[0], frozenset(square[1].items()))
-        shift = self.keys.get(key)
+        key = square[0], frozenset(square[1].items())
+        shift = self.roots.get(key)
         if shift is None:
-            shift = self.keys[key] = self._field(None, self._holds_symbol(square[1]))
+            shift = self.roots[key] = self._field(
+                None, any(mono & self.symbolic for mono in square[1]))
             self.squares[shift] = square
             self.high |= _ROOT << shift
         return shift
 
-    def _sum(self, poly) -> int:
-        """The shift of the variable that keeps the sum ``poly`` whole."""
-        key = ("sum", poly[0], frozenset(poly[1].items()))
-        shift = self.keys.get(key)
-        if shift is None:
-            shift = self.keys[key] = self._field(None, self._holds_symbol(self.expanded(poly)[1]))
-            self.sums[shift] = poly
-        return shift
-
     def atom(self, shift) -> tuple:
-        """(sort key, text) of the variable at ``shift``, made at its first print:
-        the fields it reads are all older than its own, so the text is the one
-        it would have had when the variable was made."""
+        """(rank, text) of the variable at ``shift``: rank 0 for a number (I,
+        sqrt(2)), 1 for a symbol, 2 for a root of a symbol.  A root's is made
+        at its first print; the fields its square reads are all older than
+        its own, so the text is the one it would have had when it was made."""
         atom = self.atoms[shift]
         if atom is None:
-            if shift in self.squares:
-                square = _values(self.squares[shift])
-                text = f"sqrt({_print(self, square)})"
-                # a squarefree integer sorts among the numbers, a sum before a power
-                atom = ((1, 0, str(square[0])) if square.keys() == {0} else
-                        (3, 1, (0, text)) if len(square) > 1 else (3, 2, text)), text
-            else:
-                terms = _values(self.sums[shift])
-                atom = (3, 1, (len(terms), tuple(map(functools.partial(_term_key, self),
-                                                     _ordered(self, list(terms.items())))))
-                        ), f"({_print(self, terms)})"
-            self.atoms[shift] = atom
+            text = f"sqrt({_print(self, _values(self.squares[shift]))})"
+            atom = self.atoms[shift] = (2 if self.symbolic >> shift & 1 else 0), text
         return atom
 
     def sqrt(self, x):
-        """The principal square root of ``x``, as sympy's sqrt evaluates it for
-        a number: r*sqrt(f) with f squarefree for a rational, a float for a
-        float, times I for a negative one; any other value is a generator."""
+        """The principal square root of ``x``: r*sqrt(f) with f squarefree for
+        a rational, a float for a float, times I for a negative one; any other
+        value is a generator."""
         if isinstance(x, Expr):
-            return Expr(self, (1, {1 << self._root(self.expanded(x.poly)): 1}))
+            return Expr(self, (1, {1 << self._root(x.poly): 1}))
         if x < 0:
             return _I * self.sqrt(-x)
         if isinstance(x, float):
@@ -340,18 +314,12 @@ class _Kernel:
             out.append(term)
         return _add(out)
 
-    def expanded(self, poly) -> tuple:
-        """``poly`` with every sum kept whole replaced by its own terms."""
-        values = {shift: self.expanded(value) for shift, value in self.sums.items()
-                  if any(mono >> shift & _MASK for mono in poly[1])}
-        return self.substitute(poly, values, {}) if values else poly
-
     def reading(self, x) -> tuple:
         """The gate's polynomial of a relation or branch value: a number, or an
         Expr of this kernel or of none; a nan coefficient for anything else."""
         if isinstance(x, Expr):
             if x.kernel in (self, None) or _constant(x.poly[1]):
-                return self.expanded(x.poly)
+                return x.poly
         elif isinstance(x, (int, Fraction, float)):
             return _constant_poly(x) if x else (1, {})
         return 1, {0: math.nan}
@@ -365,10 +333,6 @@ class _Kernel:
             if atoms >> shift & 1:
                 value *= cmath.sqrt(sum(_complex(c, den) * self.value(m)
                                         for m, c in square.items()))
-        for shift, (den, terms) in self.sums.items():
-            e = atoms >> shift & _MASK
-            if e:
-                value *= sum(_complex(c, den) * self.value(m) for m, c in terms.items()) ** e
         return value
 
     def magnitude(self, poly) -> float:
@@ -399,14 +363,12 @@ class Expr:
     """An exact value of the solver: a polynomial of one ``_Kernel``, or of
     none for a Gaussian constant (terms in 1 and I only).
 
-    Arithmetic follows sympy's automatic evaluation for the solver's values:
-    a number times a sum multiplies each term, while a product of a sum with
-    anything else keeps the sum whole as one factor, I*(2/7 + I/5).  Float
-    coefficients round as sympy's Floats do: each product and quotient once,
-    x/n as x*(1/n).  A result free of every variable is returned as a plain
-    int, Fraction or float, so an Expr is never a real constant.  ``str``
-    prints as sympy's ``str`` prints the same expression.  ``poly`` is the
-    kernel's (den, terms) pair; ``_values`` reads its coefficients.
+    Every product is expanded.  Float coefficients round as sympy's Floats
+    do: each product and quotient once, x/n as x*(1/n).  A result free of
+    every variable is returned as a plain int, Fraction or float, so an Expr
+    is never a real constant.  ``str`` prints the polynomial in the
+    printer's one order.  ``poly`` is the kernel's (den, terms) pair;
+    ``_values`` reads its coefficients.
     """
 
     __slots__ = ("kernel", "poly")
@@ -466,16 +428,16 @@ class Expr:
             return NotImplemented
         if k == 1:
             return self
-        kernel = self.kernel or _Kernel()
+        kernel = self.kernel or _CONSTANTS
         den, terms = self.poly
-        if len(terms) > 1:  # sympy leaves a power of a sum unexpanded
-            return Expr(kernel, (1, {k << kernel._sum(self.poly): 1}))
+        if len(terms) > 1:
+            return _value(self.kernel, kernel.power(self.poly, k))
         (mono, c), = terms.items()
         ck, dk = (c**k, den**k) if type(c) is int else (_pow(c, k), 1)
         if not mono * k & kernel.high:  # no generator to reduce: the exponents multiply
-            return _value(kernel, (dk, {mono * k: ck}))
+            return _value(self.kernel, (dk, {mono * k: ck}))
         pd, pt = kernel.power((1, {mono: 1}), k)
-        return _value(kernel, _lowest(pd * dk, {
+        return _value(self.kernel, _lowest(pd * dk, {
             m: v * ck if type(v) is int is type(ck) else _times(v, pd, ck, dk)
             for m, v in pt.items()}))
 
@@ -532,25 +494,17 @@ def _sum(values):
 
 
 def _mul(x, y):
-    """x*y as sympy's Mul evaluates it for the solver's values."""
+    """x*y, every product expanded: a number times each term."""
     if not isinstance(y, Expr):
         if not isinstance(x, Expr):
             return x * y
         x, y = y, x
-    if not isinstance(x, Expr):  # a number times each term
+    if not isinstance(x, Expr):
         poly = _scaled(y.poly, x, 1) if isinstance(x, float) else \
             _scaled(y.poly, x.numerator, x.denominator)
         return _value(y.kernel, poly)
-    kernel = _common_kernel(x, y) or _Kernel()
-    xp, yp = x.poly, y.poly
-    poly = kernel.mul(xp if len(xp[1]) == 1 else (1, {1 << kernel._sum(xp): 1}),
-                      yp if len(yp[1]) == 1 else (1, {1 << kernel._sum(yp): 1}))
-    if len(poly[1]) == 1 and kernel.sums:
-        (mono, c), = poly[1].items()
-        shift = next((s for s in kernel.sums if mono == 1 << s), None)
-        if shift is not None:  # a number times one sum: sympy multiplies each of its terms
-            poly = _scaled(kernel.sums[shift], c, poly[0])
-    return _value(kernel, poly)
+    kernel = _common_kernel(x, y)
+    return _value(kernel, (kernel or _CONSTANTS).mul(x.poly, y.poly))
 
 
 def _reciprocal(x):
@@ -589,7 +543,7 @@ def _real(x):
 
 
 # ---------------------------------------------------------------------------
-# the printer: sympy's str of the solver's values
+# the printer
 # ---------------------------------------------------------------------------
 
 
@@ -623,11 +577,13 @@ def _float_text(x: float, strip: bool) -> str:
 
 
 def _format(x) -> str:
-    """A solver value as sympy's ``str`` prints it.  Sympy's float arithmetic
-    returns an exact 0 where the result is zero, so a computed 0.0 prints 0."""
+    """A solver value as the report prints it, a Float as sympy prints one.
+    Sympy's float arithmetic returns an exact 0 where the result is zero, so
+    a computed 0.0 prints 0; an int past the limit for printing one is
+    refused by its digit count."""
     if isinstance(x, float):
         return _float_text(x, strip=False) if x else "0"
-    return str(x)
+    return _print_term((), 0, x) if isinstance(x, (int, Fraction)) else str(x)
 
 
 def _literal(x) -> str:
@@ -635,79 +591,41 @@ def _literal(x) -> str:
     return _float_text(x, strip=False) if isinstance(x, float) else str(x)
 
 
-def _term_key(kernel, term) -> tuple:
-    """sympy's sort key of one term of a sum, as far as it orders sums: a
-    number by its value before a product, products by their factors, then by
-    coefficient."""
-    mono, c = term
-    factors = _factors(kernel, mono)
-    if not factors:
-        return (1,), c
-    if len(factors) == 1 and factors[0][1] == 1:
-        return factors[0][0], c
-    return (3, 0, tuple(key[:2] for key in factors)), c
-
-
-def _factors(kernel, mono) -> list:
-    """(sort key, exponent, text) of each variable of ``mono``, in sympy's Mul order."""
-    atom = kernel.atom if kernel else {0: _I_ATOM}.get
-    out = []
-    for s in kernel.atoms if kernel else (0,):
-        e = mono >> s & _MASK
-        if e:
-            key, text = atom(s)
-            out.append((key, e, text))
-    return sorted(out)
-
-
-def _ordered(kernel, items) -> list:
-    """The terms of a sum in the order sympy's str prints them: by exponents
-    of the symbolic factors, highest first (lex), then by the complex value
-    of the numeric rest, real before imaginary."""
-    if len(items) == 2:
-        # sympy keeps a positive number before a negative number times one factor
-        number, other = sorted(items, key=lambda item: item[0] != 0)
-        if (number[0] == 0 and number[1] > 0 and other[1] < 0
-                and len(_factors(kernel, other[0])) == 1):
-            return [number, other]
-    symbolic = kernel.symbolic if kernel else 0
-    gens = sorted((kernel.atom(s)[0], s) for s in kernel.atoms
-                  if any((mono & symbolic) >> s & _MASK for mono, _ in items)) if symbolic else []
-
-    def key(item):
-        mono, c = item
-        value = complex(c) * (kernel.value(mono & ~symbolic) if kernel else 1j ** mono)
-        return (tuple(-(mono >> s & _MASK) for _, s in gens),
-                ((value.imag != 0, value.imag), (value.real, value.imag)))
-
-    return sorted(items, key=key)
-
-
-def _print_term(kernel, mono, c) -> str:
-    """One product as sympy's str prints a Mul: sign, coefficient numerator and
-    factors joined by *, then /denominator."""
-    if mono == 0:
-        return _float_text(c, strip=True) if isinstance(c, float) else str(c)
+def _print_term(atoms, mono, c) -> str:
+    """One product: sign, coefficient numerator and the factors of ``atoms``
+    ((rank, text), shift) that ``mono`` holds, joined by *, then
+    /denominator.  An int past the limit for printing one is refused by its
+    digit count."""
     sign = "-" if c < 0 else ""
-    c = -c if c < 0 else c
-    num, den = [], ""
     if isinstance(c, float):
-        num.append(_float_text(c, strip=True))
+        num, den = [_float_text(abs(c), strip=True)], ""
     else:
-        c = Fraction(c)
-        if c.numerator != 1:
-            num.append(str(c.numerator))
-        if c.denominator != 1:
-            den = f"/{c.denominator}"
-    num += [text if e == 1 else f"{text}**{e}" for _, e, text in _factors(kernel, mono)]
+        n, d = abs(c.numerator), c.denominator
+        try:
+            num = [str(n)] if n != 1 or not mono else []
+            den = f"/{d}" if d != 1 else ""
+        except ValueError:  # past sys.get_int_max_str_digits
+            raise ValueError(f"a value of the report is {_echo(c)}") from None
+    num += [text if e == 1 else f"{text}**{e}" for (_, text), s in atoms
+            if (e := mono >> s & _MASK)]
     return sign + "*".join(num) + den
 
 
 def _print(kernel, terms) -> str:
-    """``terms`` as sympy's str prints the same sum of products."""
+    """``terms`` as a sum of products: terms by the exponents of the symbols
+    and of their roots, highest first, then of the numbers, lowest first;
+    each product's factors as numbers, symbols by name, roots of symbols."""
+    kernel = kernel or _CONSTANTS
+    held = 0
+    for mono in terms:
+        held |= mono
+    atoms = sorted((kernel.atom(s), s) for s in kernel.atoms if held >> s & _MASK)
+    symbolic = [s for (rank, _), s in atoms if rank]
+    numeric = [s for (rank, _), s in atoms if not rank]
     out = ""
-    for mono, c in _ordered(kernel, list(terms.items())) if len(terms) > 1 else terms.items():
-        text = _print_term(kernel, mono, c)
+    for mono, c in sorted(terms.items(), key=lambda term: (
+            [-(term[0] >> s & _MASK) for s in symbolic], [term[0] >> s & _MASK for s in numeric])):
+        text = _print_term(atoms, mono, c)
         if out:
             text = f" - {text[1:]}" if text.startswith("-") else f" + {text}"
         out += text

@@ -51,10 +51,11 @@ reads its potential and builds the values free of s once; the gate strips
 each term of its unknowns once, then multiplies their powers in unknown order.
 
 The relations and branch values are ``Expr`` values of the exact kernel in
-``nilpotent.exact``, which also prints them as sympy would and holds the two
-input records, ``PotentialSpec`` and ``QuantumNumbers``; one ``_Kernel`` per
-solve, and the residual gate substitutes and expands its polynomials.  The
-flux-tube geometry (the infrared radius and L_min) is ``nilpotent.geometry``.
+``nilpotent.exact``, which also prints them, every product expanded and the
+terms in one exact order, and holds the two input records, ``PotentialSpec``
+and ``QuantumNumbers``; one ``_Kernel`` per solve, and the residual gate
+substitutes and expands its polynomials.  The flux-tube geometry (the
+infrared radius and L_min) is ``nilpotent.geometry``.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class Relation(NamedTuple):
     as the relation expr == 0; each power has one relation, so ``power`` is a
     key.  ``matched`` holds when every group of the derivation at that power
     is one the family solves, and ``note`` names the groups.  ``expr`` is an
-    Expr (or a plain number), printed by ``str`` as sympy prints it."""
+    Expr (or a plain number), printed by ``str`` expanded."""
 
     power: int
     expr: object
@@ -285,9 +286,11 @@ _OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_lev
 def _solve_confining(kernel, V, qn, E, m):
     q, A, sigma = V.coupling, V.coulomb_phase, V.terms[1]
     # w = q sigma and q A are each one product for the relations and the
-    # branches, as the power laws' q c_p and q A, so a float residual is 0; a
-    # Gaussian q, sigma or A keeps its own factors, whose squares sympy prints
-    # apart
+    # branches, as the power laws' q c_p and q A, so a float residual is 0.  A
+    # Gaussian q, sigma or A still keeps its own factors in the relations (the
+    # printed text is the same with w and qA), so a complex float residual may
+    # read a rounding, such as 7.1e-15 for sigma = 1.2i, q = -6.0, A = -1.6 at
+    # j = 9/2, where w reads 0.0 (ROADMAP item 20)
     w, qA = q * sigma, q * A
     W = ([(1, (-1, q, sigma)), (-1, (q, A))] if any(isinstance(x, Expr) for x in (q, sigma, A))
          else [(1, (-1, w)), (-1, (qA,))])

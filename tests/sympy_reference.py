@@ -1,7 +1,9 @@
-"""The solver as it was built on sympy, kept as the reference of the printer's
+"""The solver as it was built on sympy, kept as the reference of the solver's
 differential test (W. M. McKeeman, "Differential Testing for Software",
 Digital Technical Journal 10, 1998): the same relations and branch values
-built as sympy expressions, so ``str`` of each is sympy's own text.
+built as sympy expressions, so ``str`` of each is sympy's own text.  The
+tests compare the solver's printed values with these by value; sympy keeps
+a product of a sum whole where the solver's printer expands it.
 
 ``match_coefficients`` returns a ``spectra.AnsatzSolution`` whose fields hold
 sympy objects, so its ``to_dict`` is the report text the solver printed when

@@ -277,6 +277,19 @@ def test_cpt_fails_closed_when_the_sandwich_differs(monkeypatch, capsys):
                    "sign flip\n")
 
 
+def test_baryon_fails_closed_when_the_product_does_not_collapse(monkeypatch, capsys):
+    """With GRB alone in the +p class, BGR's survivor carries the wrong sign:
+    baryon_product's AssertionError once left the CLI as a traceback; now it
+    is one line and exit 2 naming the phase."""
+    monkeypatch.setattr(states, "BARYON_PLUS_CLASS", {"GRB"})
+    argv = ["algebra", "baryon", "--phase", "BGR", "--E", "5", "--p", "0,0,4", "--m", "3"]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("verification failure: phase BGR: baryon product failed to collapse onto a "
+                   "single nilpotent\n")
+
+
 @pytest.mark.parametrize("argv,name", [
     (("solve", "--family", "strong", "--sigma", "1e5000"), "usage error: --sigma"),
     (("solve", "--potential", '{"coulombPhase": "1e5000i"}'), "error: coulombPhase"),
@@ -288,6 +301,34 @@ def test_a_value_past_the_int_print_limit_is_refused_by_name(argv, name, capsys)
     limit (4300 digits)" line, naming neither the flag nor the key."""
     err = assert_rejected(argv, capsys)
     assert err == f"{name} is a number too long to print (an int of 5001 digits)\n"
+
+
+@pytest.mark.parametrize("potential", [
+    '{"terms": {"-2": "1e-3000"}, "coulombPhase": "1/2i"}',
+    # 1 + gamma = i q A is the plain rational -1e-6000
+    '{"terms": {"2": "1"}, "coulombPhase": "1e-3000i", "q": "1e-3000"}',
+])
+def test_a_report_value_past_the_int_print_limit_is_refused_by_its_digits(potential, capsys):
+    """Each input is within the limit, but the report prints a product of
+    two (c**2 in a relation, q A in a branch) whose denominator is not: the
+    request once exited 1 with the interpreter's "Exceeds the limit (4300
+    digits)" line after the gate had passed."""
+    err = assert_rejected(("solve", "--potential", potential), capsys)
+    assert err == ("error: a value of the report is a number too long to print "
+                   "(an int of 6001 digits)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "coulomb", "--qA", "1e-155"),
+    ("--potential", '{"terms": {"-6": "1e-2000", "-12": "1e2000"}, "coulombPhase": "1/2i"}'),
+])
+def test_exact_values_past_the_float_range_print(argv):
+    """The printer once ordered terms by the complex float of each one's
+    numeric part, so these exited 1 with "the result overflows a float"
+    after they had matched and passed the gate."""
+    code, out = run_cli("--format", "json", "solve", *argv)
+    assert code == 0
+    assert json.loads(out)["residual"] == 0.0
 
 
 def test_solve_without_a_family_or_potential_names_both_flags(capsys):
@@ -1397,12 +1438,12 @@ def test_json_determinism():
     # |2E| = 1: no bound refuses it, so all 20000 steps run, and (-i)^20000 X = X
     ("algebra_vacuum_unit_factor.txt", ("algebra", "vacuum", "--E", "1/2", "--p", "0,0,1/2",
                                         "--m", "0", "--n", "20000")),
-    # a surd inside a surd: prints E*(2*sqrt(2) + 3) and sqrt(12*sqrt(2) + 18)*sqrt(E**2)
+    # a surd inside a surd: prints 3*E + 2*sqrt(2)*E and sqrt(18 + 12*sqrt(2))*sqrt(E**2)
     ("solve_coulomb_surd.json", ("--format", "json", "solve", "--family", "coulomb",
                                  "--qA", "1/3", "--j", "1/2", "--nprime", "1")),
     ("solve_strong.json", ("--format", "json", "solve", "--family", "strong", "--q", "2/3",
                            "--sigma", "3/5", "--qA", "1/3", "--j", "3/2", "--nprime", "1")),
-    # a sum kept whole, m*(2 + I/3), and the generator sqrt(-E**2 + m**2)
+    # a product of a sum expanded, -m - I*m/6, and the generator sqrt(-E**2 + m**2)
     ("solve_oscillator.json", ("--format", "json", "solve", "--family", "oscillator",
                                "--c", "2/3", "--A", "1/3", "--m", "5/7", "--j", "3/2",
                                "--nprime", "2")),
