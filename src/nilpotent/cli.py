@@ -318,21 +318,30 @@ def _cmd_algebra(args, config: RunConfig) -> int:
         if args.n < 1:
             raise ValueError("need at least one reflection")
         report = {"charge": args.charge, "input": x.to_dict(), "image": image.to_dict()}
+        witness = ""
         if args.charge == "k":
-            mv, lam = _printable_chain(x, args.n)
-            report["chain_reflections"] = args.n
+            n = args.n
+            mv, lam = _printable_chain(x, n)
+            report["chain_reflections"] = n
             report["per_step_factor"] = {"re": str(lam.scalar_part),
                                          "im": str(lam.coefficient("i"))}
             report["chain"] = states.product_report(mv)
-        emit(report, config)
-        return EXIT_OK
+            # on shell the chain is lam^n X, lam = -2iE signE: i^n (-2E signE)^n X
+            if x.on_shell and mv != algebra.MV(
+                    "1i"[n % 2], (-1) ** (n // 2) * (-2 * x.sign_e * x.E) ** n) * x.realized:
+                witness = f"the on-shell chain of --n {n} reflections is not lam^n X"
+        return _checked(report, config, witness)
 
     if action == "vertex":
-        emit(states.vertex_report(
-            args.vertex, _parse_value(args.E, "--E"), _parse_triple(args.p),
-            _parse_value(args.m, "--m")
-        ), config)
-        return EXIT_OK
+        E, p, m = _parse_value(args.E, "--E"), _parse_triple(args.p), _parse_value(args.m, "--m")
+        report = states.vertex_report(args.vertex, E, p, m)
+        witness = ""
+        if states.make_nilpotent(E, p, m).on_shell:
+            if not report["is_scalar"]:
+                witness = f"the on-shell sum of vertex {args.vertex} is not a pure scalar"
+            elif not m and report["sum"]:
+                witness = f"the all-massless sum of vertex {args.vertex} is not zero"
+        return _checked(report, config, witness)
 
     # dual, the last action argparse admits
     elements = algebra.dual_generate(args.order)

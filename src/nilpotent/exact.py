@@ -128,12 +128,13 @@ def _complex(c, den: int) -> complex:
     return complex(c if den == 1 or type(c) is not int else c / den)
 
 
-def _pow(x, k: int):
-    """x**k, a float rounded once from the exact power."""
+def _square(x):
+    """x*x, a float rounded once from the exact square, so past the float
+    range it raises OverflowError rather than reading inf."""
     if isinstance(x, float):
         n, d = x.as_integer_ratio()
-        return n**k / d**k
-    return x**k
+        return n * n / (d * d)
+    return x * x
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -422,24 +423,6 @@ class Expr:
         if not n:
             raise ZeroDivisionError("division by zero")
         return _value(self.kernel, _scaled(self.poly, d if n > 0 else -d, abs(n)))
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 1:
-            return NotImplemented
-        if k == 1:
-            return self
-        kernel = self.kernel or _CONSTANTS
-        den, terms = self.poly
-        if len(terms) > 1:
-            return _value(self.kernel, kernel.power(self.poly, k))
-        (mono, c), = terms.items()
-        ck, dk = (c**k, den**k) if type(c) is int else (_pow(c, k), 1)
-        if not mono * k & kernel.high:  # no generator to reduce: the exponents multiply
-            return _value(self.kernel, (dk, {mono * k: ck}))
-        pd, pt = kernel.power((1, {mono: 1}), k)
-        return _value(self.kernel, _lowest(pd * dk, {
-            m: v * ck if type(v) is int is type(ck) else _times(v, pd, ck, dk)
-            for m, v in pt.items()}))
 
 
 def _value(kernel, poly: tuple):

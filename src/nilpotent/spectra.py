@@ -39,11 +39,11 @@ gammat, a term the printed level does not see.
 Outside the Coulomb family, whose branches go through a surd, every branch
 value is a closed form on the sign s = +-1: b = s i w/2 with w = q sigma,
 a = -s i E and gamma + nu + 1 = s i q A (confining); u_p = s i q c_p per
-power and 1 + gamma = s i q A (oscillator p = 2, inverse p <= -2).  The
-relations read the same products w, q c_p and q A that the branches hold,
-so a real float input leaves a residual of 0 (short of a subnormal w).  No
-value is divided out of another, so a float potential coefficient leaks no
-rounding into gamma or a; a Coulomb a = q A E / gammat takes 1/gammat as
+power and 1 + gamma = s i q A (oscillator p = 2, inverse p <= -2).  Each
+term of W and u is one value, the same w, q c_p and q A that the branches
+hold, so a confining float input, real or Gaussian, leaves a residual of 0
+(short of a subnormal w).  No value is divided out of another, so a float
+potential coefficient leaks no rounding into gamma or a; a Coulomb a = q A E / gammat takes 1/gammat as
 (gamma0 - n')/(gamma0^2 - n'^2) for a surd gamma0.  A branch holds each
 value once, named as in the relations (u2, u6); the report prints the values
 the gate substitutes, the levels the branches' exact discriminant.  A solve
@@ -67,8 +67,7 @@ from typing import Callable, NamedTuple
 
 from . import _echo
 from .exact import (Expr, PotentialSpec, QuantumNumbers, _HALF, _I, _Kernel, _add,
-                    _common_kernel, _constant_poly, _format, _lowest, _mul, _num, _pow,
-                    _reciprocal, _scaled, _value)
+                    _common_kernel, _format, _mul, _num, _reciprocal, _square, _value)
 
 __all__ = [
     "PotentialSpec",
@@ -207,66 +206,30 @@ def _detect_family(V: PotentialSpec) -> str:
                                     "supported: r, r^2, A/r, inverse powers <= -2")
 
 
-def _product(factors, g) -> tuple:
-    """The product from the left, numbers first, with a factor object that
-    recurs raised to its count: q, sigma, q, A give q**2 * sigma * A, so a
-    float rounds as the derivation's q**2 does.  The factor None reads g.
-    Returned as a kernel polynomial; the numbers multiply as one int ratio
-    until a float meets it, which then rounds as a Fraction times a float."""
-    counts = {}
-    for f in factors:
-        if f is None:
-            f = g
-        seen = counts.get(id(f))
-        counts[id(f)] = (f, 1) if seen is None else (f, seen[1] + 1)
-    n = d = 1
-    x = None  # the float product, from the first float on
-    exprs = []
-    for f, k in counts.values():
-        if type(f) is Expr:
-            if k > 1:  # a Gaussian constant's power may be real
-                f, k = f**k, 1
-            if type(f) is Expr:
-                exprs.append(f)
-                continue
-        if type(f) is float:
-            x = (n / d if x is None else x) * _pow(f, k)
-        elif x is None:
-            n, d = n * f.numerator**k, d * f.denominator**k
-        else:
-            x *= f.numerator**k / f.denominator**k
-    if not exprs:
-        return _lowest(d, {0: n}) if x is None else (1, {0: x} if x else {})
-    out = exprs[0].poly
-    if x is not None or n != d:  # the numbers times each term of the first Expr
-        out = _scaled(out, *((n, d) if x is None else (x, 1)))
-    if len(exprs) == 1:
-        return out
-    out = _value(exprs[0].kernel, out)
-    for f in exprs[1:]:
-        out = _mul(out, f)
-    return out.poly if isinstance(out, Expr) else _constant_poly(out) if out else (1, {})
-
-
 def _laurent_relations(kernel, W, u, head, J, m, groups):
     """The Laurent coefficients of W(r)^2 + u(r)^2 - m^2 - J^2/r^2 as relations.
 
-    ``W`` and ``u`` list (power, factors) terms; the factor None is the g of
-    u's g/r, gamma0 at the ``head`` powers and gammat elsewhere.  Each pair of
-    terms is multiplied once and each power summed into one polynomial.
-    ``groups`` lists (power, matched, note) in print order; a power listed
-    twice is matched only if both groups are, and joins their notes with " + ".
+    ``W`` and ``u`` list (power, value) terms, each value one solver value
+    (w = q sigma, q c_p, q A, E, -2 b); the value None is the g of u's g/r,
+    gamma0 at the ``head`` powers and gammat elsewhere.  Each pair of terms is
+    one product, of the first value doubled for a cross term, so a float
+    rounds once at 2 x y as the gate does, and each power summed into one
+    polynomial.  A square is ``_square``, so a real float past the float
+    range raises OverflowError.  ``groups`` lists (power, matched, note) in
+    print order; a power listed twice is matched only if both groups are,
+    and joins their notes with " + ".
     """
     g0, gt = kernel.symbol("gamma0"), kernel.symbol("gammat")
     sums = {}
     for terms in (W, u):
-        for i, (p, f) in enumerate(terms):
-            for k, (p2, f2) in enumerate(terms[i:]):
+        for i, (p, x) in enumerate(terms):
+            for k, (p2, y) in enumerate(terms[i:]):
                 g = g0 if p + p2 in head else gt
-                factors = (*f, *f2) if k == 0 else (2, *f, *f2)
-                sums.setdefault(p + p2, []).append(_product(factors, g))
-    sums[0].append(_product((-1, m, m), None))
-    sums[-2].append(_product((-1, J, J), None))
+                xg, yg = g if x is None else x, g if y is None else y
+                xy = _square(xg) if k == 0 else _mul(2 * xg, yg)
+                sums.setdefault(p + p2, []).append(kernel.reading(xy))
+    sums[0].append(kernel.reading(-_square(m)))
+    sums[-2].append(kernel.reading(-_square(J)))
     merged = {}
     for power, matched, note in groups:
         was_matched, was_note = merged.get(power, (True, ""))
@@ -285,22 +248,14 @@ _OSCILLATOR_SERIES = LevelSeries("oscillator", lambda j, n_prime: oscillator_lev
 
 def _solve_confining(kernel, V, qn, E, m):
     q, A, sigma = V.coupling, V.coulomb_phase, V.terms[1]
-    # w = q sigma and q A are each one product for the relations and the
-    # branches, as the power laws' q c_p and q A, so a float residual is 0.  A
-    # Gaussian q, sigma or A still keeps its own factors in the relations (the
-    # printed text is the same with w and qA), so a complex float residual may
-    # read a rounding, such as 7.1e-15 for sigma = 1.2i, q = -6.0, A = -1.6 at
-    # j = 9/2, where w reads 0.0 (ROADMAP item 20)
     w, qA = q * sigma, q * A
-    W = ([(1, (-1, q, sigma)), (-1, (q, A))] if any(isinstance(x, Expr) for x in (q, sigma, A))
-         else [(1, (-1, w)), (-1, (qA,))])
     _a, _b = kernel.symbol("a"), kernel.symbol("b")
     n = qn.n_prime
     # exponent b2 r^2 with b2 = -b, so u holds 2 b2 r = -2 b r
     open_note = "left open by the three-equation solution"
     relations = _laurent_relations(
-        kernel, [*W, (0, (E,))],
-        [(1, (-2, _b)), (-1, (None,)), (0, (-1, _a))], (), qn.j_plus_half, m,
+        kernel, [(1, -w), (-1, qA), (0, E)], [(1, -2 * _b), (-1, None), (0, -_a)], (),
+        qn.j_plus_half, m,
         [(2, True, ""), (1, True, ""), (-1, True, ""), (0, False, open_note),
          (-2, False, open_note)])
     # the r^2, r and 1/r relations in closed form at s = 1; s = -1 negates them
@@ -319,7 +274,7 @@ def _coulomb_root(sqrt, qA, J):
     exact for an exact q A, each square a float rounded once for a float."""
     if isinstance(qA, Expr):
         raise UnsupportedPotentialError(f"a pure Coulomb potential needs a real q A, got {qA}")
-    disc = _pow(J, 2) - _pow(qA, 2)
+    disc = _square(J) - _square(qA)
     if not disc > 0:
         raise SupercriticalCouplingError("q^2 A^2 reaches (j+1/2)^2: supercritical coupling")
     return sqrt(disc)
@@ -331,11 +286,11 @@ def _solve_coulomb(kernel, V, qn, E, m):
     J = qn.j_plus_half
     n = qn.n_prime
     relations = _laurent_relations(
-        kernel, [(-1, (qA,)), (0, (E,))], [(-1, (None,)), (0, (-1, _a))], (-2,), J, m_sym,
+        kernel, [(-1, qA), (0, E)], [(-1, None), (0, -_a)], (-2,), J, m_sym,
         [(-2, True, _HEAD + ": the indicial condition fixing gamma"),
          (-1, True, "series tail, nu = n'"), (0, True, "fixes the level through m")])
     g0_root = _coulomb_root(kernel.sqrt, qA, J)
-    root_E2 = kernel.sqrt(_pow(E, 2))
+    root_E2 = kernel.sqrt(_square(E))
     branches = []
     for s in (1, -1):
         g0 = s * g0_root          # gamma + 1
@@ -376,13 +331,13 @@ def _solve_power(kernel, V, qn, E, m):
     u_syms = {p: kernel.symbol(name) for p, name in u_names.items()}
     # exponent u_p r^(p+1) / (p+1), so u holds u_p r^p
     relations = _laurent_relations(
-        kernel, [*((p, (coeffs[p],)) for p in powers), (-1, (qA,)), (0, (E,))],
-        [*((p, (u_syms[p],)) for p in powers), (-1, (None,)), (0, (-1, _a))],
+        kernel, [*((p, coeffs[p]) for p in powers), (-1, qA), (0, E)],
+        [*((p, u_syms[p]) for p in powers), (-1, None), (0, -_a)],
         {p - 1 for p in powers}, J, m,
         [(2 * powers[-1], True, ""), *((hi + lo, True, "") for hi, lo in zip(powers, powers[1:])),
          *((p - 1, True, _HEAD) for p in powers), (0, True, ""), *_TAILS,
          *((p, False, _CROSS) for p in powers), *((2 * p, True, "") for p in powers[:-1])])
-    a = kernel.sqrt(_pow(m, 2) - _pow(E, 2))
+    a = kernel.sqrt(_square(m) - _square(E))
     # the extreme, cross and head relations in closed form at s = 1; s = -1 negates them
     u_vals, g0 = {p: _I * coeffs[p] for p in powers}, _I * qA
     branches = []
@@ -507,7 +462,7 @@ def coulomb_levels(qA, j, n_prime: int) -> float:
     """E/m = (1 + q^2 A^2 / (sqrt((j+1/2)^2 - q^2 A^2) + n')^2)^(-1/2), from the
     branches' discriminant: exact up to its root for an exact q A."""
     gt = _coulomb_root(math.sqrt, qA, _num(j) + _HALF) + n_prime
-    return (1.0 + _pow(qA, 2) / (gt * gt)) ** -0.5
+    return (1.0 + _square(qA) / (gt * gt)) ** -0.5
 
 
 def oscillator_levels(m, j, n_prime: int):

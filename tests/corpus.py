@@ -4,6 +4,7 @@ input reports: byte identity of the solver as a test.
     python tests/corpus.py           # print the digest of each group
     python tests/corpus.py --write   # rewrite tests/golden/corpus_digest.json
     python tests/corpus.py --dump    # print one record per line, for a diff
+    python tests/corpus.py --diff REV   # per group, what moved since git revision REV
 
 Every input is drawn from ``random.Random(seed).getrandbits`` alone, so the
 corpus is the same on every Python; no sympy is imported.  For each input the
@@ -19,7 +20,8 @@ Groups:
 
 ``tests/test_corpus.py`` compares the digests with the committed file.  A
 change meant to move a report rewrites the file in the same commit and says
-which group moved.
+which group moved; ``--diff`` counts the moved records of each group against
+a revision, which it extracts with ``git archive`` into a temporary directory.
 """
 
 from __future__ import annotations
@@ -27,15 +29,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from nilpotent.spectra import (PotentialSpec, QuantumNumbers, match_coefficients,
                                residual_detail, residual_verify)
 
-DIGEST = Path(__file__).with_name("golden") / "corpus_digest.json"
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST = ROOT / "tests" / "golden" / "corpus_digest.json"
 SOLVE_INPUTS = 2400
 SEED = 20261022
 
@@ -169,10 +175,42 @@ def digests() -> dict:
             for group, h in hashes.items()}
 
 
+def _dump(root: Path) -> list[str]:
+    """The ``--dump`` lines of the checkout at ``root``, run on its own source."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, str(root / "tests" / "corpus.py"), "--dump"], env=env,
+                          check=True, capture_output=True, text=True).stdout.splitlines()
+
+
+def diff(rev: str) -> None:
+    """Print each group's count of records that differ between ``rev`` and
+    this checkout, and the input of its first differing record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        old = _dump(Path(tmp))
+    new = _dump(ROOT)
+    if len(old) != len(new):
+        print(f"{rev} has {len(old)} records, this checkout {len(new)}")
+    groups = {}
+    for before, after in zip(old, new):
+        group, _, case, _ = after.split(" | ", 3)
+        moved, total, first = groups.get(group, (0, 0, None))
+        if before != after:
+            moved, first = moved + 1, first or case
+        groups[group] = (moved, total + 1, first)
+    for group, (moved, total, first) in groups.items():
+        print(f"{group}: {moved} of {total} moved" + (f"; first: {first}" if first else ""))
+
+
 def main(argv) -> int:
     if "--dump" in argv:
         for group, label, V, j, n, E, m in inputs():
             print(f"{group} | {label} | {V} j={j} n'={n} E={E} m={m} | {record(V, j, n, E, m)}")
+        return 0
+    if "--diff" in argv:
+        diff(argv[argv.index("--diff") + 1])
         return 0
     found = digests()
     if "--write" in argv:

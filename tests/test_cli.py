@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import shutil
@@ -288,6 +289,57 @@ def test_baryon_fails_closed_when_the_product_does_not_collapse(monkeypatch, cap
     assert out == ""
     assert err == ("verification failure: phase BGR: baryon product failed to collapse onto a "
                    "single nilpotent\n")
+
+
+def _mutant(module, name, old, new):
+    """``module.name`` compiled again from its source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(module), namespace)
+    return namespace[name]
+
+
+def test_vacuum_fails_closed_when_the_chain_is_not_lam_to_the_n(monkeypatch, capsys):
+    """A sign flipped in the recurrence's step (-l ai to l ai) leaves one
+    reflection right and the second wrong.  The on-shell chain is checked
+    against i^n (-2E)^n X, which does not come from the recurrence, so the
+    report is followed by exit 2."""
+    monkeypatch.setattr(states, "vacuum_chain",
+                        _mutant(states, "vacuum_chain", "-l * ai - D * br", "l * ai - D * br"))
+    argv = ["--format", "json", "algebra", "vacuum", "--E", "5", "--p", "0,0,4", "--m", "3"]
+    assert cli.main(argv + ["--n", "2"]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["chain_reflections"] == 2
+    assert err == "verification failure: the on-shell chain of --n 2 reflections is not lam^n X\n"
+    assert cli.main(argv + ["--n", "1"]) == cli.EXIT_OK
+
+
+def test_vertex_fails_closed_when_the_on_shell_sum_is_not_scalar(monkeypatch, capsys):
+    """A row listing with (+E, +p) in place of (-E, +p) leaves an i.qi term in
+    the on-shell sum of vertex b: the report is followed by exit 2."""
+    monkeypatch.setattr(states, "_vertex_row", _mutant(
+        states, "_vertex_row", "((1, -1), (1, 1), (-1, 1), (-1, -1))",
+        "((1, -1), (1, 1), (1, 1), (-1, -1))"))
+    argv = ["--format", "json", "algebra", "vertex", "--vertex", "b", "--E", "5", "--p", "0,0,4",
+            "--m", "3"]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["is_scalar"] is False
+    assert err == "verification failure: the on-shell sum of vertex b is not a pure scalar\n"
+
+
+def test_vertex_fails_closed_when_the_massless_sum_is_not_zero(monkeypatch, capsys):
+    """E on the mass unit and m on E's: the all-massless on-shell sum of
+    vertex d no longer vanishes, and the report is followed by exit 2."""
+    units = states._STATE_UNITS
+    monkeypatch.setattr(states, "_STATE_UNITS", [units[4], *units[1:4], units[0]])
+    argv = ["--format", "json", "algebra", "vertex", "--vertex", "d", "--E", "5", "--p", "3,0,4",
+            "--m", "0"]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["sum"]
+    assert err == "verification failure: the all-massless sum of vertex d is not zero\n"
 
 
 @pytest.mark.parametrize("argv,name", [

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from sympy import I, Rational
 
@@ -294,24 +294,48 @@ _FLOAT = st.floats(-10, 10, allow_subnormal=False).filter(bool)
 
 @settings(max_examples=200)
 @given(_FLOAT, _FLOAT, _FLOAT, st.integers(0, 3), st.integers(0, 4))
+@example(1.0, 2.3446031926259426e-61, 6.668307629856183e-192, 0, 0)
 def test_float_oscillator_residual_is_exactly_zero(c2, q, a, k, n):
     """u2 = s i q c2 and 1 + gamma = s i q A divide nothing out of another, so
-    float inputs leave no rounding in the gate."""
+    float inputs leave no rounding in the gate.  The example's cross term
+    2 (q c2)(q A) is subnormal, so it rounds alike only if the relation
+    doubles before it multiplies, as the gate does: 2*(q c2*q A) read 5e-324."""
     qn = QuantumNumbers(Fraction(2 * k + 1, 2), n)
     V = PotentialSpec({2: c2}, I * a, q)
     assert residual_verify(V, match_coefficients(V, qn), qn) == 0.0
 
 
-@settings(max_examples=200)
-@given(st.floats(0.1, 10), st.floats(0.01, 3), st.floats(-5, 5), st.integers(0, 3),
-       st.integers(0, 4))
+def _or_gaussian(real):
+    """A float that ``real`` draws, or a complex float with parts it draws (the
+    real part may be 0), which the solver reads as a Gaussian constant."""
+    return st.one_of(real, st.builds(complex, st.just(0.0) | real, real))
+
+
+@settings(max_examples=300)
+@given(_or_gaussian(st.floats(0.1, 10)), _or_gaussian(st.floats(0.01, 3)),
+       _or_gaussian(st.floats(-5, 5)), st.integers(0, 3), st.integers(0, 4))
+@example(1.2j, -6.0, -1.6, 4, 0)
 def test_float_confining_residual_is_exactly_zero(sigma, q, A, k, n):
     """The r^2 relation and b = s i w/2 read the one product w = q sigma, so
-    float inputs leave no rounding in the gate; q**2 * sigma**2 in the
-    relation once left up to 2e-13 against (q sigma/2)**2 in b."""
+    float inputs, real or Gaussian, leave no rounding in the gate; q**2 *
+    sigma**2 in the relation once left up to 2e-13 against (q sigma/2)**2 in
+    b, and a Gaussian's own factors q, sigma and A once left 7.1e-15 at
+    sigma = 1.2i, q = -6.0, A = -1.6, j = 9/2."""
     qn = QuantumNumbers(Fraction(2 * k + 1, 2), n)
     V = PotentialSpec({1: sigma}, A, q)
     assert residual_verify(V, match_coefficients(V, qn), qn) == 0.0
+
+
+@pytest.mark.parametrize("V,E,m", [
+    (PotentialSpec({1: 1e200}, Fraction(1, 2)), None, None),
+    (PotentialSpec({1: 1.0}, Fraction(1, 2)), 1.0, 1e200),
+    (PotentialSpec({2: 1e200}, I / 2), None, None),
+], ids=["w", "m", "q c2"])
+def test_a_real_float_square_past_the_float_range_is_refused(V, E, m):
+    """A relation's square of a real float is rounded once from the exact
+    square, so past the float range it raises OverflowError, not inf."""
+    with pytest.raises(OverflowError):
+        match_coefficients(V, QN, E, m)
 
 
 # --- Lennard-Jones / inverse multipole --------------------------------------
@@ -1605,6 +1629,9 @@ _float_potentials = st.one_of(
               _SCALE_FLOAT, _SIGNED, st.floats(0.01, 3)),
     st.builds(lambda c6, c12, a: PotentialSpec({-6: c6, -12: -c12}, I * a),
               _SCALE_FLOAT, _SCALE_FLOAT, _SIGNED),
+    # q and A one Gaussian object, whose report must be that of an equal copy
+    st.builds(lambda sigma, z: PotentialSpec({1: sigma}, z, z), _SCALE_FLOAT,
+              st.builds(lambda re, im: re + _I * im, st.just(0.0) | _SIGNED, _SIGNED)),
 )
 
 
@@ -1612,7 +1639,13 @@ _float_potentials = st.one_of(
 @given(_float_potentials, st.one_of(st.tuples(_SCALE_FLOAT, _SCALE_FLOAT), st.just((None, None))),
        st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
 def test_float_solve_is_scale_covariant_bit_for_bit(V, E_m, j, n, k):
-    _assert_scale_covariant(V, QuantumNumbers(Fraction(2 * j + 1, 2), n), *E_m, 2.0 ** k)
+    qn = QuantumNumbers(Fraction(2 * j + 1, 2), n)
+    _assert_scale_covariant(V, qn, *E_m, 2.0 ** k)
+    if isinstance(V.coupling, Expr) and V.coupling is V.coulomb_phase:
+        copy = V._replace(coulomb_phase=Expr(None, V.coupling.poly))
+        sol, twin = match_coefficients(V, qn, *E_m), match_coefficients(copy, qn, *E_m)
+        assert twin.to_dict() == sol.to_dict()
+        assert residual_detail(twin, matched_only=False) == residual_detail(sol, matched_only=False)
 
 
 # --- infrared radius and flux-tube geometry ----------------------------------
